@@ -328,12 +328,9 @@ class G1Element:
         q = self.group.params.q
         width = int_width(q)
         if self.point.is_infinity():
-            return BitString(0, 1) + BitString(0, width) + BitString(0, 1)
-        return (
-            BitString(1, 1)
-            + BitString(self.point.x % q, width)
-            + BitString(self.point.y % 2, 1)
-        )
+            return BitString(0, width + 2)
+        value = (((1 << width) | self.point.x % q) << 1) | self.point.y % 2
+        return BitString(value, width + 2)
 
     def __repr__(self) -> str:
         if self.point.is_infinity():
@@ -455,7 +452,7 @@ class GTElement:
 
     def to_bits(self) -> BitString:
         width = int_width(self.group.params.q)
-        return BitString(self.value.a, width) + BitString(self.value.b, width)
+        return BitString((self.value.a << width) | self.value.b, 2 * width)
 
     def __repr__(self) -> str:
         return f"GT({self.value.a} + {self.value.b}i)"

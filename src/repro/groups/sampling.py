@@ -24,7 +24,7 @@ from repro.groups import curve
 from repro.groups.curve import Point
 from repro.groups.pairing_params import PairingParams
 from repro.math.fields import Fq2
-from repro.math.modular import is_quadratic_residue, sqrt_mod
+from repro.math.modular import sqrt_mod_or_none
 
 
 def random_subgroup_point(params: PairingParams, rng: random.Random) -> Point:
@@ -36,9 +36,9 @@ def random_subgroup_point(params: PairingParams, rng: random.Random) -> Point:
         rhs = (x * x * x + x) % q
         if rhs == 0:
             continue
-        if not is_quadratic_residue(rhs, q):
+        y = sqrt_mod_or_none(rhs, q)
+        if y is None:
             continue
-        y = sqrt_mod(rhs, q)
         if rng.getrandbits(1):
             y = (-y) % q
         candidate = curve.scalar_mul(Point(x, y, False), params.h, q)

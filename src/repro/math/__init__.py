@@ -28,6 +28,7 @@ from repro.math.modular import (
     legendre_symbol,
     pow_mod,
     sqrt_mod,
+    sqrt_mod_or_none,
 )
 from repro.math.primes import is_prime, next_prime, random_prime
 
@@ -49,5 +50,6 @@ __all__ = [
     "select_backend",
     "set_backend",
     "sqrt_mod",
+    "sqrt_mod_or_none",
     "use_backend",
 ]

@@ -80,21 +80,37 @@ def is_quadratic_residue(a: int, p: int) -> bool:
     return legendre_symbol(a, p) == 1
 
 
-def sqrt_mod(a: int, p: int) -> int:
-    """Return a square root of ``a`` modulo the odd prime ``p``.
+def sqrt_mod_or_none(a: int, p: int) -> int | None:
+    """Return a square root of ``a`` modulo the odd prime ``p``, or
+    ``None`` if ``a`` is a non-residue.
 
-    Uses the fast ``p % 4 == 3`` exponentiation path when available and
-    Tonelli-Shanks otherwise.  Raises
-    :class:`~repro.errors.ParameterError` if ``a`` is a non-residue.
+    For ``p % 4 == 3`` this is one exponentiation: ``y = a^((p+1)/4)``
+    satisfies ``y^2 = a^((p-1)/2) * a``, which is ``a`` exactly when the
+    Euler criterion ``a^((p-1)/2) = 1`` holds, so checking ``y^2 == a``
+    *is* the residuosity test.  Other primes take the Legendre symbol
+    and then Tonelli-Shanks.
     """
     a %= p
     if a == 0:
         return 0
-    if legendre_symbol(a, p) != 1:
-        raise ParameterError(f"{a} is not a quadratic residue modulo {p}")
     if p % 4 == 3:
-        return pow_mod(a, (p + 1) // 4, p)
+        y = pow_mod(a, (p + 1) // 4, p)
+        return y if y * y % p == a else None
+    if legendre_symbol(a, p) != 1:
+        return None
     return _tonelli_shanks(a, p)
+
+
+def sqrt_mod(a: int, p: int) -> int:
+    """Return a square root of ``a`` modulo the odd prime ``p``.
+
+    Raises :class:`~repro.errors.ParameterError` if ``a`` is a
+    non-residue (see :func:`sqrt_mod_or_none`).
+    """
+    root = sqrt_mod_or_none(a, p)
+    if root is None:
+        raise ParameterError(f"{a % p} is not a quadratic residue modulo {p}")
+    return root
 
 
 def _tonelli_shanks(a: int, p: int) -> int:

@@ -52,7 +52,6 @@ from repro.protocol.memory import PhaseSnapshot
 from repro.protocol.transport import Transport
 from repro.telemetry.metrics import active_registry
 from repro.telemetry.tracer import NULL_SPAN, active_tracer
-from repro.utils.serialization import encode_any
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +346,7 @@ class ProtocolEngine:
     ) -> None:
         if isinstance(op, Send):
             kind, label = "send", op.label
-            bits = len(encode_any(op.payload))
+            bits = len(self.transport.payload_bits(op.payload))
         elif isinstance(op, Recv):
             kind, label, bits = "recv", op.label, 0
         elif isinstance(op, Commit):

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 
 from repro.errors import FaultInjected, ParameterError
 from repro.protocol.transport import InMemoryTransport, Message, Transport
+from repro.utils.bits import BitString
 from repro.utils.serialization import encode_any
 
 DROP = "drop"
@@ -207,6 +208,9 @@ class FaultyTransport(Transport):
 
     def attach_group(self, group) -> None:
         self.inner.attach_group(group)
+
+    def payload_bits(self, payload: object) -> BitString:
+        return self.inner.payload_bits(payload)
 
     def record(self, sender: str, recipient: str, label: str, payload: object) -> Message:
         return self.inner.record(sender, recipient, label, payload)

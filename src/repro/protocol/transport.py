@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import socket
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import PeerDisconnected, TransportTimeout, WireFormatError
 from repro.utils.bits import BitString, concat_all
@@ -108,16 +108,26 @@ def recv_frame(endpoint: socket.socket, who: str, timeout=None) -> tuple[dict, b
 
 @dataclass(frozen=True)
 class Message:
-    """One message on the public channel."""
+    """One message on the public channel.
+
+    Its transcript encoding is computed at most once -- either handed in
+    by the sender (see :meth:`Transport.payload_bits`) or on first use --
+    and cached for as long as the message stays on the transcript.
+    """
 
     sender: str
     recipient: str
     label: str
     payload: object
     period: int
+    _bits: BitString | None = field(default=None, repr=False, compare=False)
 
     def to_bits(self) -> BitString:
-        return encode_any(self.payload)
+        bits = self._bits
+        if bits is None:
+            bits = encode_any(self.payload)
+            object.__setattr__(self, "_bits", bits)
+        return bits
 
 
 class Transport:
@@ -145,6 +155,8 @@ class Transport:
         self._messages: list[Message] = []
         self._period = 0
         self._group = None
+        # Per sending thread: the last payload sized by payload_bits().
+        self._sized = threading.local()
 
     # -- codec binding -----------------------------------------------------
 
@@ -173,11 +185,26 @@ class Transport:
     def advance_period(self) -> None:
         self._period += 1
 
+    def payload_bits(self, payload: object) -> BitString:
+        """Encode ``payload`` for the transcript, once per send.
+
+        The engine sizes each send step before it hands the payload to
+        :meth:`send`; the :class:`Message` that :meth:`record` then makes
+        for the same object (on the same thread) reuses this encoding
+        instead of computing it again.
+        """
+        bits = encode_any(payload)
+        self._sized.last = (payload, bits)
+        return bits
+
     def record(self, sender: str, recipient: str, label: str, payload: object) -> Message:
         """Append a frame to the public transcript (sender-side payload)."""
         if self.step_hook is not None:
             self.step_hook(label)
-        message = Message(sender, recipient, label, payload, self.current_period)
+        sized = getattr(self._sized, "last", None)
+        self._sized.last = None
+        bits = sized[1] if sized is not None and sized[0] is payload else None
+        message = Message(sender, recipient, label, payload, self.current_period, bits)
         self.messages.append(message)
         return message
 
@@ -226,7 +253,7 @@ class Transport:
 
     def bits_on_wire(self, period: int | None = None) -> int:
         """Total communication in bits (for the cost benchmarks)."""
-        return len(self.transcript_bits(period))
+        return sum(len(m.to_bits()) for m in self.transcript(period))
 
     def bits_by_label(self, period: int | None = None) -> dict[str, int]:
         """Communication breakdown per message label -- which protocol

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import GroupError
+from repro.groups.curve import Point
 from repro.groups.encoding import decode_g1, decode_gt, g1_roundtrip, gt_roundtrip
 from repro.utils.bits import BitString
 from repro.utils.serialization import int_width
@@ -114,3 +115,84 @@ class TestGTDecoding:
         bits = BitString((1 << width) - 1, width) + BitString(0, width)
         with pytest.raises(GroupError):
             decode_gt(small_group, bits)
+
+
+def _g1_bits(x: int, parity: int, width: int) -> BitString:
+    return BitString(1, 1) + BitString(x, width) + BitString(parity, 1)
+
+
+class TestG1DecodeRejections:
+    """Each rejection path of ``decode_g1`` after the one-exponentiation
+    square root, with and without the subgroup check."""
+
+    @pytest.mark.parametrize("check_subgroup", [True, False])
+    def test_non_abscissa_x(self, small_group, check_subgroup):
+        from repro.math.modular import legendre_symbol
+
+        q = small_group.params.q
+        width = int_width(q)
+        non_abscissas = [
+            x for x in range(1, 200) if legendre_symbol(x * x * x + x, q) == -1
+        ]
+        assert len(non_abscissas) > 50
+        for x in non_abscissas:
+            for parity in (0, 1):
+                with pytest.raises(GroupError, match="not the abscissa"):
+                    decode_g1(
+                        small_group,
+                        _g1_bits(x, parity, width),
+                        check_subgroup=check_subgroup,
+                    )
+
+    @pytest.mark.parametrize("check_subgroup", [True, False])
+    def test_x_at_or_above_q(self, small_group, check_subgroup):
+        q = small_group.params.q
+        width = int_width(q)
+        for x in (q, q + 1, (1 << width) - 1):
+            with pytest.raises(GroupError, match="out of field range"):
+                decode_g1(
+                    small_group, _g1_bits(x, 0, width), check_subgroup=check_subgroup
+                )
+
+    @pytest.mark.parametrize("check_subgroup", [True, False])
+    def test_two_torsion(self, small_group, check_subgroup):
+        """x = 0 is the only root of x^3 + x for q = 3 (mod 4)."""
+        width = int_width(small_group.params.q)
+        for parity in (0, 1):
+            with pytest.raises(GroupError, match="2-torsion"):
+                decode_g1(
+                    small_group,
+                    _g1_bits(0, parity, width),
+                    check_subgroup=check_subgroup,
+                )
+
+    def test_wrong_subgroup_only_with_the_check(self, small_group):
+        from repro.groups import curve as curve_mod
+        from repro.math.modular import sqrt_mod_or_none
+
+        params = small_group.params
+        q = params.q
+        width = int_width(q)
+        found = 0
+        for x in range(1, 400):
+            y = sqrt_mod_or_none((x * x * x + x) % q, q)
+            if y is None:
+                continue
+            if curve_mod.scalar_mul(Point(x, y, False), params.p, q).is_infinity():
+                continue
+            bits = _g1_bits(x, y % 2, width)
+            with pytest.raises(GroupError, match="order-p subgroup"):
+                decode_g1(small_group, bits, check_subgroup=True)
+            # Without the check the point is still a curve point.
+            decoded = decode_g1(small_group, bits, check_subgroup=False)
+            assert (decoded.point.x, decoded.point.y) == (x, y)
+            assert curve_mod.is_on_curve(decoded.point, q)
+            found += 1
+        assert found > 10
+
+    def test_parity_selects_the_root(self, small_group, rng):
+        for _ in range(10):
+            element = small_group.random_g(rng)
+            for candidate in (element, element.inverse()):
+                bits = candidate.to_bits()
+                assert decode_g1(small_group, bits, check_subgroup=False) == candidate

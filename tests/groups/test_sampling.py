@@ -57,3 +57,45 @@ class TestGTSampling:
         z = small_group.pair(small_group.g, small_group.g)
         combined = z.value * value
         assert (combined ** params.p).is_one()
+
+
+def legendre_then_sqrt_point(params, rng: random.Random):
+    """The earlier sampler: Legendre symbol, then a separate square root
+    (three exponentiations per accepted x).  Kept as the RNG-stream
+    oracle for :func:`random_subgroup_point`."""
+    from repro.groups.curve import Point
+    from repro.math.modular import is_quadratic_residue, sqrt_mod
+
+    q = params.q
+    while True:
+        x = rng.randrange(q)
+        rhs = (x * x * x + x) % q
+        if rhs == 0:
+            continue
+        if not is_quadratic_residue(rhs, q):
+            continue
+        y = sqrt_mod(rhs, q)
+        if rng.getrandbits(1):
+            y = (-y) % q
+        candidate = curve.scalar_mul(Point(x, y, False), params.h, q)
+        if not candidate.is_infinity():
+            return candidate
+
+
+class TestSamplingRngStream:
+    def test_same_points_as_legendre_then_sqrt(self, toy_group, small_group):
+        for group in (toy_group, small_group):
+            params = group.params
+            for seed in (0, 1, 7, 2024):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                for _ in range(25):
+                    assert random_subgroup_point(params, ours) == (
+                        legendre_then_sqrt_point(params, theirs)
+                    )
+                # Both consumed exactly the same draws.
+                assert ours.getstate() == theirs.getstate()
+
+    def test_group_sampler_is_seed_stable(self, small_group):
+        first = [small_group.random_g(random.Random(9)) for _ in range(3)]
+        again = [small_group.random_g(random.Random(9)) for _ in range(3)]
+        assert first == again

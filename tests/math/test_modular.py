@@ -12,6 +12,7 @@ from repro.math.modular import (
     is_quadratic_residue,
     legendre_symbol,
     sqrt_mod,
+    sqrt_mod_or_none,
 )
 
 PRIMES = [3, 7, 11, 101, 65537, 2**61 - 1]
@@ -103,6 +104,51 @@ class TestSqrtMod:
         for square in squares:
             root = sqrt_mod(square, p)
             assert root * root % p == square
+
+
+class TestSqrtModOrNone:
+    """The one-exponentiation square root against Legendre-then-sqrt."""
+
+    @staticmethod
+    def reference(a: int, p: int) -> int | None:
+        if a % p and legendre_symbol(a, p) != 1:
+            return None
+        return sqrt_mod(a, p)
+
+    # 2^61 - 1 and 65539 are 3 mod 4 (one exponentiation); 65537 and
+    # 2^64 - 59 are 1 mod 4 (Tonelli-Shanks).
+    @pytest.mark.parametrize("p", [43, 65539, 2**61 - 1, 17, 65537, 2**64 - 59])
+    def test_agrees_on_residues_and_non_residues(self, p):
+        rng = random.Random(p)
+        seen = {True: 0, False: 0}
+        for _ in range(200):
+            a = rng.randrange(p)
+            root = sqrt_mod_or_none(a, p)
+            assert root == self.reference(a, p)
+            if root is not None:
+                assert root * root % p == a
+            seen[root is not None] += 1
+            square = rng.randrange(1, p) ** 2 % p
+            assert sqrt_mod_or_none(square, p) == self.reference(square, p)
+        assert seen[True] > 50 and seen[False] > 50
+
+    @pytest.mark.parametrize("p", [7, 43, 13, 97])
+    def test_exhaustive_small_primes(self, p):
+        for a in range(p):
+            assert sqrt_mod_or_none(a, p) == self.reference(a, p)
+            assert (sqrt_mod_or_none(a, p) is not None) == (
+                a == 0 or is_quadratic_residue(a, p)
+            )
+
+    def test_reduces_its_argument(self):
+        assert sqrt_mod_or_none(2 + 7, 7) == sqrt_mod_or_none(2, 7)
+        assert sqrt_mod_or_none(7, 7) == 0
+
+    def test_sqrt_mod_raises_where_the_helper_returns_none(self):
+        for a in (3, 5, 6):
+            assert sqrt_mod_or_none(a, 7) is None
+            with pytest.raises(ParameterError, match="not a quadratic residue"):
+                sqrt_mod(a, 7)
 
 
 class TestCRT:

@@ -55,7 +55,7 @@ from repro.core.hpske import HPSKE, HPSKECiphertext, pair_ciphertexts, weighted_
 from repro.core.keys import Ciphertext, PublicKey, Share1, Share2
 from repro.core.params import DLRParams
 from repro.core.pss import PSS
-from repro.errors import ProtocolError
+from repro.errors import ProtocolError, ReproDeprecationWarning
 from repro.groups.bilinear import G1Element, GTElement
 from repro.groups.precompute import PrecomputedEncryptor
 from repro.protocol.channel import Channel, Message
@@ -208,7 +208,7 @@ class DLR:
         randomness.record("msk", master_secret)
 
         key = self.pss.keygen(rng)
-        coins = tuple(group.random_g(rng) for _ in range(self.params.ell))
+        coins = tuple(group.random_g_batch(rng, self.params.ell))
         share_ciphertext = self.pss.encrypt(key, master_secret, coins=coins)
         randomness.record("s", Share2(key.sigma, group.p))
         randomness.record("a", list(coins))
@@ -489,19 +489,19 @@ class DLR:
             with device1.computing():
                 sk_comm = self.hpske_g.keygen(device1.rng)
                 device1.secret.store("ref.sk_comm", sk_comm)
-                fresh_a = tuple(self.group.random_g(device1.rng) for _ in range(ell))
+                fresh_a = tuple(self.group.random_g_batch(device1.rng, ell))
                 # Derived: the fresh a'_i are recoverable from sk_comm plus
                 # the public ciphertexts f'_i, so they are not "essential"
                 # secret memory in the section 3.2 sense.
                 device1.secret.store("ref.a_next", list(fresh_a), derived=True)
-                f_pairs = [
-                    (
-                        self.hpske_g.encrypt(sk_comm, share1.a[i], device1.rng),
-                        self.hpske_g.encrypt(sk_comm, fresh_a[i], device1.rng),
-                    )
-                    for i in range(ell)
-                ]
-                f_phi = self.hpske_g.encrypt(sk_comm, share1.phi, device1.rng)
+                # Enc'(a_0), Enc'(a'_0), Enc'(a_1), ..., Enc'(Phi): the
+                # order a loop of single encryptions draws its coins in.
+                *f_flat, f_phi = self.hpske_g.encrypt_batch(
+                    sk_comm,
+                    (*(x for pair in zip(share1.a, fresh_a) for x in pair), share1.phi),
+                    device1.rng,
+                )
+                f_pairs = list(zip(f_flat[0::2], f_flat[1::2]))
             yield Send("ref.f", (tuple(f_pairs), f_phi))
 
             # Step 3 (P1): decrypt Phi', stage the new share, commit.
@@ -557,10 +557,9 @@ class DLR:
             with device1.computing():
                 sk_comm = self.hpske_g.keygen(device1.rng)
                 device1.secret.store("period.sk_comm", sk_comm)
-                f_list = [
-                    self.hpske_g.encrypt(sk_comm, a_i, device1.rng) for a_i in share1.a
-                ]
-                f_phi = self.hpske_g.encrypt(sk_comm, share1.phi, device1.rng)
+                *f_list, f_phi = self.hpske_g.encrypt_batch(
+                    sk_comm, (*share1.a, share1.phi), device1.rng
+                )
 
                 # One Miller schedule for A, reused across every f_i
                 # coordinate (kappa + 1 pairings per ciphertext), all
@@ -582,12 +581,9 @@ class DLR:
             # --- refresh phase (same sk_comm, f_i reused) ---------------
             device1.secret.open_phase(f"t{period}.refresh")
             with device1.computing():
-                fresh_a = tuple(self.group.random_g(device1.rng) for _ in range(ell))
+                fresh_a = tuple(self.group.random_g_batch(device1.rng, ell))
                 device1.secret.store("period.a_next", list(fresh_a), derived=True)
-                f_new = [
-                    self.hpske_g.encrypt(sk_comm, fresh_a[i], device1.rng)
-                    for i in range(ell)
-                ]
+                f_new = self.hpske_g.encrypt_batch(sk_comm, fresh_a, device1.rng)
             f_pairs = tuple(zip(f_list, f_new))
             yield Send("ref.f", (f_pairs, f_phi))
 
@@ -655,7 +651,7 @@ class DLR:
             "DLR.run_period_resilient is deprecated; drive lifecycles "
             "through repro.runtime.SessionSupervisor (or "
             "repro.runtime.drive_period_resilient for a single period)",
-            DeprecationWarning,
+            ReproDeprecationWarning,
             stacklevel=2,
         )
         if max_attempts < 1:
@@ -692,10 +688,9 @@ class DLR:
             with device1.computing():
                 sk_comm = self.hpske_g.keygen(device1.rng)
                 device1.secret.store("period.sk_comm", sk_comm)
-                f_list = [
-                    self.hpske_g.encrypt(sk_comm, a_i, device1.rng) for a_i in share1.a
-                ]
-                f_phi = self.hpske_g.encrypt(sk_comm, share1.phi, device1.rng)
+                *f_list, f_phi = self.hpske_g.encrypt_batch(
+                    sk_comm, (*share1.a, share1.phi), device1.rng
+                )
 
             plaintexts: list[GTElement] = []
             for index, ciphertext in enumerate(ciphertexts):
@@ -716,12 +711,9 @@ class DLR:
             snapshots[(1, "normal")] = device1.secret.close_phase()
             device1.secret.open_phase(f"t{period}.refresh")
             with device1.computing():
-                fresh_a = tuple(self.group.random_g(device1.rng) for _ in range(ell))
+                fresh_a = tuple(self.group.random_g_batch(device1.rng, ell))
                 device1.secret.store("period.a_next", list(fresh_a), derived=True)
-                f_new = [
-                    self.hpske_g.encrypt(sk_comm, fresh_a[i], device1.rng)
-                    for i in range(ell)
-                ]
+                f_new = self.hpske_g.encrypt_batch(sk_comm, fresh_a, device1.rng)
             f_pairs = tuple(zip(f_list, f_new))
             yield Send("ref.f", (f_pairs, f_phi))
 

@@ -254,6 +254,43 @@ class HPSKE:
         mask = _multiexp((message, *coins), (1, *key.sigma))
         return HPSKECiphertext(coins, mask)
 
+    def encrypt_batch(
+        self,
+        key: HPSKEKey,
+        messages: "Sequence[Element]",
+        rng: random.Random,
+    ) -> list[HPSKECiphertext]:
+        """``[encrypt(key, m, rng) for m in messages]`` as one vector.
+
+        Coins come from ``rng`` in exactly the loop's order (all of the
+        first message's coins, then the second's, ...), so the
+        ciphertexts and the RNG state afterwards are identical.  ``G``
+        coins are drawn by one :meth:`~repro.groups.bilinear.BilinearGroup.random_g_batch`
+        and every mask shares the exponent vector ``(1, sigma)``, so
+        all masks go through one ``multiexp_batch`` call.  Operation
+        counts equal the loop's.
+        """
+        if key.kappa != self.kappa:
+            raise ParameterError("key width does not match scheme kappa")
+        if not messages:
+            return []
+        count = self.kappa * len(messages)
+        if self.space == "G":
+            coins: list[Element] = list(self.group.random_g_batch(rng, count))
+        else:
+            coins = [self.group.random_gt(rng) for _ in range(count)]
+        grouped = [
+            tuple(coins[i * self.kappa : (i + 1) * self.kappa])
+            for i in range(len(messages))
+        ]
+        exponents = (1, *key.sigma)
+        masks = _multiexp_batch(
+            [((message, *coins_i), exponents) for message, coins_i in zip(messages, grouped)]
+        )
+        return [
+            HPSKECiphertext(coins_i, mask) for coins_i, mask in zip(grouped, masks)
+        ]
+
     def decrypt(self, key: HPSKEKey, ciphertext: HPSKECiphertext) -> Element:
         """``Dec'_{sk_comm}(b_1..b_kappa, b_0) = b_0 / prod b_j^{sigma_j}``."""
         if ciphertext.kappa != self.kappa:

@@ -24,7 +24,11 @@ from repro.groups import curve, fastops
 from repro.groups.curve import Point
 from repro.groups.pairing import PairingPrecomp, tate_pairing
 from repro.groups.pairing_params import PairingParams
-from repro.groups.sampling import random_gt_value, random_subgroup_point
+from repro.groups.sampling import (
+    random_gt_value,
+    random_subgroup_point,
+    random_subgroup_points,
+)
 from repro.math.backend import active_backend
 from repro.math.fields import Fq2
 from repro.parallel import parallel_map
@@ -275,10 +279,11 @@ class G1Element:
         :meth:`multiexp` over the instances -- each fast instance still
         bumps ``g_multiexp`` by its own term count, and degenerate /
         reference-mode instances still degrade to the per-term ladder --
-        but all Straus-sized instances share one window decision and one
-        batched inversion (:func:`repro.groups.fastops.batch_multiexp_points`),
-        and with the process pool enabled the kernel fans out across
-        workers (:mod:`repro.parallel`).
+        but Straus-sized instances run together in lockstep affine
+        coordinates, one shared inversion per round
+        (:func:`repro.groups.fastops.batch_multiexp_points`), and with
+        the process pool enabled the kernel fans out across workers
+        (:mod:`repro.parallel`).
         """
         results: list[G1Element | None] = [None] * len(instances)
         fast: list[tuple[int, BilinearGroup, list[tuple[G1Element, int]]]] = []
@@ -600,6 +605,19 @@ class BilinearGroup:
         (the section 5.2 requirement for the ``a_i`` and the coins)."""
         self.counter.g_samples += 1
         return G1Element(self, random_subgroup_point(self.params, rng))
+
+    def random_g_batch(self, rng: random.Random, count: int) -> list[G1Element]:
+        """``count`` calls of :meth:`random_g` in one vector: the same
+        elements, the same RNG stream and the same ``g_samples`` count,
+        with the cofactor clearing shared
+        (:func:`~repro.groups.sampling.random_subgroup_points`).  Inside
+        :func:`~repro.groups.fastops.reference_mode` it is the plain
+        loop."""
+        if not fastops.enabled():
+            return [self.random_g(rng) for _ in range(count)]
+        points = random_subgroup_points(self.params, rng, count)
+        self.counter.g_samples += len(points)
+        return [G1Element(self, point) for point in points]
 
     def random_gt(self, rng: random.Random) -> GTElement:
         """A uniform non-identity ``GT`` element with unknown discrete log."""

@@ -244,3 +244,122 @@ def batch_to_affine(points: list[_JacPoint], q: int) -> list[Point]:
         z_inv2 = z_inv * z_inv % q
         result[i] = Point(unlift(x * z_inv2 % q), unlift(y * z_inv2 * z_inv % q), False)
     return result
+
+
+# -- Lockstep affine vectors (one inversion per round) ---------------------
+#
+# A vector of *independent* affine additions or doublings shares one
+# modular inversion (Montgomery's trick): each slope denominator is
+# inverted from the running prefix product, so a round of ``n``
+# operations costs one :meth:`~repro.math.backend.FieldBackend.inv_mod`
+# plus ``3(n - 1)`` multiplications -- cheaper per element than a
+# Jacobian step once ``n`` is a handful.  Entries are raw ``(x, y)``
+# pairs already lifted onto the active backend and reduced mod ``q``,
+# or ``None`` for the point at infinity.
+
+_RawAffine = tuple[int, int] | None
+
+
+def batch_double_affine(points: "list[_RawAffine]", q) -> "list[_RawAffine]":
+    """``2P`` for every entry of a raw affine vector, one inversion."""
+    out: list[_RawAffine] = [None] * len(points)
+    pending: list[int] = []
+    prefix: list = []  # product of the earlier denominators
+    acc = 1
+    for i, point in enumerate(points):
+        # Infinity, or 2-torsion (y = 0), doubles to infinity.
+        if point is not None and point[1]:
+            pending.append(i)
+            prefix.append(acc)
+            acc = acc * 2 * point[1] % q
+    if pending:
+        inv = active_backend().inv_mod(acc, q)
+        for i, before in zip(reversed(pending), reversed(prefix)):
+            x, y = points[i]
+            slope = (3 * x * x + 1) * inv * before % q  # a = 1
+            inv = inv * (y + y) % q
+            x3 = (slope * slope - x - x) % q
+            out[i] = (x3, (slope * (x - x3) - y) % q)
+    return out
+
+
+def batch_add_affine(
+    lefts: "list[_RawAffine]", rights: "list[_RawAffine]", q
+) -> "list[_RawAffine]":
+    """``lefts[k] + rights[k]`` for every ``k``, one inversion.
+
+    Each element takes its own special case: an infinity operand passes
+    the other through, ``P + (-P)`` is infinity and ``P + P`` uses the
+    tangent slope inside the same batch.  Only indices and prefix
+    products are kept between the passes, so a wide round stays small
+    in memory."""
+    out: list[_RawAffine] = [None] * len(lefts)
+    pending: list[int] = []
+    prefix: list = []  # product of the earlier denominators
+    acc = 1
+    for i, (left, right) in enumerate(zip(lefts, rights)):
+        if left is None:
+            out[i] = right
+        elif right is None:
+            out[i] = left
+        elif left[0] != right[0]:
+            pending.append(i)
+            prefix.append(acc)
+            acc = acc * (right[0] - left[0]) % q
+        elif left[1] == right[1] and left[1]:
+            pending.append(i)
+            prefix.append(acc)
+            acc = acc * 2 * left[1] % q
+        # else P + (-P), or a 2-torsion point doubled: infinity.
+    if pending:
+        inv = active_backend().inv_mod(acc, q)
+        for i, before in zip(reversed(pending), reversed(prefix)):
+            x1, y1 = lefts[i]
+            x2, y2 = rights[i]
+            if x1 != x2:
+                slope = (y2 - y1) * inv * before % q
+                inv = inv * (x2 - x1) % q
+            else:
+                slope = (3 * x1 * x1 + 1) * inv * before % q
+                inv = inv * (y1 + y1) % q
+            x3 = (slope * slope - x1 - x2) % q
+            out[i] = (x3, (slope * (x1 - x3) - y1) % q)
+    return out
+
+
+def lift_affine(points: list[Point], q) -> "list[_RawAffine]":
+    """Points as raw affine entries on the active backend."""
+    lift = active_backend().lift
+    return [
+        None if point.infinity else (lift(point.x) % q, lift(point.y) % q)
+        for point in points
+    ]
+
+
+def unlift_affine(raws: "list[_RawAffine]") -> list[Point]:
+    """Raw affine entries back to canonical :class:`Point` values."""
+    unlift = active_backend().unlift
+    return [
+        INFINITY if raw is None else Point(unlift(raw[0]), unlift(raw[1]), False)
+        for raw in raws
+    ]
+
+
+def batch_scalar_mul(points: list[Point], scalar: int, q: int) -> list[Point]:
+    """``scalar * P`` for every point, as one lockstep affine vector.
+
+    Left-to-right double-and-add shared by the whole vector: each
+    doubling and each addition round costs one inversion in total, so
+    clearing the cofactor of many sampled points costs a few inversions
+    instead of one per point.  ``scalar`` must be positive.
+    """
+    if scalar < 1:
+        raise GroupError("batch_scalar_mul needs a positive scalar")
+    lifted_q = active_backend().lift(q)
+    base = lift_affine(points, lifted_q)
+    acc = base
+    for bit in bin(scalar)[3:]:
+        acc = batch_double_affine(acc, lifted_q)
+        if bit == "1":
+            acc = batch_add_affine(acc, base, lifted_q)
+    return unlift_affine(acc)

@@ -17,6 +17,13 @@ terms:
   position the bases are dropped into ``2^w - 1`` buckets and folded
   with a running suffix sum.  Asymptotically better; selected
   automatically above :data:`PIPPENGER_THRESHOLD` terms.
+* **Batch-affine (vectors of instances)** -- a period's independent
+  multiexps (one HPSKE mask per message, one weighted product per
+  ciphertext coordinate) evaluated together in affine coordinates with
+  signed (wNAF) digits: every doubling or addition round across the
+  whole vector shares one inversion (Montgomery's trick).  Selected by
+  :func:`batch_multiexp_points` whenever it holds two or more
+  Straus-sized instances; a lone instance keeps the Jacobian path.
 
 Both operate on raw representations (Jacobian integer triples for the
 curve, integer pairs for ``F_{q^2}``) -- no element-object allocation in
@@ -35,6 +42,7 @@ property tests use it to pin fast == naive.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import chain
 from typing import Iterator
 
 from repro.errors import GroupError
@@ -45,9 +53,13 @@ from repro.groups.curve import (
     _jacobian_add_affine,
     _jacobian_double,
     _jacobian_to_affine,
+    batch_add_affine,
+    batch_double_affine,
     batch_to_affine,
+    lift_affine,
+    unlift_affine,
 )
-from repro.groups.windows import bucket_window, straus_window
+from repro.groups.windows import bucket_window, straus_window, wnaf_window
 from repro.math.backend import active_backend
 
 _RawFq2 = tuple[int, int]
@@ -55,6 +67,11 @@ _RawFq2 = tuple[int, int]
 #: Term count above which the bucket method beats the interleaved
 #: window (tables grow linearly with terms, buckets do not).
 PIPPENGER_THRESHOLD = 64
+
+#: Table entries the batch-affine multiexp sums per lockstep tree: wide
+#: enough that each round's one inversion is amortised, small enough
+#: that a round's temporaries stay a few tens of KB.
+_TREE_ENTRIES = 512
 
 _enabled = True
 
@@ -197,39 +214,200 @@ def _pippenger_points(points: list[Point], exponents: list[int], q: int) -> Poin
     return _jacobian_to_affine(acc, q)
 
 
-def _straus_tables_points(points: list[Point], w: int, q) -> list[list]:
-    """The per-base Straus table entries of one instance, in Jacobian
-    form (normalisation is the caller's single batched inversion)."""
-    lift = active_backend().lift
-    jac_entries = []
-    for point in points:
-        ax, ay = lift(point.x) % q, lift(point.y) % q
-        entry = (ax, ay, 1)
-        jac_entries.append(entry)
-        for _ in range(2, 1 << w):
-            entry = _jacobian_add_affine(entry, ax, ay, q)
-            jac_entries.append(entry)
-    return jac_entries
+def wnaf_digits(exponent: int, w: int) -> list[tuple[int, int]]:
+    """The nonzero signed width-``w`` NAF digits of a positive exponent,
+    as ``(bit position, digit)`` pairs from the least significant end.
+
+    Every digit is odd with ``|digit| < 2^{w-1}``, any ``w`` consecutive
+    positions hold at most one of them, and
+    ``sum(digit << position) == exponent``.  Negative digits cost
+    nothing on the curve (negating a point negates ``y``), so only odd
+    positive multiples need computing.
+    """
+    digits: list[tuple[int, int]] = []
+    full = 1 << w
+    half = full >> 1
+    position = 0
+    while exponent:
+        zeros = (exponent & -exponent).bit_length() - 1
+        exponent >>= zeros
+        position += zeros
+        digit = exponent & (full - 1)
+        if digit >= half:
+            digit -= full
+        digits.append((position, digit))
+        # exponent - digit is divisible by 2^w: the next w digits are 0.
+        exponent = (exponent - digit) >> w
+        position += w
+    return digits
 
 
-def _straus_main_loop(
-    tables: list[list[Point]], exponents: list[int], w: int, digits: int, q
-) -> Point:
-    """The shared-squaring digit loop over already-normalised tables."""
-    mask = (1 << w) - 1
-    acc = (1, 1, 0)
-    for position in range(digits - 1, -1, -1):
-        if acc[2] != 0:
-            for _ in range(w):
-                acc = _jacobian_double(acc, q)
-        shift = position * w
-        for table, exponent in zip(tables, exponents):
-            digit = (exponent >> shift) & mask
-            if digit:
-                entry = table[digit - 1]
-                if not entry.is_infinity():
-                    acc = _jacobian_add_affine(acc, entry.x, entry.y, q)
-    return _jacobian_to_affine(acc, q)
+def _sum_column_groups(groups: list[list[list]], width: int, q) -> list[list]:
+    """Sum each group of equal-length columns of raw affine points
+    element-wise, all groups in lockstep.
+
+    Every group reduces as a balanced tree; each round pairs up the
+    columns of *every* group and adds all pairs in one
+    :func:`~repro.groups.curve.batch_add_affine` (one inversion), so the
+    whole reduction takes ``ceil(log2 k)`` rounds for the largest group
+    size ``k``.  ``None`` entries are infinity and pass through."""
+    while True:
+        lefts: list = []
+        rights: list = []
+        for columns in groups:
+            for k in range(0, len(columns) - 1, 2):
+                lefts.extend(columns[k])
+                rights.extend(columns[k + 1])
+        if not lefts:
+            return [columns[0] for columns in groups]
+        sums = batch_add_affine(lefts, rights, q)
+        start = 0
+        reduced = []
+        for columns in groups:
+            pairs = len(columns) >> 1
+            halved = [
+                sums[start + k * width : start + (k + 1) * width] for k in range(pairs)
+            ]
+            start += pairs * width
+            if len(columns) & 1:
+                halved.append(columns[-1])
+            reduced.append(halved)
+        groups = reduced
+
+
+def _digit_layout(
+    exponents: tuple[int, ...], w: int
+) -> tuple[list[list[tuple[int, int, int]]], list[int], dict[int, int]]:
+    """Where one exponent vector's signed digits land in the lockstep sums.
+
+    Per term: ``(bit position, column, table index)`` for each nonzero
+    digit, where the column counts the earlier terms with a digit at
+    that position and the index picks ``|d| P`` or ``-|d| P`` from the
+    signed table ``P, -P, 3P, -3P, ...``.  Also how many odd multiples
+    each term's table needs (up to its largest digit) and the column
+    count per position.  Instances sharing the vector share the layout.
+    """
+    filled: dict[int, int] = {}
+    terms: list[list[tuple[int, int, int]]] = []
+    multiples: list[int] = []
+    for exponent in exponents:
+        entries = []
+        largest = 1
+        for position, digit in wnaf_digits(exponent, w):
+            column = filled.get(position, 0)
+            filled[position] = column + 1
+            magnitude = abs(digit)
+            largest = max(largest, magnitude)
+            entries.append((position, column, magnitude - 1 + (digit < 0)))
+        terms.append(entries)
+        multiples.append((largest + 1) // 2)
+    return terms, multiples, filled
+
+
+def _batch_affine_multiexp(
+    instances: "list[tuple[list[Point], list[int]]]", q: int
+) -> list[Point]:
+    """Evaluate many Straus-sized instances in lockstep affine form.
+
+    One shared wNAF width (:func:`~repro.groups.windows.wnaf_window`,
+    sized by the widest exponent).  Every term's signed table
+    ``P, -P, 3P, -3P, ...`` is built by batched rounds: one doubling
+    round for all ``2P``, then one addition round per odd multiple,
+    each across every term of every instance, and only up to the
+    largest digit that term uses.  Then the table entries each instance
+    adds at each bit position are summed for many positions at once
+    (:func:`_sum_column_groups`), and the accumulators fold those sums
+    in from the top bit down, one doubling round per bit.  Every round
+    shares one inversion, so the vector never leaves affine
+    coordinates.  Instances sharing one exponent vector -- the HPSKE
+    masks and the coordinates of a weighted product -- share one digit
+    layout (:func:`_digit_layout`) and fill their columns exactly.
+    """
+    bits = max(e.bit_length() for _, exponents in instances for e in exponents)
+    w = wnaf_window(bits)
+    q = active_backend().lift(q)
+
+    layouts: dict[tuple[int, ...], tuple] = {}
+    instance_layouts = []
+    for _, exponents in instances:
+        key = tuple(exponents)
+        layout = layouts.get(key)
+        if layout is None:
+            layout = layouts[key] = _digit_layout(key, w)
+        instance_layouts.append(layout)
+    multiples = [count for layout in instance_layouts for count in layout[1]]
+    bases_raw = lift_affine([point for points, _ in instances for point in points], q)
+
+    # Odd multiples P, 3P, 5P, ... up to each term's largest digit.
+    tables = [[base] for base in bases_raw]
+    growing = [j for j, count in enumerate(multiples) if count > 1]
+    if growing:
+        doubles = batch_double_affine([bases_raw[j] for j in growing], q)
+        for row in range(1, max(multiples)):
+            active = [k for k, j in enumerate(growing) if multiples[j] > row]
+            sums = batch_add_affine(
+                [tables[growing[k]][-1] for k in active],
+                [doubles[k] for k in active],
+                q,
+            )
+            for k, point in zip(active, sums):
+                tables[growing[k]].append(point)
+    for table in tables:
+        table[:] = [
+            signed
+            for entry in table
+            for signed in (entry, None if entry is None else (entry[0], -entry[1] % q))
+        ]
+
+    # Per bit position, the table entries to add as columns over the
+    # instances (column c holds each instance's c-th entry there).
+    width = len(instances)
+    depth: dict[int, int] = {}
+    for _, _, filled in layouts.values():
+        for position, count in filled.items():
+            depth[position] = max(depth.get(position, 0), count)
+    columns_at = {
+        position: [[None] * width for _ in range(count)]
+        for position, count in depth.items()
+    }
+    term_tables = iter(tables)
+    for owner, (terms, _, _) in enumerate(instance_layouts):
+        for entries in terms:
+            table = next(term_tables)
+            for position, column, index in entries:
+                columns_at[position][column][owner] = table[index]
+    del tables, term_tables
+    positions = sorted(columns_at, reverse=True)
+
+    # Each position's entries summed by lockstep trees over slices of
+    # positions, then Horner from the top: acc = 2^gap * acc + sum.
+    sums: list[list] = []
+    start = 0
+    while start < len(positions):
+        stop, entries = start, 0
+        while stop < len(positions) and entries < _TREE_ENTRIES:
+            entries += len(columns_at[positions[stop]]) * width
+            stop += 1
+        sums.extend(
+            _sum_column_groups(
+                [columns_at.pop(position) for position in positions[start:stop]],
+                width,
+                q,
+            )
+        )
+        start = stop
+    acc: list = [None] * width
+    previous = None
+    for position, position_sum in zip(positions, sums):
+        if previous is not None:
+            for _ in range(previous - position):
+                acc = batch_double_affine(acc, q)
+        acc = batch_add_affine(acc, position_sum, q)
+        previous = position
+    if previous:
+        for _ in range(previous):
+            acc = batch_double_affine(acc, q)
+    return unlift_affine(acc)
 
 
 def batch_multiexp_points(
@@ -238,12 +416,15 @@ def batch_multiexp_points(
     """Evaluate a vector of independent multiexp instances, amortised.
 
     Same per-instance contract as :func:`multiexp_points` (pre-reduced
-    exponents, trivial terms dropped), but all Straus-sized instances
-    share **one** window/cost-model decision and **one** Montgomery-trick
-    batched inversion across every table entry, instead of one of each
-    per instance.  Pippenger-sized instances (no tables, no inversion)
-    and degenerate ones dispatch individually.  Results are bit-identical
-    to mapping :func:`multiexp_points` over the instances.
+    exponents, trivial terms dropped).  Two or more Straus-sized
+    instances run together in lockstep affine coordinates
+    (:func:`_batch_affine_multiexp`): signed digits, one shared
+    inversion per doubling or addition round across the whole vector,
+    no per-instance normalisation.  A lone Straus instance keeps the
+    Jacobian path of :func:`multiexp_points`, which wins at one
+    instance; Pippenger-sized and degenerate instances dispatch
+    individually.  Results are bit-identical to mapping
+    :func:`multiexp_points` over the instances.
     """
     results: list[Point | None] = [None] * len(instances)
     straus_idx: list[int] = []
@@ -258,36 +439,13 @@ def batch_multiexp_points(
             results[idx] = _pippenger_points(points, exponents, q)
         else:
             straus_idx.append(idx)
-    if not straus_idx:
-        return results  # type: ignore[return-value]
-
-    # One shared decision: widest exponent / largest term count over the
-    # whole vector (leading zero digits cost nothing -- the accumulator
-    # stays at infinity through them).
-    bits = max(
-        e.bit_length() for idx in straus_idx for e in instances[idx][1]
-    )
-    w = straus_window(max(len(instances[idx][0]) for idx in straus_idx), bits)
-    lifted_q = active_backend().lift(q)
-    row_len = (1 << w) - 1
-
-    jac_entries: list = []
-    spans: list[tuple[int, int, int]] = []
-    for idx in straus_idx:
-        start = len(jac_entries)
-        jac_entries.extend(_straus_tables_points(instances[idx][0], w, lifted_q))
-        spans.append((idx, start, len(instances[idx][0])))
-    affine = batch_to_affine(jac_entries, lifted_q)
-
-    digits = -(-bits // w)
-    for idx, start, count in spans:
-        tables = [
-            affine[start + i * row_len : start + (i + 1) * row_len]
-            for i in range(count)
-        ]
-        results[idx] = _straus_main_loop(
-            tables, instances[idx][1], w, digits, lifted_q
-        )
+    if len(straus_idx) == 1:
+        idx = straus_idx[0]
+        results[idx] = _straus_points(*instances[idx], q)
+    elif straus_idx:
+        values = _batch_affine_multiexp([instances[idx] for idx in straus_idx], q)
+        for idx, value in zip(straus_idx, values):
+            results[idx] = value
     return results  # type: ignore[return-value]
 
 

@@ -36,8 +36,9 @@ share element) :class:`PairingPrecomp` runs the Miller doubling schedule
 once -- point arithmetic in Jacobian form, normalised to affine with a
 single batched inversion (:func:`~repro.math.modular.batch_inv`) --
 caches the affine line coefficients ``(lambda, ty - lambda*tx)`` per
-step, and then evaluates against each ``Q`` with two integer
-multiplications per step instead of a full curve walk.
+step, and then evaluates against each ``Q`` without touching the curve:
+each line, scaled by the ``F_q`` factor ``-1/y_Q``, is ``c + i`` and
+multiplies ``f`` with two products (:func:`evaluate_schedule_chunk`).
 """
 
 from __future__ import annotations
@@ -267,31 +268,9 @@ class PairingPrecomp:
                 add_coeffs = (slope, (pt.y - slope * pt.x) % q)
             self.steps.append((dbl_coeffs, add_coeffs))
 
-    def miller_eval(self, q_point: Point) -> _RawFq2:
-        """``f_{p, P}(phi(Q))`` from the cached schedule (pre final exp)."""
-        if self._trivial or q_point.is_infinity():
-            return (1, 0)
-        backend = active_backend()
-        fq2_mul, fq2_square = backend.fq2_mul, backend.fq2_square
-        lift = backend.lift
-        q = lift(self.params.q)
-        phi_x = lift(-q_point.x) % q
-        neg_phi_y = lift(-q_point.y) % q
-        f: _RawFq2 = (1, 0)
-        for dbl_coeffs, add_coeffs in self.steps:
-            f = fq2_square(f, q)
-            if dbl_coeffs is not None:
-                slope, offset = dbl_coeffs
-                f = fq2_mul(f, ((slope * phi_x + offset) % q, neg_phi_y), q)
-            if add_coeffs is not None:
-                slope, offset = add_coeffs
-                f = fq2_mul(f, ((slope * phi_x + offset) % q, neg_phi_y), q)
-        return (backend.unlift(f[0]), backend.unlift(f[1]))
-
     def pair_with(self, q_point: Point) -> Fq2:
         """The full pairing ``e(P, Q)`` via the cached schedule."""
-        raw = final_exponentiation(self.miller_eval(q_point), self.params)
-        return Fq2._from_reduced(raw[0], raw[1], self.params.q)
+        return self.pair_with_many([q_point])[0]
 
     def evaluate_many(
         self, q_points: "list[Point]", jobs: int | None = None
@@ -328,62 +307,73 @@ class PairingPrecomp:
         ]
 
 
-def _evaluate_schedule(
-    steps: list[tuple[tuple[int, int] | None, tuple[int, int] | None]],
-    q: int,
-    h: int,
-    xy: tuple[int, int] | None,
-) -> _RawFq2:
-    """One full pairing evaluation from a cached schedule, ints-only.
-
-    ``xy`` is the affine ``(x, y)`` of ``Q`` as canonical ints, or
-    ``None`` for the point at infinity / a trivial schedule.  Runs the
-    cached Miller evaluation *and* the final exponentiation; every input
-    is a plain int (or tuple thereof), so a
-    :func:`functools.partial` over :func:`evaluate_schedule_chunk` is
-    picklable and backend-independent for the
-    :mod:`repro.parallel` pool.  Each call lifts onto whatever backend
-    is active in *this* process.
-    """
-    if xy is None:
-        return (1, 0)
-    backend = active_backend()
-    fq2_mul, fq2_square = backend.fq2_mul, backend.fq2_square
-    lift = backend.lift
-    lq = lift(q)
-    phi_x = lift(-xy[0]) % lq
-    neg_phi_y = lift(-xy[1]) % lq
-    f: _RawFq2 = (1, 0)
-    for dbl_coeffs, add_coeffs in steps:
-        f = fq2_square(f, lq)
-        if dbl_coeffs is not None:
-            slope, offset = dbl_coeffs
-            f = fq2_mul(f, ((slope * phi_x + offset) % lq, neg_phi_y), lq)
-        if add_coeffs is not None:
-            slope, offset = add_coeffs
-            f = fq2_mul(f, ((slope * phi_x + offset) % lq, neg_phi_y), lq)
-    # Final exponentiation (q - 1) * h: Frobenius is conjugation.
-    a, b = f[0] % lq, f[1] % lq
-    conjugate: _RawFq2 = (a, (-b) % lq)
-    powered = fq2_mul(conjugate, backend.fq2_inverse((a, b), lq), lq)
-    raw = backend.fq2_pow(powered, h, lq)
-    return (backend.unlift(raw[0]), backend.unlift(raw[1]))
-
-
 def evaluate_schedule_chunk(
     steps: list[tuple[tuple[int, int] | None, tuple[int, int] | None]],
     q: int,
     h: int,
     xys: list[tuple[int, int] | None],
 ) -> list[_RawFq2]:
-    """Pool worker: evaluate one cached schedule at many ``Q``.
+    """Evaluate one cached schedule at many ``Q``, final exponentiation
+    included; the pool worker of :meth:`PairingPrecomp.evaluate_many`.
 
-    Module-level so it pickles; dispatched by
-    :meth:`PairingPrecomp.evaluate_many` via
-    :func:`repro.parallel.parallel_map` with the schedule bound through
-    :func:`functools.partial`.
+    ``xys`` holds the affine ``(x, y)`` of each ``Q`` as canonical ints,
+    or ``None`` for the point at infinity / a trivial schedule.
+
+    **Normalised lines.**  A cached line evaluated at ``phi(Q)`` is
+    ``(slope * phi_x + offset) - y_Q i``.  Each one is scaled by the
+    ``F_q`` factor ``-1/y_Q``, which the final exponentiation kills
+    exactly like the eliminated denominators, making it ``c + i`` with
+    ``c = slope * (x_Q/y_Q) + offset * (-1/y_Q)``.  Multiplying ``f`` by
+    it takes two products instead of a full ``F_{q^2}`` product, and a
+    doubling step fuses with the square of ``f`` under one reduction.
+    At ``y_Q = 0`` (the 2-torsion point ``(0, 0)``) every line lies in
+    ``F_q``, so the pairing is 1.
+
+    The ``y_Q`` inverses of the whole chunk share one batch inversion,
+    and so do the norms that the final exponentiations invert
+    (``f^(q-1) = conj(f)^2 / N(f)``).  Every input is a plain int, so a
+    :func:`functools.partial` over this function pickles for the
+    :mod:`repro.parallel` pool; each call lifts onto whatever backend
+    is active in *this* process and returns canonical ints.
     """
-    return [_evaluate_schedule(steps, q, h, xy) for xy in xys]
+    backend = active_backend()
+    lift, unlift = backend.lift, backend.unlift
+    lq = lift(q)
+    results: list[_RawFq2] = [(1, 0)] * len(xys)
+    live = [k for k, xy in enumerate(xys) if xy is not None and xy[1] % q]
+    inv_ys = backend.batch_inv([lift(xys[k][1]) for k in live], lq)
+    values = []
+    for k, inv_y in zip(live, inv_ys):
+        u = lift(xys[k][0]) * inv_y % lq  # x_Q / y_Q
+        v = -inv_y % lq  # -1 / y_Q
+        a, b = lift(1), lift(0)
+        for dbl_coeffs, add_coeffs in steps:
+            # f^2, left unreduced until the line multiply.
+            s0 = (a - b) * (a + b)
+            s1 = 2 * a * b
+            if dbl_coeffs is None:
+                a, b = s0 % lq, s1 % lq
+            else:
+                c = dbl_coeffs[0] * u + dbl_coeffs[1] * v  # reduced below
+                a, b = (s0 * c - s1) % lq, (s0 + s1 * c) % lq
+            if add_coeffs is not None:
+                c = add_coeffs[0] * u + add_coeffs[1] * v
+                a, b = (a * c - b) % lq, (a + b * c) % lq
+        values.append((a, b))
+    # Final exponentiation (q - 1) * h, Frobenius = conjugation:
+    # f^(q-1) = conj(f) / f = conj(f)^2 / (a^2 + b^2).
+    # The result is unitary (norm 1), so raising it to h squares as
+    # (a + bi)^2 = (2a^2 - 1) + 2ab i.
+    inv_norms = backend.batch_inv([a * a + b * b for a, b in values], lq)
+    for k, (a, b), inv_norm in zip(live, values, inv_norms):
+        x0, x1 = (a - b) * (a + b) * inv_norm % lq, -2 * a * b * inv_norm % lq
+        r0, r1 = x0, x1
+        for bit in bin(h)[3:]:
+            r0, r1 = (2 * r0 * r0 - 1) % lq, 2 * r0 * r1 % lq
+            if bit == "1":
+                r0, r1 = (r0 * x0 - r1 * x1) % lq, (r0 * x1 + r1 * x0) % lq
+        results[k] = (unlift(r0), unlift(r1))
+    return results
 
 
 def final_exponentiation(value: _RawFq2, params: PairingParams) -> _RawFq2:

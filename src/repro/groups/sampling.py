@@ -27,9 +27,10 @@ from repro.math.fields import Fq2
 from repro.math.modular import sqrt_mod_or_none
 
 
-def random_subgroup_point(params: PairingParams, rng: random.Random) -> Point:
-    """Return a uniformly random point of the order-``p`` subgroup, excluding
-    the identity, with discrete log unknown even to the caller."""
+def _random_curve_point(params: PairingParams, rng: random.Random) -> Point:
+    """A uniformly random affine point of ``E(F_q)`` minus 2-torsion:
+    a random abscissa until ``x^3 + x`` is a nonzero square, then a
+    random sign for ``y``."""
     q = params.q
     while True:
         x = rng.randrange(q)
@@ -41,9 +42,40 @@ def random_subgroup_point(params: PairingParams, rng: random.Random) -> Point:
             continue
         if rng.getrandbits(1):
             y = (-y) % q
-        candidate = curve.scalar_mul(Point(x, y, False), params.h, q)
+        return Point(x, y, False)
+
+
+def random_subgroup_point(params: PairingParams, rng: random.Random) -> Point:
+    """Return a uniformly random point of the order-``p`` subgroup, excluding
+    the identity, with discrete log unknown even to the caller."""
+    while True:
+        candidate = curve.scalar_mul(_random_curve_point(params, rng), params.h, params.q)
         if not candidate.is_infinity():
             return candidate
+
+
+def random_subgroup_points(
+    params: PairingParams, rng: random.Random, count: int
+) -> list[Point]:
+    """``count`` draws of :func:`random_subgroup_point`: the same points
+    from the same RNG stream, with the cofactors cleared as one lockstep
+    vector (:func:`~repro.groups.curve.batch_scalar_mul`).
+
+    The sequential sampler redraws right after a candidate whose
+    cofactor multiple is the identity (probability about ``h / q`` per
+    draw).  A vector that hits one would consume the stream in a
+    different order, so the RNG state is restored and the whole vector
+    is drawn sequentially instead.
+    """
+    if count <= 0:
+        return []
+    state = rng.getstate()
+    candidates = [_random_curve_point(params, rng) for _ in range(count)]
+    cleared = curve.batch_scalar_mul(candidates, params.h, params.q)
+    if any(point.is_infinity() for point in cleared):
+        rng.setstate(state)
+        return [random_subgroup_point(params, rng) for _ in range(count)]
+    return cleared
 
 
 def random_gt_value(params: PairingParams, rng: random.Random) -> Fq2:

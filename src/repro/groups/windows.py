@@ -1,9 +1,10 @@
 """Shared, backend-aware window-selection cost models.
 
-Three exponentiation kernels pick a window width ``w`` from the same
+Four exponentiation kernels pick a window width ``w`` from the same
 family of cost trade-offs (table size vs. main-loop work):
 
 * Straus interleaved-window multiexp (:func:`straus_window`),
+* the batch-affine signed-digit multiexp (:func:`wnaf_window`),
 * Pippenger bucket multiexp (:func:`bucket_window`),
 * fixed-base windowed exponentiation (:func:`fixed_base_window`,
   used by :class:`~repro.groups.precompute.FixedBaseExp`).
@@ -82,6 +83,27 @@ def straus_window(
             + bits * dbl
             + terms * (bits / w) * (1 - 2.0 ** -w) * add
         )
+        if best_cost is None or cost < best_cost:
+            best_w, best_cost = w, cost
+    return best_w
+
+
+def wnaf_window(bits: int, profile: WindowProfile | None = None) -> int:
+    """wNAF width for one term of the batch-affine multiexp.
+
+    Cost model per term: the table of odd multiples ``P, 3P, ..,
+    (2^{w-1} - 1) P`` costs one doubling plus ``2^{w-2} - 1`` additions
+    (nothing at ``w = 2``, where the table is ``P`` alone), and the main
+    loop adds one entry per nonzero digit, ``bits / (w + 1)`` of them
+    on average.  The accumulator doublings do not depend on ``w``.
+    """
+    if profile is None:
+        profile = profile_for()
+    add, dbl = profile.add_cost, profile.double_cost
+    best_w, best_cost = 2, None
+    for w in range(2, MAX_STRAUS_WINDOW + 1):
+        table = 0.0 if w == 2 else dbl + ((1 << (w - 2)) - 1) * add
+        cost = table + bits / (w + 1) * add
         if best_cost is None or cost < best_cost:
             best_w, best_cost = w, cost
     return best_w

@@ -75,6 +75,23 @@ class SessionLog:
     def record_period(self, summary: PeriodSummary) -> None:
         self.periods.append(summary)
 
+    def prune(self, before_period: int) -> int:
+        """Drop the attempt records and period summaries of every period
+        before ``before_period``; returns how many rows went.
+
+        A long-running service commits a period, checkpoints it and
+        never reads its log rows again, so keeping them would grow
+        memory with every request.  Quarantined transcripts stay: they
+        are rare and exist for diagnosis.  Callers that report whole
+        lifecycles (``repro-dlr supervise --log``) simply never prune.
+        """
+        attempts = [a for a in self.attempts if a.period >= before_period]
+        periods = [p for p in self.periods if p.period >= before_period]
+        dropped = len(self.attempts) - len(attempts) + len(self.periods) - len(periods)
+        self.attempts = attempts
+        self.periods = periods
+        return dropped
+
     def quarantine_transcript(self, period: int, fault: str, messages: Iterable) -> None:
         """Isolate a poisoned period's transcript: message shape and a
         digest go into the log; the payload bytes stay out of it."""

@@ -40,6 +40,7 @@ ciphertext envelope; the service returns the recovered GT plaintext.
 from __future__ import annotations
 
 import random
+import secrets
 import socket
 import time
 
@@ -86,7 +87,14 @@ class ServiceClient:
         self.deadline = deadline
         self._sleep = sleep
         self._retry_rng = random.Random(f"{retry_seed}/service-client/retry")
-        self._request_tag = f"{random.Random(f'{retry_seed}/service-client/id').getrandbits(48):012x}"
+        # Unseeded clients must not share a tag: the server's replay
+        # cache would answer one client's request with another's result.
+        tag = (
+            secrets.randbits(48)
+            if retry_seed is None
+            else random.Random(f"{retry_seed}/service-client/id").getrandbits(48)
+        )
+        self._request_tag = f"{tag:012x}"
         self._request_counter = 0
         self._socket: socket.socket | None = None
         self._connect()

@@ -6,8 +6,8 @@ A :class:`ManagedSession` is the unit the registry owns per
 plus the service-side concerns the supervisor does not have -- mutual
 exclusion (one request at a time per key; concurrency lives *across*
 sessions), admission control against the leakage budget, last-used
-tracking for LRU eviction, and transcript pruning so an unbounded
-request stream does not grow memory without bound.
+tracking for LRU eviction, and transcript and session-log pruning so
+an unbounded request stream does not grow memory without bound.
 
 Locking discipline: the registry lock is always taken before a session
 lock, never the other way around, so eviction (registry + session) and
@@ -185,9 +185,12 @@ class ManagedSession:
                 transport.step_hook = None
             self.requests_served += 1
             self.last_used = self._clock()
-            # The committed period's transcript was checkpoint-summarized
-            # and will never be read again; keep memory flat.
-            self.supervisor.transport.prune(self.supervisor.state.next_period)
+            # The committed period's transcript and log rows were
+            # checkpoint-summarized and will never be read again; keep
+            # memory flat.
+            next_period = self.supervisor.state.next_period
+            self.supervisor.transport.prune(next_period)
+            self.supervisor.log.prune(next_period)
             return record
         finally:
             self.lock.release()

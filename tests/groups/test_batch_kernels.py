@@ -1,7 +1,8 @@
 """Equivalence suite for the amortized batch kernels.
 
-``batch_multiexp_*`` shares one window decision and one Montgomery-trick
-inversion across a vector of multiexp instances; ``evaluate_many`` /
+``batch_multiexp_points`` runs a vector of multiexp instances in
+lockstep affine coordinates (one Montgomery-trick inversion per round)
+and ``batch_multiexp_fq2`` shares one window decision; ``evaluate_many`` /
 ``pair_many`` serve a vector of right points from one cached Miller
 schedule, optionally fanned across the :mod:`repro.parallel` process
 pool.  All of them are *pure reorganizations*: every output must be

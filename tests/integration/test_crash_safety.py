@@ -12,7 +12,9 @@ the invariants the leakage model depends on:
   staged, as the injected fault otherwise;
 * no protocol secret (``*.sk_comm``, ``*.a_next``, pending shares)
   survives in secret memory after the protocol exits;
-* ``run_period_resilient`` completes the period on the retry.
+* the classified-retry driver (``drive_period_resilient``, and the
+  ``SessionSupervisor`` lifecycle over it) completes the period on the
+  retry.
 
 The whole suite runs twice: over the in-memory transport and over a
 real :class:`SocketTransport` with P1 and P2 in separate threads (a
@@ -41,6 +43,7 @@ from repro.protocol.faults import (
     FaultyTransport,
 )
 from repro.protocol.transport import SocketTransport
+from repro.runtime import RetryPolicy, SessionSupervisor, drive_period_resilient
 from repro.utils.bits import BitString
 
 PROTOCOL_SECRET_SUFFIXES = (".sk_comm", ".a_next", ".pending", ".delta", ".r")
@@ -152,6 +155,10 @@ class TestEveryBoundary:
 
 
 class TestResilientDriver:
+    @staticmethod
+    def _policy(max_attempts=3):
+        return RetryPolicy(max_attempts=max_attempts, base_backoff=0.0, jitter=0.0)
+
     @pytest.mark.parametrize("label", REFRESH_BOUNDARIES)
     def test_completes_on_retry_after_one_fault(self, scheme, label, make_faulty):
         generation, p1, p2, rng = make_setting(scheme)
@@ -159,7 +166,7 @@ class TestResilientDriver:
         message = scheme.group.random_gt(rng)
         ciphertext = scheme.encrypt(generation.public_key, message, rng)
 
-        record = scheme.run_period_resilient(p1, p2, channel, ciphertext)
+        record = drive_period_resilient(scheme, p1, p2, channel, ciphertext, self._policy())
         assert record.plaintext == message
         # The rotation did go through on the successful attempt.
         assert scheme.share1_of(p1) is not generation.share1
@@ -176,17 +183,50 @@ class TestResilientDriver:
             generation.public_key, scheme.group.random_gt(rng), rng
         )
         with pytest.raises(ProtocolError, match="did not complete"):
-            scheme.run_period_resilient(p1, p2, channel, ciphertext, max_attempts=3)
+            drive_period_resilient(scheme, p1, p2, channel, ciphertext, self._policy(3))
         # Even after exhausting retries the shares are consistent.
         assert scheme.verify_shares(generation.public_key, p1, p2, Channel(), rng)
 
+    def test_supervisor_completes_periods_through_faults(self, scheme, make_faulty):
+        """The lifecycle entry point: one fault per boundary kind, every
+        period still commits and the shares keep verifying."""
+        generation, _, _, rng = make_setting(scheme)
+        channel = make_faulty(
+            *(FaultRule(mode=DROP, label=label, period=index)
+              for index, label in enumerate(REFRESH_BOUNDARIES))
+        )
+        supervisor = SessionSupervisor.start(
+            scheme,
+            channel,
+            public_key=generation.public_key,
+            share1=generation.share1,
+            share2=generation.share2,
+            periods=len(REFRESH_BOUNDARIES),
+            seed=3,
+            policy=self._policy(),
+            sleep=lambda _seconds: None,
+        )
+        result = supervisor.run()
+        assert result.periods_completed == len(REFRESH_BOUNDARIES)
+        assert len(result.log.retried()) == len(REFRESH_BOUNDARIES)
+        assert scheme.verify_shares(
+            generation.public_key,
+            supervisor.device1,
+            supervisor.device2,
+            Channel(),
+            rng,
+        )
+
     def test_invalid_max_attempts(self, scheme):
+        """The deprecated shim still validates its argument, and says it
+        is deprecated."""
         generation, p1, p2, rng = make_setting(scheme)
         ciphertext = scheme.encrypt(
             generation.public_key, scheme.group.random_gt(rng), rng
         )
-        with pytest.raises(ProtocolError):
-            scheme.run_period_resilient(p1, p2, Channel(), ciphertext, max_attempts=0)
+        with pytest.warns(DeprecationWarning, match="run_period_resilient is deprecated"):
+            with pytest.raises(ProtocolError):
+                scheme.run_period_resilient(p1, p2, Channel(), ciphertext, max_attempts=0)
 
 
 class TestMultiPeriodSoak:

@@ -51,6 +51,15 @@ class TestQueries:
         assert log.charged_by_period() == {0: 200}
         assert log.faults_by_classification() == {TRANSIENT: 1}
 
+    def test_prune_drops_rows_of_earlier_periods(self):
+        log = self._log()
+        log.quarantine_transcript(0, "WireDecodeError", [])
+        assert log.prune(before_period=1) == 3
+        assert [(a.period, a.attempt) for a in log.attempts] == [(1, 1)]
+        assert [p.period for p in log.periods] == [1]
+        assert len(log.quarantine) == 1  # diagnostics are kept
+        assert log.prune(before_period=1) == 0
+
     def test_json_round_trip(self):
         log = self._log()
         data = json.loads(log.to_json())

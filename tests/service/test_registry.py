@@ -198,3 +198,21 @@ class TestSessionKey:
     def test_ordering_and_str(self):
         assert str(SessionKey("t", "k")) == "t/k"
         assert SessionKey("a", "b") < SessionKey("a", "c") < SessionKey("b", "a")
+
+
+class TestLogBound:
+    def test_long_running_session_keeps_the_log_bounded(self, tmp_path):
+        """A served session drops the log rows of committed periods, so
+        memory does not grow with the number of requests served."""
+        registry = SessionRegistry(tmp_path, capacity=4)
+        session = fresh_session(registry)
+        message, ciphertext = encrypt_for(session)
+        log = session.supervisor.log
+        for request in range(200):
+            if request % 50 == 49:
+                record = session.serve_decrypt_batch([ciphertext, ciphertext])
+                assert record.plaintexts == [message, message]
+            else:
+                assert session.serve_decrypt(ciphertext).plaintext == message
+            assert log.attempts == [] and log.periods == []
+        assert session.next_period == 200

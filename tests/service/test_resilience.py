@@ -568,3 +568,10 @@ class TestRetryingClient:
             ) as two, ServiceClient(stub.address, retry_seed=43) as other:
                 assert one.next_request_id() == two.next_request_id()
                 assert one.next_request_id() != other.next_request_id()
+
+    def test_unseeded_clients_never_share_request_ids(self):
+        """Two unseeded clients on one key must not collide in the
+        replay cache (one would be answered with the other's plaintext)."""
+        with _StubServer([]) as stub:
+            with ServiceClient(stub.address) as one, ServiceClient(stub.address) as two:
+                assert one.next_request_id() != two.next_request_id()

@@ -105,6 +105,15 @@ class TestObservability:
         spans = validate_trace_file(trace)
         assert {"period", "attempt", "step.send"} <= {s["name"] for s in spans}
 
+    def test_supervise_log_keeps_every_period(self, supervised):
+        """Log pruning is the key service's; a supervised lifecycle's
+        ``--log`` still records every attempt and period."""
+        _, log, _ = supervised
+        data = json.loads(log.read_text())
+        assert [p["period"] for p in data["periods"]] == [0, 1]
+        assert [a["period"] for a in data["attempts"]] == [0, 1]
+        assert data["summary"]["periods_committed"] == 2
+
     def test_supervise_prints_the_budget_dashboard(self, supervised):
         _, _, out = supervised
         assert "P1 (b1)" in out and "P2 (b2)" in out

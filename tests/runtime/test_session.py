@@ -26,6 +26,7 @@ from repro.runtime import (
     OK,
     POISONED,
     RETRY,
+    TRANSIENT,
     RetryPolicy,
     SessionLog,
     SessionState,
@@ -35,6 +36,7 @@ from repro.runtime import (
     scheme_for_state,
     scheme_kind_of,
 )
+from repro.telemetry import Tracer, tracing
 from repro.utils.bits import BitString
 
 
@@ -186,6 +188,200 @@ class TestRunWithRetries:
         assert froze == [True]
         (record,) = kwargs["log"].attempts
         assert record.outcome == FROZEN
+
+
+class _OrderedLog(SessionLog):
+    """A session log that records the order of its side effects, each
+    with the number of attempt spans closed when it happened."""
+
+    def __init__(self, tracer):
+        super().__init__(scheme="dlr")
+        self.tracer = tracer
+        self.events = []
+
+    def quarantine_transcript(self, period, fault, messages):
+        closed = len(self.tracer.spans_named("attempt"))
+        self.events.append(("quarantine", fault, closed))
+        super().quarantine_transcript(period, fault, messages)
+
+    def record_attempt(self, attempt):
+        closed = len(self.tracer.spans_named("attempt"))
+        self.events.append(("record", attempt.outcome, closed))
+        super().record_attempt(attempt)
+
+
+def _fault_attrs(attempt, name, classification, outcome, **extra):
+    return [
+        ("period", 0),
+        ("attempt", attempt),
+        ("bits", 4),
+        ("fault", name),
+        ("classification", classification),
+        ("outcome", outcome),
+        *extra.items(),
+    ]
+
+
+_OK_ATTRS = [("period", 0), ("attempt", 2), ("outcome", OK), ("bits", 4)]
+_BOTH_CHARGED = {"P1": 4, "P2": 4}
+
+
+# Each case scripts what every attempt does after putting one 4-bit frame
+# on the wire (return "done" or raise), and pins every observable of the
+# outcome path: the attempt spans' attributes in order, the attempt
+# records, the order of log writes and freeze callbacks, the retry
+# charges, the sleeps and the exception.  The clock ticks by one second
+# per reading, so ``wall_seconds`` also pins when the clock is read.
+_OUTCOME_CASES = {
+    "ok": dict(
+        script=["done"],
+        spans=[[("period", 0), ("attempt", 1), ("outcome", OK), ("bits", 4)]],
+        records=[(1, OK, None, None, 0.0, {}, 1.0)],
+        events=[("record", OK, 1)],
+        ledger={},
+    ),
+    "retry": dict(
+        script=[FaultInjected("drop"), "done"],
+        spans=[
+            _fault_attrs(1, "FaultInjected", TRANSIENT, RETRY, backoff_seconds=0.5),
+            _OK_ATTRS,
+        ],
+        records=[
+            (1, RETRY, "FaultInjected", TRANSIENT, 0.5, _BOTH_CHARGED, 1.0),
+            (2, OK, None, None, 0.0, {}, 1.0),
+        ],
+        events=[("record", RETRY, 1), ("record", OK, 2)],
+        ledger={0: {1: 4, 2: 4}},
+        sleeps=[0.5],
+    ),
+    "exhausted-attempts": dict(
+        script=[FaultInjected("drop"), FaultInjected("again")],
+        policy=dict(max_attempts=2),
+        spans=[
+            _fault_attrs(1, "FaultInjected", TRANSIENT, RETRY, backoff_seconds=0.5),
+            _fault_attrs(2, "FaultInjected", TRANSIENT, EXHAUSTED),
+        ],
+        records=[
+            (1, RETRY, "FaultInjected", TRANSIENT, 0.5, _BOTH_CHARGED, 1.0),
+            (2, EXHAUSTED, "FaultInjected", TRANSIENT, 0.0, {}, 1.0),
+        ],
+        events=[("record", RETRY, 1), ("record", EXHAUSTED, 2)],
+        ledger={0: {1: 4, 2: 4}},
+        sleeps=[0.5],
+        raises=(ProtocolError, "time period 0 did not complete within 2 attempts"),
+        cause=1,
+    ),
+    "exhausted-deadline": dict(
+        script=[FaultInjected("drop")],
+        policy=dict(max_attempts=10, deadline=1.5),
+        spans=[_fault_attrs(1, "FaultInjected", TRANSIENT, EXHAUSTED)],
+        records=[(1, EXHAUSTED, "FaultInjected", TRANSIENT, 0.0, {}, 1.0)],
+        events=[("record", EXHAUSTED, 1)],
+        ledger={},
+        raises=(ProtocolError, "time period 0 did not complete within its 1.5s deadline"),
+        cause=0,
+    ),
+    "frozen": dict(
+        script=[FaultInjected("drop")],
+        budget=LeakageBudget(0, 10, 2),  # P1 absorbs the 4 bits, P2 cannot
+        spans=[_fault_attrs(1, "FaultInjected", TRANSIENT, FROZEN)],
+        records=[(1, FROZEN, "FaultInjected", TRANSIENT, 0.0, {"P1": 4}, 1.0)],
+        events=[("record", FROZEN, 1), ("freeze", 1)],
+        ledger={0: {1: 4, 2: 0}},
+        raises=(LeakageBudgetExceeded, None),
+    ),
+    "aborted-fatal": dict(
+        script=[ParameterError("bad ell")],
+        spans=[_fault_attrs(1, "ParameterError", FATAL, ABORTED)],
+        records=[(1, ABORTED, "ParameterError", FATAL, 0.0, {}, 1.0)],
+        events=[("record", ABORTED, 1)],
+        ledger={},
+        raises="original",
+    ),
+    "aborted-poisoned": dict(
+        script=[WireFormatError("garbage frame")],
+        spans=[_fault_attrs(1, "WireFormatError", POISONED, ABORTED)],
+        records=[(1, ABORTED, "WireFormatError", POISONED, 0.0, {}, 1.0)],
+        events=[("quarantine", "WireFormatError", 1), ("record", ABORTED, 1)],
+        ledger={},
+        raises="original",
+        quarantined=["dec.d"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OUTCOME_CASES))
+def test_every_outcome_path_closes_span_and_records_attempt(case):
+    spec = _OUTCOME_CASES[case]
+    transport = InMemoryTransport()
+    script = iter(spec["script"])
+    raised = []
+
+    def attempt():
+        transport.send("P1", "P2", "dec.d", BitString(0b1111, 4))
+        step = next(script)
+        if step == "done":
+            return "done"
+        raised.append(step)
+        raise step
+
+    ticks = iter(range(100))
+    sleeps = []
+    tracer = Tracer()
+    log = _OrderedLog(tracer)
+    oracle = LeakageOracle(spec.get("budget", LeakageBudget(0, 1000, 1000)))
+    policy = RetryPolicy(**{"base_backoff": 0.5, "jitter": 0.0, **spec.get("policy", {})})
+    with tracing(tracer):
+        call = lambda: run_with_retries(  # noqa: E731
+            attempt,
+            period=0,
+            policy=policy,
+            transport=transport,
+            log=log,
+            jitter_rng=random.Random(0),
+            oracle=oracle,
+            sleep=sleeps.append,
+            clock=lambda: float(next(ticks)),
+            on_freeze=lambda: log.events.append(("freeze", len(log.attempts))),
+        )
+        raises = spec.get("raises")
+        if raises is None:
+            assert call() == "done"
+        elif raises == "original":
+            with pytest.raises(Exception) as info:
+                call()
+            assert info.value is raised[-1]
+        else:
+            kind, message = raises
+            with pytest.raises(kind) as info:
+                call()
+            if message is not None:
+                assert str(info.value) == message
+            if "cause" in spec:
+                assert info.value.__cause__ is raised[spec["cause"]]
+
+    spans = tracer.spans_named("attempt")
+    assert [list(s.attrs.items()) for s in spans] == spec["spans"]
+    assert all(s.end is not None for s in spans)
+    assert [
+        (
+            r.attempt,
+            r.outcome,
+            r.fault,
+            r.classification,
+            r.backoff_seconds,
+            r.charged_bits,
+            r.wall_seconds,
+        )
+        for r in log.attempts
+    ] == spec["records"]
+    assert all(r.period == 0 and r.bits_on_wire == 4 for r in log.attempts)
+    assert log.events == spec["events"]
+    assert oracle.retry_ledger == spec["ledger"]
+    assert sleeps == spec.get("sleeps", [])
+    frames = [[f["label"] for f in entry["frames"]] for entry in log.quarantine]
+    quarantined = spec.get("quarantined")
+    assert frames == ([] if quarantined is None else [quarantined])
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,8 @@ import pytest
 from repro.core.dlr import DLR
 from repro.core.optimal import OptimalDLR
 from repro.groups.precompute import PrecomputedEncryptor
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 
 def fresh_setting(scheme, seed=1):
@@ -32,7 +32,7 @@ def fresh_setting(scheme, seed=1):
     p1 = Device("P1", scheme.group, rng)
     p2 = Device("P2", scheme.group, rng)
     scheme.install(p1, p2, generation.share1, generation.share2)
-    return generation, p1, p2, Channel(), rng
+    return generation, p1, p2, InMemoryTransport(), rng
 
 
 class TestCoinReuseAblation:

@@ -17,8 +17,8 @@ import pytest
 from repro.core.dlr import DLR, combine_decrypt
 from repro.core.params import DLRParams
 from repro.groups import preset_group
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 GROUP_SIZES = (32, 64, 96)
 
@@ -30,7 +30,7 @@ def run_period_with_counts(n_bits, seed=1):
     rng = random.Random(seed)
     generation = scheme.generate(rng)
     p1, p2 = Device("P1", group, rng), Device("P2", group, rng)
-    channel = Channel()
+    channel = InMemoryTransport()
     scheme.install(p1, p2, generation.share1, generation.share2)
     ciphertext = scheme.encrypt(generation.public_key, group.random_gt(rng), rng)
     scheme.run_period(p1, p2, channel, ciphertext)
@@ -84,7 +84,7 @@ class TestDeviceAsymmetry:
         generation = scheme.generate(rng)
         p1 = Device("P1", scheme.group, rng)
         p2 = Device("P2", scheme.group, rng)
-        channel = Channel()
+        channel = InMemoryTransport()
         scheme.install(p1, p2, generation.share1, generation.share2)
         ciphertext = scheme.encrypt(generation.public_key, scheme.group.random_gt(rng), rng)
 

@@ -17,8 +17,8 @@ import pytest
 from repro.core.optimal import OptimalDLR
 from repro.core.params import DLRParams
 from repro.groups import preset_group
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 LAMBDAS = (32, 64, 128, 256, 512, 1024)
 GROUP_SIZES = (32, 64)
@@ -30,7 +30,7 @@ def measure(group, lam, seed):
     rng = random.Random(seed)
     generation = scheme.generate(rng)
     p1, p2 = Device("P1", group, rng), Device("P2", group, rng)
-    channel = Channel()
+    channel = InMemoryTransport()
     scheme.install(p1, p2, generation.share1, generation.share2)
     ciphertext = scheme.encrypt(generation.public_key, group.random_gt(rng), rng)
     record = scheme.run_period(p1, p2, channel, ciphertext)

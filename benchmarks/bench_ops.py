@@ -19,8 +19,8 @@ import pytest
 from repro.core.dlr import DLR
 from repro.core.hpske import HPSKE
 from repro.core.optimal import OptimalDLR
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 
 @pytest.fixture(scope="module")
@@ -38,7 +38,7 @@ def installed_devices(scheme, generated, seed=2):
     p1 = Device("P1", scheme.group, rng)
     p2 = Device("P2", scheme.group, rng)
     scheme.install(p1, p2, generated.share1, generated.share2)
-    return p1, p2, Channel()
+    return p1, p2, InMemoryTransport()
 
 
 class TestGroupOps:
@@ -204,7 +204,7 @@ def smoke_report(group_bits: int = 32, lam: int = 32, seed: int = 7) -> dict:
         p1 = Device("P1", group, rng)
         p2 = Device("P2", group, rng)
         scheme.install(p1, p2, generation.share1, generation.share2)
-        channel = Channel()
+        channel = InMemoryTransport()
         ciphertext = scheme.encrypt(
             generation.public_key, group.random_gt(rng), rng
         )

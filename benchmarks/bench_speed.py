@@ -8,7 +8,8 @@ decryption protocol) twice on identical inputs: once with the fast
 kernels active and once inside
 :func:`repro.groups.fastops.reference_mode`, which restores the naive
 per-term / per-pairing code paths.  Reports trimmed-median timings and
-the speedup ratio per entry, and calibrates the
+the speedup ratio per entry (the median of per-repeat ratios, the two
+legs timed back to back), and calibrates the
 :meth:`~repro.groups.bilinear.OperationCounter.total_cost` weights from
 the measured per-operation costs.
 
@@ -54,6 +55,18 @@ import time
 #: Fraction of a baseline speedup a fresh run must retain to pass --check.
 REGRESSION_TOLERANCE = 0.75
 
+#: Paired repeats per entry at smoke scale: enough that the median ratio
+#: rides out a slow repeat, while a smoke run stays a few seconds long.
+SMOKE_REPEATS = 7
+
+
+def _trimmed(samples: list[float]) -> float:
+    """Median after dropping the fastest and slowest sample."""
+    samples = sorted(samples)
+    if len(samples) > 2:
+        samples = samples[1:-1]
+    return statistics.median(samples)
+
 
 def trimmed_median(fn, warmup: int, repeats: int) -> float:
     """Median of ``repeats`` timed calls after dropping the fastest and
@@ -65,17 +78,36 @@ def trimmed_median(fn, warmup: int, repeats: int) -> float:
         start = time.perf_counter()
         fn()
         samples.append(time.perf_counter() - start)
-    samples.sort()
-    if len(samples) > 2:
-        samples = samples[1:-1]
-    return statistics.median(samples)
+    return _trimmed(samples)
 
 
-def _entry(fast_s: float, naive_s: float) -> dict:
+def paired_entry(fast, naive, warmup: int, repeats: int, fast_items: int = 1) -> dict:
+    """Time ``fast`` and ``naive`` back to back within every repeat and
+    report each leg's trimmed median and the median of the per-repeat
+    ``naive / fast`` ratios.
+
+    Timed in separate blocks, host drift lands on one leg of the ratio;
+    paired, it lands on both.  Which leg goes first alternates between
+    repeats.  ``fast_items`` divides the fast leg's time, for a fast leg
+    that does the work of that many naive calls (a batch against one).
+    """
+    for _ in range(warmup):
+        fast()
+        naive()
+    fast_samples: list[float] = []
+    naive_samples: list[float] = []
+    for repeat in range(repeats):
+        legs = [(fast, fast_samples), (naive, naive_samples)]
+        for fn, samples in legs if repeat % 2 == 0 else legs[::-1]:
+            start = time.perf_counter()
+            fn()
+            samples.append(time.perf_counter() - start)
+    fast_samples = [sample / fast_items for sample in fast_samples]
+    ratios = [n / f for f, n in zip(fast_samples, naive_samples)]
     return {
-        "fast_ms": round(fast_s * 1000, 4),
-        "naive_ms": round(naive_s * 1000, 4),
-        "speedup": round(naive_s / fast_s, 3) if fast_s > 0 else float("inf"),
+        "fast_ms": round(_trimmed(fast_samples) * 1000, 4),
+        "naive_ms": round(_trimmed(naive_samples) * 1000, 4),
+        "speedup": round(statistics.median(ratios), 3),
     }
 
 
@@ -111,10 +143,7 @@ def bench_kernels(group, params, rng, warmup: int, repeats: int) -> dict:
         with fastops.reference_mode():
             return G1Element.multiexp(g_bases, exponents)
 
-    report["g1_multiexp"] = _entry(
-        trimmed_median(g1_fast, warmup, repeats),
-        trimmed_median(g1_naive, warmup, repeats),
-    )
+    report["g1_multiexp"] = paired_entry(g1_fast, g1_naive, warmup, repeats)
 
     def gt_fast():
         return GTElement.multiexp(gt_bases, exponents)
@@ -123,10 +152,7 @@ def bench_kernels(group, params, rng, warmup: int, repeats: int) -> dict:
         with fastops.reference_mode():
             return GTElement.multiexp(gt_bases, exponents)
 
-    report["gt_multiexp"] = _entry(
-        trimmed_median(gt_fast, warmup, repeats),
-        trimmed_median(gt_naive, warmup, repeats),
-    )
+    report["gt_multiexp"] = paired_entry(gt_fast, gt_naive, warmup, repeats)
 
     # Fixed-argument pairing: one left point against `terms` right points,
     # schedule construction included in the fast timing.
@@ -140,10 +166,7 @@ def bench_kernels(group, params, rng, warmup: int, repeats: int) -> dict:
     def precomp_naive():
         return [tate_pairing(left, right, group.params) for right in rights]
 
-    report["pairing_precomp"] = _entry(
-        trimmed_median(precomp_fast, warmup, repeats),
-        trimmed_median(precomp_naive, warmup, repeats),
-    )
+    report["pairing_precomp"] = paired_entry(precomp_fast, precomp_naive, warmup, repeats)
 
     def miller_projective():
         return final_exponentiation(miller_loop(left, rights[0], group.params), group.params)
@@ -153,10 +176,7 @@ def bench_kernels(group, params, rng, warmup: int, repeats: int) -> dict:
             miller_loop_affine(left, rights[0], group.params), group.params
         )
 
-    report["miller_projective"] = _entry(
-        trimmed_median(miller_projective, warmup, repeats),
-        trimmed_median(miller_affine, warmup, repeats),
-    )
+    report["miller_projective"] = paired_entry(miller_projective, miller_affine, warmup, repeats)
 
     values = [rng.randrange(1, q) for _ in range(256)]
 
@@ -166,10 +186,7 @@ def bench_kernels(group, params, rng, warmup: int, repeats: int) -> dict:
     def inv_loop():
         return [inv_mod(v, q) for v in values]
 
-    report["batch_inv_256"] = _entry(
-        trimmed_median(inv_batched, warmup, repeats),
-        trimmed_median(inv_loop, warmup, repeats),
-    )
+    report["batch_inv_256"] = paired_entry(inv_batched, inv_loop, warmup, repeats)
     return report
 
 
@@ -181,8 +198,8 @@ def bench_schemes(scheme, generated, rng, warmup: int, repeats: int) -> dict:
     from repro.core.dlr import combine_decrypt, combine_refresh
     from repro.core.keys import Share2
     from repro.groups import fastops
-    from repro.protocol.channel import Channel
     from repro.protocol.device import Device
+    from repro.protocol.transport import InMemoryTransport
 
     group = scheme.group
     report = {}
@@ -211,9 +228,8 @@ def bench_schemes(scheme, generated, rng, warmup: int, repeats: int) -> dict:
         with fastops.reference_mode():
             return combine_decrypt(generated.share2, d_list, d_phi, d_b)
 
-    report["p2_decrypt_combine"] = _entry(
-        trimmed_median(dec_combine_fast, warmup, repeats),
-        trimmed_median(dec_combine_naive, warmup, repeats),
+    report["p2_decrypt_combine"] = paired_entry(
+        dec_combine_fast, dec_combine_naive, warmup, repeats
     )
 
     def ref_combine_fast():
@@ -223,9 +239,8 @@ def bench_schemes(scheme, generated, rng, warmup: int, repeats: int) -> dict:
         with fastops.reference_mode():
             return combine_refresh(generated.share2, fresh_share, f_pairs, f_phi)
 
-    report["p2_refresh_combine"] = _entry(
-        trimmed_median(ref_combine_fast, warmup, repeats),
-        trimmed_median(ref_combine_naive, warmup, repeats),
+    report["p2_refresh_combine"] = paired_entry(
+        ref_combine_fast, ref_combine_naive, warmup, repeats
     )
 
     # P1's d_i derivation: the fixed-argument pairing hot path.
@@ -240,10 +255,7 @@ def bench_schemes(scheme, generated, rng, warmup: int, repeats: int) -> dict:
                 f_phi.pair_with(precomp)
             ]
 
-    report["p1_derive_d"] = _entry(
-        trimmed_median(derive_fast, warmup, repeats),
-        trimmed_median(derive_naive, warmup, repeats),
-    )
+    report["p1_derive_d"] = paired_entry(derive_fast, derive_naive, warmup, repeats)
 
     # The full two-party decryption protocol, end to end.
     def installed():
@@ -251,7 +263,7 @@ def bench_schemes(scheme, generated, rng, warmup: int, repeats: int) -> dict:
         p1 = Device("P1", group, device_rng)
         p2 = Device("P2", group, device_rng)
         scheme.install(p1, p2, generated.share1, generated.share2)
-        return p1, p2, Channel()
+        return p1, p2, InMemoryTransport()
 
     p1, p2, channel = installed()
 
@@ -262,9 +274,8 @@ def bench_schemes(scheme, generated, rng, warmup: int, repeats: int) -> dict:
         with fastops.reference_mode():
             return scheme.decrypt_protocol(p1, p2, channel, ciphertext)
 
-    report["p2_full_decrypt"] = _entry(
-        trimmed_median(full_decrypt_fast, warmup, repeats),
-        trimmed_median(full_decrypt_naive, warmup, repeats),
+    report["p2_full_decrypt"] = paired_entry(
+        full_decrypt_fast, full_decrypt_naive, warmup, repeats
     )
     return report
 
@@ -291,8 +302,8 @@ def bench_batch(scheme, generated, rng, warmup: int, repeats: int) -> dict:
     """
     from repro.groups.pairing import PairingPrecomp
     from repro.parallel import shutdown_pool
-    from repro.protocol.channel import Channel
     from repro.protocol.device import Device
+    from repro.protocol.transport import InMemoryTransport
 
     group = scheme.group
     report = {}
@@ -302,7 +313,7 @@ def bench_batch(scheme, generated, rng, warmup: int, repeats: int) -> dict:
         p1 = Device("P1", group, device_rng)
         p2 = Device("P2", group, device_rng)
         scheme.install(p1, p2, generated.share1, generated.share2)
-        return p1, p2, Channel()
+        return p1, p2, InMemoryTransport()
 
     messages = [group.random_gt(rng) for _ in range(16)]
     ciphertexts = scheme.encrypt_batch(generated.public_key, messages, rng)
@@ -314,8 +325,6 @@ def bench_batch(scheme, generated, rng, warmup: int, repeats: int) -> dict:
     def single_period():
         return scheme.run_period(p1s, p2s, channel_s, ciphertexts[0])
 
-    t_single = trimmed_median(single_period, warmup, repeats)
-
     for batch in (4, 16):
         p1b, p2b, channel_b = installed(batch)
         subset = ciphertexts[:batch]
@@ -323,8 +332,9 @@ def bench_batch(scheme, generated, rng, warmup: int, repeats: int) -> dict:
         def batched(subset=subset, p1b=p1b, p2b=p2b, channel_b=channel_b):
             return scheme.run_period_multi(p1b, p2b, channel_b, subset)
 
-        t_batch = trimmed_median(batched, warmup, repeats)
-        report[f"decrypt_amortization_b{batch}"] = _entry(t_batch / batch, t_single)
+        report[f"decrypt_amortization_b{batch}"] = paired_entry(
+            batched, single_period, warmup, repeats, fast_items=batch
+        )
 
     left = group.random_g(rng).point
     points = [group.random_g(rng).point for _ in range(32)]
@@ -336,10 +346,7 @@ def bench_batch(scheme, generated, rng, warmup: int, repeats: int) -> dict:
     def in_process():
         return precomp.evaluate_many(points, jobs=1)
 
-    report["pool_evaluate_many_jobs2"] = _entry(
-        trimmed_median(pool_jobs2, warmup, repeats),
-        trimmed_median(in_process, warmup, repeats),
-    )
+    report["pool_evaluate_many_jobs2"] = paired_entry(pool_jobs2, in_process, warmup, repeats)
     shutdown_pool()
     return report
 
@@ -429,7 +436,11 @@ def speed_report(
         "kappa": params.kappa,
         "seed": seed,
         "cpu_count": os.cpu_count(),
-        "timing": {"warmup": warmup, "repeats": repeats, "estimator": "trimmed median"},
+        "timing": {
+            "warmup": warmup,
+            "repeats": repeats,
+            "estimator": "trimmed median; speedup is the median of paired ratios",
+        },
         "kernels": bench_kernels(group, params, rng, warmup, repeats),
         "schemes": bench_schemes(scheme, generated, rng, warmup, repeats),
         "batch": bench_batch(scheme, generated, rng, warmup, repeats),
@@ -603,7 +614,7 @@ def main(argv=None) -> int:
 
     group_bits = args.group_bits or (32 if args.smoke else 64)
     lam = args.lam or (32 if args.smoke else 128)
-    repeats = args.repeats or (3 if args.smoke else 5)
+    repeats = args.repeats or (SMOKE_REPEATS if args.smoke else 5)
 
     if args.backends:
         from repro.math.backend import backend_available, use_backend
@@ -634,7 +645,7 @@ def main(argv=None) -> int:
     if not args.smoke and (group_bits, lam) != (32, 32):
         # Full-size baselines carry a smoke-scale sub-report so CI's
         # smoke runs have scale-matched numbers to gate against.
-        report["smoke"] = speed_report(group_bits=32, lam=32, repeats=3)
+        report["smoke"] = speed_report(group_bits=32, lam=32, repeats=SMOKE_REPEATS)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w") as handle:

@@ -23,15 +23,15 @@ N_ID = 4
 
 class TestCCA2:
     def test_generate_table(self, benchmark, small_params, table_writer):
-        from repro.protocol.channel import Channel
         from repro.protocol.device import Device
+        from repro.protocol.transport import InMemoryTransport
 
         cca = DLRCCA2(small_params, n_id=N_ID)
         rng = random.Random(1)
         setup = cca.setup(rng)
         p1 = Device("P1", cca.params.group, rng)
         p2 = Device("P2", cca.params.group, rng)
-        channel = Channel()
+        channel = InMemoryTransport()
         cca.install(p1, p2, setup.share1, setup.share2)
         group = cca.params.group
         message = group.random_gt(rng)

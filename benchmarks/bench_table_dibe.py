@@ -14,8 +14,8 @@ from repro.core.params import DLRParams
 from repro.ibe.dlr_ibe import DLRIBE
 from repro.leakage.functions import LeakageInput, PrefixBits
 from repro.leakage.oracle import LeakageBudget, LeakageOracle
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 N_ID = 8
 
@@ -27,7 +27,7 @@ class TestDIBELifecycle:
         setup = dibe.setup(rng)
         p1 = Device("P1", dibe.group, rng)
         p2 = Device("P2", dibe.group, rng)
-        channel = Channel()
+        channel = InMemoryTransport()
         dibe.install(p1, p2, setup.share1, setup.share2)
 
         budget = LeakageBudget(0, small_params.theorem_b1(), small_params.theorem_b2())
@@ -163,7 +163,7 @@ class TestDIBELifecycle:
         setup = dibe.setup(rng)
         p1 = Device("P1", dibe.group, rng)
         p2 = Device("P2", dibe.group, rng)
-        channel = Channel()
+        channel = InMemoryTransport()
         dibe.install(p1, p2, setup.share1, setup.share2)
         dibe.extract_protocol(setup.public_params, p1, p2, channel, "alice")
 
@@ -211,7 +211,7 @@ class TestDIBELifecycle:
         setup = dibe.setup(rng)
         p1 = Device("P1", dibe.group, rng)
         p2 = Device("P2", dibe.group, rng)
-        channel = Channel()
+        channel = InMemoryTransport()
         dibe.install(p1, p2, setup.share1, setup.share2)
         counter = [0]
 

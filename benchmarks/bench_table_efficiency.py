@@ -86,15 +86,15 @@ class TestEfficiencyTable:
         the cost columns of T2's companion: bytes on the wire."""
         import random as _random
 
-        from repro.protocol.channel import Channel
         from repro.protocol.device import Device
+        from repro.protocol.transport import InMemoryTransport
 
         scheme = DLR(bench_params)
         generation = scheme.generate(_random.Random(2))
         rng = _random.Random(3)
         p1 = Device("P1", scheme.group, rng)
         p2 = Device("P2", scheme.group, rng)
-        channel = Channel()
+        channel = InMemoryTransport()
         scheme.install(p1, p2, generation.share1, generation.share2)
         ciphertext = scheme.encrypt(generation.public_key, scheme.group.random_gt(rng), rng)
 

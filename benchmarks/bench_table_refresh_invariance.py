@@ -12,8 +12,8 @@ import pytest
 
 from repro.analysis.stattests import chi_squared_two_sample
 from repro.core.dlr import DLR
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 TRIALS = 30
 REFRESH_DEPTH = 3
@@ -31,7 +31,7 @@ class TestRefreshInvariance:
                 return list(generation.share2.s[:4])
             p1 = Device("P1", scheme.group, rng)
             p2 = Device("P2", scheme.group, rng)
-            channel = Channel()
+            channel = InMemoryTransport()
             scheme.install(p1, p2, generation.share1, generation.share2)
             for _ in range(depth):
                 scheme.refresh_protocol(p1, p2, channel)
@@ -72,7 +72,7 @@ class TestRefreshInvariance:
         generation = scheme.generate(rng)
         p1 = Device("P1", scheme.group, rng)
         p2 = Device("P2", scheme.group, rng)
-        channel = Channel()
+        channel = InMemoryTransport()
         scheme.install(p1, p2, generation.share1, generation.share2)
         message = scheme.group.random_gt(rng)
         ciphertext = scheme.encrypt(generation.public_key, message, rng)

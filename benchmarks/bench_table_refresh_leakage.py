@@ -18,8 +18,8 @@ import pytest
 from repro.baselines.cost_models import COMPARISON_SCHEMES, dlr_model
 from repro.core.optimal import OptimalDLR
 from repro.core.params import DLRParams
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 LAMBDAS = (64, 256, 1024)
 
@@ -32,7 +32,7 @@ def measure_refresh_rates(group, lam, seed=1):
     generation = scheme.generate(rng)
     p1 = Device("P1", group, rng)
     p2 = Device("P2", group, rng)
-    channel = Channel()
+    channel = InMemoryTransport()
     scheme.install(p1, p2, generation.share1, generation.share2)
     ciphertext = scheme.encrypt(generation.public_key, group.random_gt(rng), rng)
     record = scheme.run_period(p1, p2, channel, ciphertext)

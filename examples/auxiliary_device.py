@@ -20,7 +20,7 @@ import time
 
 from repro import DLRParams, preset_group
 from repro.core.dlr import DLR
-from repro.protocol import Channel, Device
+from repro.protocol import Device, InMemoryTransport
 
 PERIODS = 3
 
@@ -34,7 +34,7 @@ def main() -> None:
     generation = scheme.generate(rng)
     main_processor = Device("P1", group, rng)
     smart_card = Device("P2", group, rng)
-    channel = Channel()
+    channel = InMemoryTransport()
     scheme.install(main_processor, smart_card, generation.share1, generation.share2)
 
     print(f"running {PERIODS} periods (decrypt + refresh each) ...")

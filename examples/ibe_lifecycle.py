@@ -17,7 +17,7 @@ from repro import DLRParams, preset_group
 from repro.cca.dlr_cca import DLRCCA2
 from repro.errors import DecryptionError
 from repro.ibe.dlr_ibe import DLRIBE
-from repro.protocol import Channel, Device
+from repro.protocol import Device, InMemoryTransport
 
 N_ID = 8
 
@@ -32,7 +32,7 @@ def main() -> None:
     setup = dibe.setup(rng)
     hsm1 = Device("P1", group, rng)
     hsm2 = Device("P2", group, rng)
-    channel = Channel()
+    channel = InMemoryTransport()
     dibe.install(hsm1, hsm2, setup.share1, setup.share2)
     print("master key shared between HSM-1 and HSM-2 (never reconstructed)")
 
@@ -64,7 +64,7 @@ def main() -> None:
     cca_setup = cca.setup(rng)
     gw1 = Device("P1", group, rng)
     gw2 = Device("P2", group, rng)
-    gw_channel = Channel()
+    gw_channel = InMemoryTransport()
     cca.install(gw1, gw2, cca_setup.share1, cca_setup.share2)
 
     payload = group.random_gt(rng)

@@ -17,7 +17,7 @@ import time
 from repro import DLRParams, preset_group
 from repro.core.dlr import DLR
 from repro.groups.precompute import PrecomputedEncryptor
-from repro.protocol import Channel, Device
+from repro.protocol import Device, InMemoryTransport
 
 TARGETS = (0.50, 0.75, 0.90, 0.95)
 
@@ -38,7 +38,7 @@ def main() -> None:
         scheme = DLR(params)
         generation = scheme.generate(rng)
         p1, p2 = Device("P1", group, rng), Device("P2", group, rng)
-        channel = Channel()
+        channel = InMemoryTransport()
         scheme.install(p1, p2, generation.share1, generation.share2)
         ciphertext = scheme.encrypt(generation.public_key, group.random_gt(rng), rng)
         scheme.run_period(p1, p2, channel, ciphertext)

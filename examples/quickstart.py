@@ -12,7 +12,7 @@ Run:  python examples/quickstart.py
 import random
 
 from repro import DLR, DLRParams, preset_group
-from repro.protocol import Channel, Device
+from repro.protocol import Device, InMemoryTransport
 
 SECURITY_BITS = 64
 LEAKAGE_PARAMETER = 128
@@ -32,7 +32,7 @@ def main() -> None:
     generation = scheme.generate(rng)
     device1 = Device("P1", group, rng)   # the main processor
     device2 = Device("P2", group, rng)   # the auxiliary device
-    channel = Channel()                  # public, transcript recorded
+    channel = InMemoryTransport()                  # public, transcript recorded
     scheme.install(device1, device2, generation.share1, generation.share2)
     print(f"shares installed: P1 holds {device1.secret.size_bits()} secret bits, "
           f"P2 holds {device2.secret.size_bits()}")

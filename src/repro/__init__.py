@@ -11,7 +11,7 @@ Quickstart::
 
     import random
     from repro import DLR, DLRParams, preset_group
-    from repro.protocol import Channel, Device
+    from repro.protocol import Device, InMemoryTransport
 
     group = preset_group(128)
     scheme = DLR(DLRParams(group=group, lam=256))
@@ -23,7 +23,7 @@ Quickstart::
 
     p1, p2 = Device("P1", group, rng), Device("P2", group, rng)
     scheme.install(p1, p2, gen.share1, gen.share2)
-    channel = Channel()
+    channel = InMemoryTransport()
     assert scheme.decrypt_protocol(p1, p2, channel, ciphertext) == message
     scheme.refresh_protocol(p1, p2, channel)   # same pk, fresh shares
 """

@@ -37,8 +37,8 @@ from repro.errors import DecryptionError, LeakageBudgetExceeded, ProtocolError
 from repro.groups.bilinear import GTElement
 from repro.leakage.functions import LeakageFunction, LeakageInput
 from repro.leakage.oracle import LeakageBudget, LeakageOracle
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 from repro.utils.bits import BitString
 from repro.utils.rng import fork_rng
 
@@ -55,7 +55,7 @@ class AdversaryView:
     """
 
     public_key: PublicKey
-    channel: Channel
+    channel: InMemoryTransport
     device1: Device
     device2: Device
     leakage_log: list[tuple[int, dict[tuple[int, str], BitString]]] = field(
@@ -154,7 +154,7 @@ class CPACMLGame:
 
         device1 = Device("P1", self.scheme.group, rng)
         device2 = Device("P2", self.scheme.group, rng)
-        channel = Channel()
+        channel = InMemoryTransport()
         self.scheme.install(device1, device2, generation.share1, generation.share2)
 
         view = AdversaryView(generation.public_key, channel, device1, device2)
@@ -267,7 +267,7 @@ class CCA2CMLGame:
 
         device1 = Device("P1", group, rng)
         device2 = Device("P2", group, rng)
-        channel = Channel()
+        channel = InMemoryTransport()
         self.scheme.install(device1, device2, setup.share1, setup.share2)
 
         view = AdversaryView(

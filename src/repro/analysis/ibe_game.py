@@ -26,8 +26,8 @@ from repro.ibe.boneh_boyen import IBECiphertext, IBEPublicParams
 from repro.ibe.dlr_ibe import DLRIBE
 from repro.leakage.functions import LeakageFunction, LeakageInput
 from repro.leakage.oracle import LeakageBudget, LeakageOracle
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 from repro.utils.bits import BitString
 from repro.utils.rng import fork_rng
 
@@ -46,7 +46,7 @@ class IBEPeriodRequest:
 @dataclass
 class IBEAdversaryView:
     public_params: IBEPublicParams
-    channel: Channel
+    channel: InMemoryTransport
     device1: Device
     device2: Device
     extracted: set[str] = field(default_factory=set)
@@ -111,7 +111,7 @@ class IBECPACMLGame:
 
         device1 = Device("P1", group, rng)
         device2 = Device("P2", group, rng)
-        channel = Channel()
+        channel = InMemoryTransport()
         scheme.install(device1, device2, setup.share1, setup.share2)
 
         view = IBEAdversaryView(setup.public_params, channel, device1, device2)

@@ -27,8 +27,8 @@ from repro.core.optimal import OptimalDLR
 from repro.core.params import DLRParams
 from repro.errors import ProtocolError
 from repro.groups.bilinear import GTElement
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 from repro.utils.rng import fork_rng
 
 
@@ -50,7 +50,7 @@ class SharedKeySession:
         self.public_key: PublicKey = generation.public_key
         self.processor_a = Device("P1", self.group, self.rng)
         self.processor_b = Device("P2", self.group, self.rng)
-        self.channel = Channel()
+        self.channel = InMemoryTransport()
         self.scheme.install(
             self.processor_a, self.processor_b, generation.share1, generation.share2
         )
@@ -110,7 +110,7 @@ class DecryptionService:
         self.public_key: PublicKey = generation.public_key
         self.main_processor = Device("P1", self.group, self.rng)
         self.auxiliary = Device("P2", self.group, self.rng)
-        self.channel = Channel()
+        self.channel = InMemoryTransport()
         self.scheme.install(
             self.main_processor, self.auxiliary, generation.share1, generation.share2
         )

@@ -49,8 +49,8 @@ from repro.core.params import DLRParams
 from repro.groups.encoding import decode_gt
 from repro.groups.pairing_params import generate_params
 from repro.groups.bilinear import BilinearGroup
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 from repro.utils import persist
 from repro.utils.bits import BitString
 
@@ -123,7 +123,7 @@ def cmd_decrypt(args: argparse.Namespace) -> int:
     share2 = persist.loads(pathlib.Path(args.share2).read_text(), group)
     ciphertext = persist.loads(pathlib.Path(args.ciphertext).read_text(), group)
     scheme, device1, device2 = _devices_for(public_key, share1, share2, args.seed)
-    plaintext = scheme.decrypt_protocol(device1, device2, Channel(), ciphertext)
+    plaintext = scheme.decrypt_protocol(device1, device2, InMemoryTransport(), ciphertext)
     print(plaintext.to_bits().to_bytes().hex())
     return 0
 
@@ -136,7 +136,7 @@ def cmd_refresh(args: argparse.Namespace) -> int:
     share1 = persist.loads(share1_path.read_text(), group)
     share2 = persist.loads(share2_path.read_text(), group)
     scheme, device1, device2 = _devices_for(public_key, share1, share2, args.seed)
-    scheme.refresh_protocol(device1, device2, Channel())
+    scheme.refresh_protocol(device1, device2, InMemoryTransport())
     new_share1 = scheme.share1_of(device1)
     new_share2 = scheme.share2_of(device2)
     suffix = "" if args.in_place else ".refreshed"
@@ -153,7 +153,7 @@ def cmd_supervise(args: argparse.Namespace) -> int:
 
     from repro.core.optimal import OptimalDLR
     from repro.ibe.dlr_ibe import DLRIBE
-    from repro.protocol.transport import InMemoryTransport, SocketTransport
+    from repro.protocol.transport import SocketTransport
     from repro.runtime import RetryPolicy, SessionSupervisor
     from repro.telemetry import Tracer, install_tracer
 

@@ -40,7 +40,7 @@ the devices park incoming shares there and yield ``Commit()`` at the
 final ``ref.commit`` message boundary.  If the protocol dies at any
 earlier (or that) boundary, the engine rolls both devices back to their
 old, mutually consistent shares and the period can simply be re-run
-(:meth:`DLR.run_period_resilient`); the failure surfaces as
+(:func:`repro.runtime.drive_period_resilient`); the failure surfaces as
 :class:`~repro.errors.RefreshAborted`.  An interrupted refresh can
 therefore never desync the two devices, and :meth:`DLR.verify_shares`
 succeeds after any abort.
@@ -55,10 +55,9 @@ from repro.core.hpske import HPSKE, HPSKECiphertext, pair_ciphertexts, weighted_
 from repro.core.keys import Ciphertext, PublicKey, Share1, Share2
 from repro.core.params import DLRParams
 from repro.core.pss import PSS
-from repro.errors import ProtocolError, ReproDeprecationWarning
+from repro.errors import ProtocolError
 from repro.groups.bilinear import G1Element, GTElement
 from repro.groups.precompute import PrecomputedEncryptor
-from repro.protocol.channel import Channel, Message
 from repro.protocol.device import Device
 from repro.protocol.engine import (
     Commit,
@@ -70,7 +69,7 @@ from repro.protocol.engine import (
     TranscriptStats,
 )
 from repro.protocol.memory import PhaseSnapshot
-from repro.protocol.transport import Transport
+from repro.protocol.transport import InMemoryTransport, Message, Transport
 from repro.telemetry.tracer import traced
 
 SK1_SLOT = "sk1"
@@ -542,7 +541,8 @@ class DLR:
         Crash-safe: an exception at any message boundary rolls back any
         staged share rotation, erases every protocol secret, and closes
         the open phase snapshots before propagating, so the period can be
-        re-run against intact shares (:meth:`run_period_resilient`).
+        re-run against intact shares
+        (:func:`repro.runtime.drive_period_resilient`).
         """
         period = channel.current_period
         share1 = self.share1_of(device1)
@@ -622,45 +622,6 @@ class DLR:
         messages = channel.transcript(period)
         channel.advance_period()
         return PeriodRecord(period, plaintext, snapshots, messages)
-
-    def run_period_resilient(
-        self,
-        device1: Device,
-        device2: Device,
-        channel: Transport,
-        ciphertext: Ciphertext,
-        max_attempts: int = 3,
-    ) -> PeriodRecord:
-        """Deprecated: one classified-retry period; use the session
-        supervisor (:class:`repro.runtime.SessionSupervisor`) for whole
-        lifecycles.
-
-        Delegates to :func:`repro.runtime.drive_period_resilient`, so
-        unlike the old retry-anything loop it classifies each failure
-        first: only *transient* faults are retried; fatal and poisoned
-        faults (bad parameters, an exceeded leakage budget, undecodable
-        wire bytes) re-raise immediately as the original exception
-        rather than burning the attempt budget on a failure that cannot
-        heal.  Exhaustion still raises
-        :class:`~repro.errors.ProtocolError` with the last transient
-        failure as its cause.
-        """
-        import warnings
-
-        warnings.warn(
-            "DLR.run_period_resilient is deprecated; drive lifecycles "
-            "through repro.runtime.SessionSupervisor (or "
-            "repro.runtime.drive_period_resilient for a single period)",
-            ReproDeprecationWarning,
-            stacklevel=2,
-        )
-        if max_attempts < 1:
-            raise ProtocolError("max_attempts must be >= 1")
-        from repro.runtime.policy import RetryPolicy
-        from repro.runtime.session import drive_period_resilient
-
-        policy = RetryPolicy(max_attempts=max_attempts, base_backoff=0.0, jitter=0.0)
-        return drive_period_resilient(self, device1, device2, channel, ciphertext, policy)
 
     # ------------------------------------------------------------------
     # One period with several decryptions (section 3.3 extension)

@@ -55,7 +55,7 @@ class TransportTimeout(ProtocolError):
 class FaultInjected(ProtocolError):
     """An injected channel fault interrupted a protocol mid-flight.
 
-    Raised by :class:`~repro.protocol.faults.FaultyChannel` at a
+    Raised by :class:`~repro.protocol.faults.FaultyTransport` at a
     configured message boundary; carries which message was hit and how.
     """
 

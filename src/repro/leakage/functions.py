@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 from repro.errors import ParameterError
-from repro.protocol.channel import Message
 from repro.protocol.memory import PhaseSnapshot
+from repro.protocol.transport import Message
 from repro.utils.bits import BitString
 
 

@@ -42,14 +42,6 @@ different shapes:
    or serialized form, keeping golden transcripts byte-identical across
    backends.
 
-:meth:`FieldBackend.fq_context` returns the backend's repeated-multiply
-representation of ``F_q`` -- the form a loop that multiplies hundreds of
-times against one modulus should convert into.  The pure backend's form
-is genuine Montgomery (:class:`MontgomeryFq`: REDC with ``R = 2^k``);
-the gmpy2 form is an ``mpz`` residue (GMP's native reduction already
-beats a Python-level REDC, so converting further would only add cost --
-``docs/performance.md`` has the measured comparison).
-
 Selection: :func:`select_backend` runs at import, honouring the
 ``REPRO_BACKEND`` environment variable (``auto`` | ``python`` |
 ``gmpy2``; ``auto`` picks gmpy2 iff importable).  ``repro-dlr
@@ -71,126 +63,6 @@ BACKEND_ENV_VAR = "REPRO_BACKEND"
 
 #: The ``auto`` preference order: first importable backend wins.
 AUTO_ORDER = ("gmpy2", "python")
-
-
-# ---------------------------------------------------------------------------
-# Repeated-multiply F_q contexts
-
-
-class FqContext:
-    """A fixed-modulus ``F_q`` representation for repeated-multiply loops.
-
-    ``enter``/``exit`` convert a canonical residue in ``[0, q)`` to and
-    from the context's internal form; ``mul``/``square``/``pow`` operate
-    entirely in that form.  The form is opaque -- callers must never mix
-    in-form values with canonical integers except through ``enter``/
-    ``exit`` (Montgomery residues, for instance, are scaled by ``R``).
-    """
-
-    __slots__ = ("q",)
-
-    def __init__(self, q: int) -> None:
-        self.q = q
-
-    def enter(self, value: int):
-        raise NotImplementedError
-
-    def exit(self, rep) -> int:
-        raise NotImplementedError
-
-    def one(self):
-        """The multiplicative identity, in form."""
-        return self.enter(1)
-
-    def mul(self, a, b):
-        raise NotImplementedError
-
-    def square(self, a):
-        return self.mul(a, a)
-
-    def pow(self, a, exponent: int):
-        """Square-and-multiply entirely in form (``exponent >= 0``)."""
-        if exponent < 0:
-            raise ParameterError("FqContext.pow requires a non-negative exponent")
-        result = self.one()
-        base = a
-        while exponent:
-            if exponent & 1:
-                result = self.mul(result, base)
-            base = self.square(base)
-            exponent >>= 1
-        return result
-
-
-class MontgomeryFq(FqContext):
-    """Montgomery form ``x -> x * R mod q`` with ``R = 2^k``, ``k = |q|``.
-
-    The reference implementation of the repeated-multiply contract: one
-    REDC (two multiplications, shifts and masks -- no division) per
-    product.  On CPython the interpreter's native ``%`` is implemented
-    in C and beats this Python-level REDC for the modulus sizes the
-    reproduction uses, so the pure backend's *element* paths keep native
-    reduction and this class serves as the contract's ground truth
-    (cross-checked against every backend by the equivalence suite); a
-    backend whose native reduction is slow would route its hot loops
-    here.
-    """
-
-    __slots__ = ("k", "mask", "n_prime", "r2")
-
-    def __init__(self, q: int) -> None:
-        if q < 3 or q % 2 == 0:
-            raise ParameterError("Montgomery form requires an odd modulus >= 3")
-        super().__init__(q)
-        self.k = q.bit_length()
-        r = 1 << self.k
-        self.mask = r - 1
-        # q odd => q invertible modulo R = 2^k.
-        self.n_prime = (-pow(q, -1, r)) & self.mask
-        self.r2 = r * r % q
-
-    def _redc(self, t: int) -> int:
-        # Valid for 0 <= t < R*q; both products below satisfy that.
-        m = (t & self.mask) * self.n_prime & self.mask
-        u = (t + m * self.q) >> self.k
-        return u - self.q if u >= self.q else u
-
-    def enter(self, value: int) -> int:
-        return self._redc((value % self.q) * self.r2)
-
-    def exit(self, rep: int) -> int:
-        return self._redc(rep)
-
-    def mul(self, a: int, b: int) -> int:
-        return self._redc(a * b)
-
-
-class NativeFq(FqContext):
-    """Direct residues with the backend's native reduction.
-
-    Used by backends whose plain ``a * b % q`` is already the fastest
-    repeated-multiply form (pure CPython for element-sized work, gmpy2
-    over ``mpz``).  ``lift``/``unlift`` of the owning backend supply the
-    value type.
-    """
-
-    __slots__ = ("_backend",)
-
-    def __init__(self, q: int, backend: "FieldBackend") -> None:
-        super().__init__(backend.lift(q))
-        self._backend = backend
-
-    def enter(self, value: int):
-        return self._backend.lift(value % self.q)
-
-    def exit(self, rep) -> int:
-        return self._backend.unlift(rep)
-
-    def mul(self, a, b):
-        return a * b % self.q
-
-    def pow(self, a, exponent: int):
-        return self._backend.pow_mod(a, exponent, self.q)
 
 
 # ---------------------------------------------------------------------------
@@ -226,9 +98,6 @@ class FieldBackend:
     #: ``batch_inv`` and the ``F_{q^2}`` multiexp).  Backends whose native
     #: type is not exactly :class:`int` must leave this False.
     native_ints = False
-
-    def __init__(self) -> None:
-        self._fq_contexts: dict[int, FqContext] = {}
 
     # -- representation hooks -------------------------------------------
 
@@ -339,18 +208,6 @@ class FieldBackend:
         norm_inv = self.lift(self.inv_mod(norm, q))
         return (a * norm_inv % q, (-b) * norm_inv % q)
 
-    # -- repeated-multiply form ------------------------------------------
-
-    def fq_context(self, q: int) -> FqContext:
-        """The cached repeated-multiply context for modulus ``q``."""
-        context = self._fq_contexts.get(q)
-        if context is None:
-            context = self._fq_contexts[q] = self._make_fq_context(q)
-        return context
-
-    def _make_fq_context(self, q: int) -> FqContext:
-        return NativeFq(q, self)
-
     # -- misc -------------------------------------------------------------
 
     def __repr__(self) -> str:
@@ -360,18 +217,14 @@ class FieldBackend:
 class PythonBackend(FieldBackend):
     """The always-available pure-Python reference backend.
 
-    Plain :class:`int` everywhere; ``lift`` is the identity.  Its
-    repeated-multiply form is genuine Montgomery (:class:`MontgomeryFq`)
-    -- the contract's reference implementation -- while the element hot
-    paths keep CPython's native ``%`` (measured faster at these modulus
-    sizes; see docs/performance.md).
+    Plain :class:`int` everywhere; ``lift`` is the identity, and every
+    reduction is CPython's native ``%`` (measured faster than a
+    Python-level Montgomery REDC at these modulus sizes; see
+    docs/performance.md).
     """
 
     name = "python"
     native_ints = True
-
-    def _make_fq_context(self, q: int) -> FqContext:
-        return MontgomeryFq(q)
 
 
 class Gmpy2Backend(FieldBackend):
@@ -388,7 +241,6 @@ class Gmpy2Backend(FieldBackend):
     name = "gmpy2"
 
     def __init__(self) -> None:
-        super().__init__()
         try:
             import gmpy2
         except ImportError as exc:  # pragma: no cover - depends on env

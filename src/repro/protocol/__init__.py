@@ -9,12 +9,11 @@ the public region and the full communication transcript for free.
 This package supplies those moving parts; the schemes in
 :mod:`repro.core` are written as per-device step generators driven by
 the :class:`~repro.protocol.engine.ProtocolEngine` over a pluggable
-:class:`~repro.protocol.transport.Transport` (in-memory ``Channel``,
+:class:`~repro.protocol.transport.Transport` (``InMemoryTransport``,
 fault-injecting ``FaultyTransport``, or ``SocketTransport`` with the
 parties in separate threads).
 """
 
-from repro.protocol.channel import Channel, Message
 from repro.protocol.device import Device
 from repro.protocol.engine import (
     Commit,
@@ -27,16 +26,14 @@ from repro.protocol.engine import (
     StepStat,
     TranscriptStats,
 )
-from repro.protocol.faults import FaultRule, FaultyChannel, FaultyTransport
+from repro.protocol.faults import FaultRule, FaultyTransport
 from repro.protocol.memory import MemoryRegion, PhaseSnapshot
-from repro.protocol.transport import InMemoryTransport, SocketTransport, Transport
+from repro.protocol.transport import InMemoryTransport, Message, SocketTransport, Transport
 
 __all__ = [
-    "Channel",
     "Commit",
     "Device",
     "FaultRule",
-    "FaultyChannel",
     "FaultyTransport",
     "InMemoryTransport",
     "MemoryRegion",

@@ -264,7 +264,3 @@ class FaultyTransport(Transport):
                 mode=TRUNCATE,
             )
         raise FaultInjected(f"message {label!r} dropped", label=label, mode=DROP)
-
-
-#: Historic name for :class:`FaultyTransport` (it wrapped a ``Channel``).
-FaultyChannel = FaultyTransport

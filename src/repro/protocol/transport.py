@@ -8,8 +8,8 @@ exactly once on :class:`Transport`.
 
 Three implementations:
 
-* :class:`InMemoryTransport` -- the classic single-process channel (the
-  old ``Channel``).  Even in-process, payloads cross as *bytes*: the
+* :class:`InMemoryTransport` -- the classic single-process channel.
+  Even in-process, payloads cross as *bytes*: the
   sender's object is encoded with the wire codec and the receiver gets a
   freshly decoded copy, so no mutable object is ever aliased between the
   two devices' memories.
@@ -273,7 +273,7 @@ class InMemoryTransport(Transport):
     decoded copy -- the receiver never holds a reference into the
     sender's memory.  Payload types outside the wire format (only
     possible for ad-hoc test traffic, never for protocol messages) pass
-    through by reference, as the old ``Channel`` did.
+    through by reference.
     """
 
     def send(self, sender: str, recipient: str, label: str, payload: object) -> object:

@@ -61,7 +61,7 @@ from repro.runtime.journal import (
     SessionLog,
 )
 from repro.runtime.policy import RetryPolicy
-from repro.runtime.taxonomy import FATAL, POISONED, classify_fault, fault_name
+from repro.runtime.taxonomy import POISONED, TRANSIENT, classify_fault, fault_name
 from repro.telemetry.dashboard import budget_dashboard
 from repro.telemetry.tracer import active_tracer
 
@@ -88,7 +88,7 @@ def scheme_for_state(state: SessionState) -> DLR:
 
 
 # ---------------------------------------------------------------------------
-# The classified retry loop (shared by the supervisor and the legacy shim)
+# The classified retry loop (shared by the supervisor and the single-period driver)
 # ---------------------------------------------------------------------------
 
 
@@ -118,85 +118,71 @@ def run_with_retries(
     for attempt in count(1):
         bits_before = transport.bits_on_wire(period)
         # Explicit __enter__/__exit__ rather than ``with``: the span must
-        # close on every outcome path *before* its annotations land, and
-        # the backoff sleep happens outside it (an attempt's span measures
-        # the attempt, not the waiting).
+        # close before the attempt is recorded, and the backoff sleep
+        # happens outside it (an attempt's span measures the attempt, not
+        # the waiting).
         span = tracer.span("attempt", period=period, attempt=attempt)
         span.__enter__()
         start = clock()
+        fault = classification = error = None
+        backoff, charged = 0.0, {}
         try:
             result = run_attempt()
         except Exception as exc:
             wall = clock() - start
             bits = transport.bits_on_wire(period) - bits_before
             classification = classify_fault(exc)
-            name = fault_name(exc)
-            span.annotate(bits=bits, fault=name, classification=classification)
-            if classification == POISONED:
-                span.annotate(outcome=ABORTED)
-                span.__exit__(None, None, None)
-                log.quarantine_transcript(period, name, transport.transcript(period))
-                log.record_attempt(
-                    AttemptRecord(period, attempt, ABORTED, name, classification, 0.0, bits, {}, wall)
-                )
-                raise
-            if classification == FATAL:
-                span.annotate(outcome=ABORTED)
-                span.__exit__(None, None, None)
-                log.record_attempt(
-                    AttemptRecord(period, attempt, ABORTED, name, classification, 0.0, bits, {}, wall)
-                )
-                raise
-            # Transient: may we go again?
-            past_deadline = deadline_at is not None and clock() >= deadline_at
-            if attempt >= policy.max_attempts or past_deadline:
-                span.annotate(outcome=EXHAUSTED)
-                span.__exit__(None, None, None)
-                log.record_attempt(
-                    AttemptRecord(period, attempt, EXHAUSTED, name, classification, 0.0, bits, {}, wall)
-                )
-                reason = (
-                    f"its {policy.deadline}s deadline"
-                    if past_deadline
-                    else f"{policy.max_attempts} attempts"
-                )
-                raise ProtocolError(
-                    f"time period {period} did not complete within {reason}"
-                ) from exc
-            # The aborted attempt's frames are on the public wire: book
-            # them against the period budget *before* going again.
-            charged: dict[str, int] = {}
-            if oracle is not None:
-                try:
-                    for device_index in (1, 2):
-                        oracle.charge_retry(device_index, bits)
-                        charged[f"P{device_index}"] = bits
-                except LeakageBudgetExceeded:
-                    span.annotate(outcome=FROZEN)
-                    span.__exit__(None, None, None)
-                    log.record_attempt(
-                        AttemptRecord(period, attempt, FROZEN, name, classification, 0.0, bits, charged, wall)
+            fault = fault_name(exc)
+            span.annotate(bits=bits, fault=fault, classification=classification)
+            # Fatal and poisoned faults abort with the original exception.
+            outcome, error = ABORTED, exc
+            if classification == TRANSIENT:
+                past_deadline = deadline_at is not None and clock() >= deadline_at
+                if attempt >= policy.max_attempts or past_deadline:
+                    reason = (
+                        f"its {policy.deadline}s deadline"
+                        if past_deadline
+                        else f"{policy.max_attempts} attempts"
                     )
-                    if on_freeze is not None:
-                        on_freeze()
-                    raise
-            backoff = policy.backoff(attempt, jitter_rng)
-            span.annotate(outcome=RETRY, backoff_seconds=backoff)
-            span.__exit__(None, None, None)
-            log.record_attempt(
-                AttemptRecord(period, attempt, RETRY, name, classification, backoff, bits, charged, wall)
-            )
-            if backoff > 0:
-                sleep(backoff)
+                    outcome = EXHAUSTED
+                    error = ProtocolError(f"time period {period} did not complete within {reason}")
+                    error.__cause__ = exc
+                else:
+                    # The aborted attempt's frames are on the public wire:
+                    # book them against the period budget *before* going
+                    # again.
+                    try:
+                        for device_index in (1, 2) if oracle is not None else ():
+                            oracle.charge_retry(device_index, bits)
+                            charged[f"P{device_index}"] = bits
+                    except LeakageBudgetExceeded as overflow:
+                        outcome, error = FROZEN, overflow
+                    else:
+                        outcome, error = RETRY, None
+                        backoff = policy.backoff(attempt, jitter_rng)
+            span.annotate(outcome=outcome)
+            if outcome == RETRY:
+                span.annotate(backoff_seconds=backoff)
         else:
             wall = clock() - start
             bits = transport.bits_on_wire(period) - bits_before
+            outcome = OK
             span.annotate(outcome=OK, bits=bits)
-            span.__exit__(None, None, None)
-            log.record_attempt(
-                AttemptRecord(period, attempt, OK, None, None, 0.0, bits, {}, wall)
-            )
+        span.__exit__(None, None, None)
+        if classification == POISONED:
+            log.quarantine_transcript(period, fault, transport.transcript(period))
+        record = AttemptRecord(
+            period, attempt, outcome, fault, classification, backoff, bits, charged, wall
+        )
+        log.record_attempt(record)
+        if outcome == OK:
             return result
+        if outcome == FROZEN and on_freeze is not None:
+            on_freeze()
+        if error is not None:
+            raise error
+        if backoff > 0:
+            sleep(backoff)
     raise AssertionError("unreachable")  # pragma: no cover
 
 
@@ -213,12 +199,8 @@ def drive_period_resilient(
     sleep: Callable[[float], None] = time.sleep,
     clock: Callable[[], float] = time.monotonic,
 ) -> PeriodRecord:
-    """One classified-retry period on caller-owned devices.
-
-    This is the engine behind the deprecated
-    ``DLR.run_period_resilient`` shim; new code should use
-    :class:`SessionSupervisor` for whole lifecycles.
-    """
+    """One classified-retry period on caller-owned devices; use
+    :class:`SessionSupervisor` for whole lifecycles."""
     period = transport.current_period
     log = log if log is not None else SessionLog(scheme=scheme_kind_of(scheme))
     record = run_with_retries(

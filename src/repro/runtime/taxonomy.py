@@ -1,12 +1,10 @@
 """Fault taxonomy: what a supervisor may retry, and what it must not.
 
-The old retry loop (``DLR.run_period_resilient`` before the
-:mod:`repro.runtime` supervisor existed) retried *any*
-``ProtocolError`` -- including deterministic failures like a
-``WireFormatError`` on a malformed frame, which can never succeed on a
-re-run and therefore hot-looped until the attempt cap, handing the
-adversary a fresh partial transcript on every pointless attempt.  The
-supervisor classifies first:
+A retry loop that retries *any* ``ProtocolError`` hot-loops on
+deterministic failures like a ``WireFormatError`` on a malformed frame,
+which can never succeed on a re-run, handing the adversary a fresh
+partial transcript on every pointless attempt until the attempt cap.
+The supervisor classifies first:
 
 ``transient``
     The channel misbehaved but the protocol state rolled back cleanly:

@@ -36,8 +36,8 @@ from repro.core.optimal import OptimalDLR
 from repro.core.params import DLRParams
 from repro.errors import ProtocolError
 from repro.groups.bilinear import GTElement
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 from repro.utils.rng import fork_rng
 
 CIPHERTEXT_SLOT = "stored_ciphertext"
@@ -86,7 +86,7 @@ class LeakyStore:
         self.generation_randomness = generation.randomness
         self.device1 = Device("P1", self.group, self.rng)
         self.device2 = Device("P2", self.group, self.rng)
-        self.channel = Channel()
+        self.channel = InMemoryTransport()
         self.scheme.install(self.device1, self.device2, generation.share1, generation.share2)
         self.periods_completed = 0
         self._stored: dict[str, StoredSecret] = {}

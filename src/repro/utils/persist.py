@@ -157,6 +157,11 @@ def atomic_write_text(path: str | pathlib.Path, text: str) -> None:
     what makes supervisor checkpoints safe against ``kill -9``: a
     resumed session always reads a complete, internally consistent
     checkpoint.
+
+    The parent directory is fsynced after the rename, so the rename
+    itself survives power loss.  Without that, a restart could resume
+    on the pre-refresh shares of a period that already leaked, and
+    leaking on them again would exceed that period's budget.
     """
     path = pathlib.Path(path)
     tmp = path.with_name(path.name + ".tmp")
@@ -165,6 +170,11 @@ def atomic_write_text(path: str | pathlib.Path, text: str) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 # ---------------------------------------------------------------------------

@@ -86,8 +86,8 @@ class TestOneShotBreak:
         share, so the extraction function fails on either device's
         leakage input."""
         from repro.core.dlr import DLR
-        from repro.protocol.channel import Channel
         from repro.protocol.device import Device
+        from repro.protocol.transport import InMemoryTransport
 
         scheme, generation, _, rng = setting
         distributed = DLR(small_params)
@@ -97,7 +97,7 @@ class TestOneShotBreak:
         ciphertext = distributed.encrypt(
             generation.public_key, distributed.group.random_gt(rng), rng
         )
-        record = distributed.run_period(p1, p2, Channel(), ciphertext)
+        record = distributed.run_period(p1, p2, InMemoryTransport(), ciphertext)
         fn = MskExtractionLeakage(distributed.group)
         from repro.errors import ProtocolError
 

@@ -8,8 +8,8 @@ from repro.cca.dlr_cca import CCACiphertext, DLRCCA2
 from repro.cca.ots import Signature
 from repro.errors import DecryptionError
 from repro.ibe.boneh_boyen import IBECiphertext
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 N_ID = 4
 
@@ -30,7 +30,7 @@ def fresh_devices(cca, setup, seed=2):
     p1 = Device("P1", group, rng)
     p2 = Device("P2", group, rng)
     cca.install(p1, p2, setup.share1, setup.share2)
-    return p1, p2, Channel()
+    return p1, p2, InMemoryTransport()
 
 
 class TestRoundtrip:

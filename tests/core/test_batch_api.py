@@ -13,8 +13,8 @@ import pytest
 
 from repro.core.dlr import DLR, MultiPeriodRecord
 from repro.core.optimal import OptimalDLR
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 SCHEMES = [DLR, OptimalDLR]
 
@@ -34,7 +34,7 @@ def _installed(small_params, scheme_cls, seed=11):
     p1 = Device("P1", scheme.group, rng)
     p2 = Device("P2", scheme.group, rng)
     scheme.install(p1, p2, generation.share1, generation.share2)
-    return scheme, generation, p1, p2, Channel(), rng
+    return scheme, generation, p1, p2, InMemoryTransport(), rng
 
 
 class TestEncryptBatch:

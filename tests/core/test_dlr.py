@@ -7,8 +7,8 @@ import pytest
 from repro.core.dlr import DLR, SK1_SLOT, SK2_SLOT
 from repro.core.keys import Ciphertext, Share1, Share2
 from repro.errors import ProtocolError
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 
 @pytest.fixture()
@@ -26,7 +26,7 @@ def fresh_devices(scheme, generated, seed=2):
     p1 = Device("P1", scheme.group, rng)
     p2 = Device("P2", scheme.group, rng)
     scheme.install(p1, p2, generated.share1, generated.share2)
-    return p1, p2, Channel()
+    return p1, p2, InMemoryTransport()
 
 
 class TestGen:

@@ -5,8 +5,8 @@ import random
 import pytest
 
 from repro.core.dlr import DLR
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 
 @pytest.fixture()
@@ -21,7 +21,7 @@ def setting(scheme):
     p1 = Device("P1", scheme.group, rng)
     p2 = Device("P2", scheme.group, rng)
     scheme.install(p1, p2, generation.share1, generation.share2)
-    return generation, p1, p2, Channel(), rng
+    return generation, p1, p2, InMemoryTransport(), rng
 
 
 class TestMultiDecryption:

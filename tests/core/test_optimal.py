@@ -5,8 +5,8 @@ import random
 import pytest
 
 from repro.core.optimal import ENC_SHARE_SLOT, SK_COMM_SLOT, OptimalDLR
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 
 @pytest.fixture()
@@ -24,7 +24,7 @@ def fresh_devices(scheme, generated, seed=2):
     p1 = Device("P1", scheme.group, rng)
     p2 = Device("P2", scheme.group, rng)
     scheme.install(p1, p2, generated.share1, generated.share2)
-    return p1, p2, Channel()
+    return p1, p2, InMemoryTransport()
 
 
 class TestInstall:

@@ -6,8 +6,8 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.ibe.dlr_ibe import DLRIBE
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 N_ID = 4
 
@@ -27,7 +27,7 @@ def fresh_devices(dibe, setup, seed=2):
     p1 = Device("P1", dibe.group, rng)
     p2 = Device("P2", dibe.group, rng)
     dibe.install(p1, p2, setup.share1, setup.share2)
-    return p1, p2, Channel()
+    return p1, p2, InMemoryTransport()
 
 
 class TestSetup:

@@ -3,7 +3,7 @@ the two devices with consistent shares and no lingering protocol
 secrets.
 
 The staged share rotation commits only at the ``ref.commit`` boundary;
-everything earlier rolls back.  These tests drive :class:`FaultyChannel`
+everything earlier rolls back.  These tests drive :class:`FaultyTransport`
 through every boundary of the decryption and refresh flows and check
 the invariants the leakage model depends on:
 
@@ -31,7 +31,6 @@ from repro.core.optimal import OptimalDLR
 from repro.errors import FaultInjected, ProtocolError, RefreshAborted
 from repro.leakage.functions import LeakageInput, PythonLeakage
 from repro.leakage.oracle import LeakageBudget, LeakageOracle
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
 from repro.protocol.faults import (
     DELAY,
@@ -42,7 +41,7 @@ from repro.protocol.faults import (
     FaultRule,
     FaultyTransport,
 )
-from repro.protocol.transport import SocketTransport
+from repro.protocol.transport import InMemoryTransport, SocketTransport
 from repro.runtime import RetryPolicy, SessionSupervisor, drive_period_resilient
 from repro.utils.bits import BitString
 
@@ -112,7 +111,7 @@ class TestEveryBoundary:
         assert not p2.secret.has(SK2_PENDING_SLOT)
         assert scheme.share1_of(p1) is generation.share1
         assert scheme.share2_of(p2) is generation.share2
-        assert scheme.verify_shares(generation.public_key, p1, p2, Channel(), rng)
+        assert scheme.verify_shares(generation.public_key, p1, p2, InMemoryTransport(), rng)
 
         # No protocol secret outlived the aborted period.
         assert protocol_secret_names(p1) == []
@@ -170,7 +169,7 @@ class TestResilientDriver:
         assert record.plaintext == message
         # The rotation did go through on the successful attempt.
         assert scheme.share1_of(p1) is not generation.share1
-        assert scheme.verify_shares(generation.public_key, p1, p2, Channel(), rng)
+        assert scheme.verify_shares(generation.public_key, p1, p2, InMemoryTransport(), rng)
 
     def test_gives_up_after_max_attempts(self, scheme, make_faulty):
         generation, p1, p2, rng = make_setting(scheme)
@@ -185,7 +184,7 @@ class TestResilientDriver:
         with pytest.raises(ProtocolError, match="did not complete"):
             drive_period_resilient(scheme, p1, p2, channel, ciphertext, self._policy(3))
         # Even after exhausting retries the shares are consistent.
-        assert scheme.verify_shares(generation.public_key, p1, p2, Channel(), rng)
+        assert scheme.verify_shares(generation.public_key, p1, p2, InMemoryTransport(), rng)
 
     def test_supervisor_completes_periods_through_faults(self, scheme, make_faulty):
         """The lifecycle entry point: one fault per boundary kind, every
@@ -213,20 +212,9 @@ class TestResilientDriver:
             generation.public_key,
             supervisor.device1,
             supervisor.device2,
-            Channel(),
+            InMemoryTransport(),
             rng,
         )
-
-    def test_invalid_max_attempts(self, scheme):
-        """The deprecated shim still validates its argument, and says it
-        is deprecated."""
-        generation, p1, p2, rng = make_setting(scheme)
-        ciphertext = scheme.encrypt(
-            generation.public_key, scheme.group.random_gt(rng), rng
-        )
-        with pytest.warns(DeprecationWarning, match="run_period_resilient is deprecated"):
-            with pytest.raises(ProtocolError):
-                scheme.run_period_resilient(p1, p2, Channel(), ciphertext, max_attempts=0)
 
 
 class TestMultiPeriodSoak:
@@ -261,7 +249,7 @@ class TestMultiPeriodSoak:
             assert protocol_secret_names(p2) == []
 
         assert completed > 0 and failed > 0  # the schedule exercised both
-        assert scheme.verify_shares(generation.public_key, p1, p2, Channel(), rng)
+        assert scheme.verify_shares(generation.public_key, p1, p2, InMemoryTransport(), rng)
 
     def test_refresh_protocol_standalone_rollback(self, scheme, make_faulty):
         """The bare refresh protocol (not run_period) also rolls back."""
@@ -272,7 +260,7 @@ class TestMultiPeriodSoak:
         assert scheme.share1_of(p1) is generation.share1
         scheme.refresh_protocol(p1, p2, channel)  # rule spent: succeeds
         assert scheme.share1_of(p1) is not generation.share1
-        assert scheme.verify_shares(generation.public_key, p1, p2, Channel(), rng)
+        assert scheme.verify_shares(generation.public_key, p1, p2, InMemoryTransport(), rng)
 
     def test_run_period_multi_rolls_back(self, scheme, make_faulty):
         generation, p1, p2, rng = make_setting(scheme)
@@ -354,7 +342,7 @@ class TestOracleValidation:
         ciphertext = scheme.encrypt(
             generation.public_key, scheme.group.random_gt(rng), rng
         )
-        record = scheme.run_period(p1, p2, Channel(), ciphertext)
+        record = scheme.run_period(p1, p2, InMemoryTransport(), ciphertext)
         return LeakageInput(record.snapshots[(1, "normal")], record.messages)
 
     def test_bad_device_index_raises_parameter_error(self, scheme):

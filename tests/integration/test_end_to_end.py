@@ -12,8 +12,8 @@ from repro.core.params import DLRParams
 from repro.ibe.dlr_ibe import DLRIBE
 from repro.leakage.functions import PrefixBits
 from repro.leakage.oracle import LeakageBudget
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 from repro.storage.leaky_store import LeakyStore
 
 
@@ -26,7 +26,7 @@ class TestFullLifecycleMediumGroup:
         generation = scheme.generate(rng)
         p1 = Device("P1", scheme.group, rng)
         p2 = Device("P2", scheme.group, rng)
-        channel = Channel()
+        channel = InMemoryTransport()
         scheme.install(p1, p2, generation.share1, generation.share2)
         for _ in range(2):
             message = scheme.group.random_gt(rng)
@@ -47,12 +47,12 @@ class TestFullLifecycleMediumGroup:
         b1 = Device("P1", basic.group, rng)
         b2 = Device("P2", basic.group, rng)
         basic.install(b1, b2, generation.share1, generation.share2)
-        assert basic.decrypt_protocol(b1, b2, Channel(), ciphertext) == message
+        assert basic.decrypt_protocol(b1, b2, InMemoryTransport(), ciphertext) == message
 
         o1 = Device("P1", basic.group, rng)
         o2 = Device("P2", basic.group, rng)
         optimal.install(o1, o2, generation.share1, generation.share2)
-        assert optimal.decrypt_protocol(o1, o2, Channel(), ciphertext) == message
+        assert optimal.decrypt_protocol(o1, o2, InMemoryTransport(), ciphertext) == message
 
 
 class TestGameWithLeakageEveryPhase:
@@ -87,7 +87,7 @@ class TestDIBEWithStorage:
         setup = dibe.setup(rng)
         p1 = Device("P1", dibe.group, rng)
         p2 = Device("P2", dibe.group, rng)
-        channel = Channel()
+        channel = InMemoryTransport()
         dibe.install(p1, p2, setup.share1, setup.share2)
         dibe.extract_protocol(setup.public_params, p1, p2, channel, "device-42")
         message = dibe.group.random_gt(rng)
@@ -141,4 +141,4 @@ class TestParameterSweeps:
         scheme.install(p1, p2, generation.share1, generation.share2)
         message = scheme.group.random_gt(rng)
         ciphertext = scheme.encrypt(generation.public_key, message, rng)
-        assert scheme.decrypt_protocol(p1, p2, Channel(), ciphertext) == message
+        assert scheme.decrypt_protocol(p1, p2, InMemoryTransport(), ciphertext) == message

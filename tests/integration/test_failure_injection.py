@@ -11,8 +11,8 @@ from repro.core.dlr import DLR, SK1_SLOT, SK2_SLOT, combine_decrypt
 from repro.core.hpske import HPSKECiphertext
 from repro.core.optimal import OptimalDLR
 from repro.errors import GroupError, ProtocolError
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 
 @pytest.fixture()
@@ -27,7 +27,7 @@ def setting(scheme):
     p1 = Device("P1", scheme.group, rng)
     p2 = Device("P2", scheme.group, rng)
     scheme.install(p1, p2, generation.share1, generation.share2)
-    return generation, p1, p2, Channel(), rng
+    return generation, p1, p2, InMemoryTransport(), rng
 
 
 class TestWrongWiring:

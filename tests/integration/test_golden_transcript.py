@@ -18,8 +18,8 @@ from repro.core.params import DLRParams
 from repro.groups import preset_group
 from repro.ibe.dlr_ibe import DLRIBE
 from repro.math.backend import available_backends, use_backend
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 
 def _digest(bits):
@@ -35,7 +35,7 @@ def _setup(scheme_cls, seed):
     p1 = Device("P1", group, rng)
     p2 = Device("P2", group, rng)
     scheme.install(p1, p2, generation.share1, generation.share2)
-    channel = Channel()
+    channel = InMemoryTransport()
     message = group.random_gt(rng)
     ciphertext = scheme.encrypt(generation.public_key, message, rng)
     return scheme, rng, generation, p1, p2, channel, message, ciphertext
@@ -111,7 +111,7 @@ class TestDLRGolden:
         p1 = Device("P1", group, rng)
         p2 = Device("P2", group, rng)
         scheme.install(p1, p2, generation.share1, generation.share2)
-        channel = Channel()
+        channel = InMemoryTransport()
         messages = [group.random_gt(rng) for _ in range(3)]
         ciphertexts = [
             scheme.encrypt(generation.public_key, m, rng) for m in messages
@@ -268,7 +268,7 @@ class TestBatchTransparency:
         p1 = Device("P1", group, rng)
         p2 = Device("P2", group, rng)
         scheme.install(p1, p2, generation.share1, generation.share2)
-        channel = Channel()
+        channel = InMemoryTransport()
         messages = [group.random_gt(rng) for _ in range(count)]
         ciphertexts = scheme.encrypt_batch(generation.public_key, messages, rng)
         return scheme, p1, p2, channel, messages, ciphertexts
@@ -340,7 +340,7 @@ class TestIBEGolden:
         p1 = Device("P1", group, rng)
         p2 = Device("P2", group, rng)
         scheme.install(p1, p2, setup.share1, setup.share2)
-        channel = Channel()
+        channel = InMemoryTransport()
         scheme.extract_protocol(pp, p1, p2, channel, "alice")
         message = group.random_gt(rng)
         ciphertext = scheme.encrypt_to(pp, "alice", message, rng)

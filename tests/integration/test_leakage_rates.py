@@ -10,8 +10,8 @@ from repro.core.optimal import OptimalDLR
 from repro.core.params import DLRParams
 from repro.leakage.oracle import LeakageBudget
 from repro.leakage.rates import MemoryProfile, compute_rates
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 
 def measure_profiles(params, seed=1):
@@ -21,7 +21,7 @@ def measure_profiles(params, seed=1):
     generation = scheme.generate(rng)
     p1 = Device("P1", scheme.group, rng)
     p2 = Device("P2", scheme.group, rng)
-    channel = Channel()
+    channel = InMemoryTransport()
     scheme.install(p1, p2, generation.share1, generation.share2)
     ciphertext = scheme.encrypt(generation.public_key, scheme.group.random_gt(rng), rng)
     record = scheme.run_period(p1, p2, channel, ciphertext)

@@ -14,8 +14,8 @@ import pytest
 from repro.core.optimal import OptimalDLR
 from repro.leakage.functions import LeakageInput, PrefixBits
 from repro.leakage.oracle import LeakageBudget, LeakageOracle
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 PERIODS = 20
 
@@ -28,7 +28,7 @@ class TestLifecycleSoak:
         generation = scheme.generate(rng)
         p1 = Device("P1", scheme.group, rng)
         p2 = Device("P2", scheme.group, rng)
-        channel = Channel()
+        channel = InMemoryTransport()
         scheme.install(p1, p2, generation.share1, generation.share2)
 
         budget = LeakageBudget(

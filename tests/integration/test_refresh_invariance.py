@@ -17,8 +17,8 @@ import pytest
 
 from repro.analysis.stattests import chi_squared_two_sample, chi_squared_uniform
 from repro.core.dlr import DLR
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +36,7 @@ def harvest(toy_params):
         p1 = Device("P1", scheme.group, rng)
         p2 = Device("P2", scheme.group, rng)
         scheme.install(p1, p2, generation.share1, generation.share2)
-        scheme.refresh_protocol(p1, p2, Channel())
+        scheme.refresh_protocol(p1, p2, InMemoryTransport())
         refreshed_scalars.extend(scheme.share2_of(p2).s[:4])
         refreshed_points.extend(scheme.share1_of(p1).a[:2])
     return fresh_scalars, refreshed_scalars, fresh_points, refreshed_points
@@ -76,7 +76,7 @@ class TestShareDistributions:
             p1 = Device("P1", scheme.group, rng)
             p2 = Device("P2", scheme.group, rng)
             scheme.install(p1, p2, generation.share1, generation.share2)
-            scheme.refresh_protocol(p1, p2, Channel())
+            scheme.refresh_protocol(p1, p2, InMemoryTransport())
             outcomes.append((scheme.share1_of(p1), scheme.share2_of(p2)))
         (s1a, s2a), (s1b, s2b) = outcomes
         assert s1a != s1b
@@ -89,7 +89,7 @@ class TestShareDistributions:
         p1 = Device("P1", scheme.group, rng)
         p2 = Device("P2", scheme.group, rng)
         scheme.install(p1, p2, generation.share1, generation.share2)
-        channel = Channel()
+        channel = InMemoryTransport()
 
         def msk():
             share1, share2 = scheme.share1_of(p1), scheme.share2_of(p2)

@@ -25,7 +25,6 @@ from repro.core.dlr import DLR
 from repro.core.params import DLRParams
 from repro.groups import preset_group
 from repro.leakage.oracle import LeakageBudget, LeakageOracle
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
 from repro.protocol.faults import DROP, FaultRule, FaultyTransport
 from repro.protocol.transport import InMemoryTransport
@@ -278,7 +277,7 @@ class TestGoldenTranscriptsWithTelemetry:
         p1 = Device("P1", group, rng)
         p2 = Device("P2", group, rng)
         scheme.install(p1, p2, generation.share1, generation.share2)
-        channel = Channel()
+        channel = InMemoryTransport()
         message = group.random_gt(rng)
         ciphertext = scheme.encrypt(generation.public_key, message, rng)
 

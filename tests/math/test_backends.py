@@ -43,8 +43,6 @@ from repro.math.backend import (
     AUTO_ORDER,
     BACKEND_ENV_VAR,
     FieldBackend,
-    FqContext,
-    MontgomeryFq,
     PythonBackend,
     active_backend,
     available_backends,
@@ -304,8 +302,8 @@ class TestUnliftDiscipline:
         from repro.core.dlr import DLR
         from repro.core.params import DLRParams
         from repro.groups import preset_group
-        from repro.protocol.channel import Channel
         from repro.protocol.device import Device
+        from repro.protocol.transport import InMemoryTransport
 
         group = preset_group(32)
         scheme = DLR(DLRParams(group=group, lam=32))
@@ -314,7 +312,7 @@ class TestUnliftDiscipline:
         p1 = Device("P1", group, run_rng)
         p2 = Device("P2", group, run_rng)
         scheme.install(p1, p2, generation.share1, generation.share2)
-        channel = Channel()
+        channel = InMemoryTransport()
         message = group.random_gt(run_rng)
         ciphertext = scheme.encrypt(generation.public_key, message, run_rng)
         record = scheme.run_period(p1, p2, channel, ciphertext)
@@ -443,63 +441,6 @@ class TestCrossBackendEquivalence:
             assert affine == expected
             for point in affine:
                 assert type(point.x) is int and type(point.y) is int
-
-    def test_fq_context_matches_native(self, small_group, rng, backend_name):
-        q = small_group.q
-        with use_backend(backend_name) as backend:
-            context = backend.fq_context(q)
-            assert backend.fq_context(q) is context  # cached
-            a, b = rng.randrange(1, q), rng.randrange(1, q)
-            ra, rb = context.enter(a), context.enter(b)
-            assert context.exit(ra) == a
-            assert context.exit(context.mul(ra, rb)) == a * b % q
-            assert context.exit(context.square(ra)) == a * a % q
-            exponent = rng.randrange(1, q)
-            assert context.exit(context.pow(ra, exponent)) == pow(a, exponent, q)
-            assert context.exit(context.one()) == 1
-
-
-# ---------------------------------------------------------------------------
-# MontgomeryFq: the repeated-multiply contract's ground truth
-
-
-class TestMontgomeryFq:
-    Q = 0xFFFFFFFB  # odd (prime, in fact)
-
-    def test_enter_exit_roundtrip(self, rng):
-        context = MontgomeryFq(self.Q)
-        for _ in range(50):
-            value = rng.randrange(self.Q)
-            assert context.exit(context.enter(value)) == value
-
-    def test_residues_are_scaled_not_raw(self):
-        context = MontgomeryFq(self.Q)
-        r = 1 << self.Q.bit_length()
-        assert context.enter(1) == r % self.Q
-
-    def test_mul_and_pow_match_native(self, rng):
-        context = MontgomeryFq(self.Q)
-        for _ in range(50):
-            a, b = rng.randrange(1, self.Q), rng.randrange(1, self.Q)
-            product = context.exit(context.mul(context.enter(a), context.enter(b)))
-            assert product == a * b % self.Q
-            exponent = rng.randrange(1, self.Q)
-            powered = context.exit(context.pow(context.enter(a), exponent))
-            assert powered == pow(a, exponent, self.Q)
-
-    def test_even_or_tiny_modulus_rejected(self):
-        with pytest.raises(ParameterError, match="odd modulus"):
-            MontgomeryFq(1 << 16)
-        with pytest.raises(ParameterError, match="odd modulus"):
-            MontgomeryFq(1)
-
-    def test_negative_exponent_rejected(self):
-        context = MontgomeryFq(self.Q)
-        with pytest.raises(ParameterError, match="non-negative"):
-            context.pow(context.enter(2), -1)
-
-    def test_python_backend_context_is_montgomery(self):
-        assert isinstance(get_backend("python").fq_context(self.Q), MontgomeryFq)
 
 
 # ---------------------------------------------------------------------------

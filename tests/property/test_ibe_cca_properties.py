@@ -9,8 +9,8 @@ from repro.cca.dlr_cca import DLRCCA2
 from repro.core.params import DLRParams
 from repro.groups import preset_group
 from repro.ibe.dlr_ibe import DLRIBE
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 GROUP = preset_group(16)
 PARAMS = DLRParams(group=GROUP, lam=16)
@@ -29,7 +29,7 @@ def dibe_setting(seed):
     p1 = Device("P1", GROUP, rng)
     p2 = Device("P2", GROUP, rng)
     scheme.install(p1, p2, setup.share1, setup.share2)
-    return scheme, setup, p1, p2, Channel(), rng
+    return scheme, setup, p1, p2, InMemoryTransport(), rng
 
 
 class TestDIBEProperties:
@@ -82,7 +82,7 @@ class TestCCA2Properties:
         scheme.install(p1, p2, setup.share1, setup.share2)
         message = GROUP.random_gt(rng)
         ciphertext = scheme.encrypt(setup, message, rng)
-        assert scheme.decrypt_protocol(setup, p1, p2, Channel(), ciphertext) == message
+        assert scheme.decrypt_protocol(setup, p1, p2, InMemoryTransport(), ciphertext) == message
 
     @given(seed=seeds)
     @settings(max_examples=5, deadline=None)
@@ -108,7 +108,7 @@ class TestCCA2Properties:
             ciphertext.signature,
         )
         try:
-            scheme.decrypt_protocol(setup, p1, p2, Channel(), mauled)
+            scheme.decrypt_protocol(setup, p1, p2, InMemoryTransport(), mauled)
             raise AssertionError("tampered ciphertext accepted")
         except DecryptionError:
             pass

@@ -12,8 +12,8 @@ from repro.core.dlr import DLR
 from repro.core.optimal import OptimalDLR
 from repro.core.params import DLRParams
 from repro.groups import preset_group
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 
 GROUP = preset_group(16)
 PARAMS = DLRParams(group=GROUP, lam=16)
@@ -39,7 +39,7 @@ class TestDLRProperties:
         generation, p1, p2, rng = setup_devices(SCHEME, seed)
         message = GROUP.random_gt(rng)
         ciphertext = SCHEME.encrypt(generation.public_key, message, rng)
-        assert SCHEME.decrypt_protocol(p1, p2, Channel(), ciphertext) == message
+        assert SCHEME.decrypt_protocol(p1, p2, InMemoryTransport(), ciphertext) == message
 
     @given(seed=seeds, refreshes=st.integers(min_value=0, max_value=3))
     @settings(max_examples=8, deadline=None)
@@ -47,7 +47,7 @@ class TestDLRProperties:
         generation, p1, p2, rng = setup_devices(SCHEME, seed)
         message = GROUP.random_gt(rng)
         ciphertext = SCHEME.encrypt(generation.public_key, message, rng)
-        channel = Channel()
+        channel = InMemoryTransport()
         for _ in range(refreshes):
             SCHEME.refresh_protocol(p1, p2, channel)
         assert SCHEME.decrypt_protocol(p1, p2, channel, ciphertext) == message
@@ -57,7 +57,7 @@ class TestDLRProperties:
     def test_protocol_agrees_with_reference(self, seed):
         generation, p1, p2, rng = setup_devices(SCHEME, seed)
         ciphertext = SCHEME.encrypt(generation.public_key, GROUP.random_gt(rng), rng)
-        assert SCHEME.decrypt_protocol(p1, p2, Channel(), ciphertext) == \
+        assert SCHEME.decrypt_protocol(p1, p2, InMemoryTransport(), ciphertext) == \
             SCHEME.reference_decrypt(generation.share1, generation.share2, ciphertext)
 
     @given(seed=seeds)
@@ -69,14 +69,14 @@ class TestDLRProperties:
         OPTIMAL.install(o1, o2, generation.share1, generation.share2)
         message = GROUP.random_gt(rng)
         ciphertext = SCHEME.encrypt(generation.public_key, message, rng)
-        assert SCHEME.decrypt_protocol(p1, p2, Channel(), ciphertext) == \
-            OPTIMAL.decrypt_protocol(o1, o2, Channel(), ciphertext)
+        assert SCHEME.decrypt_protocol(p1, p2, InMemoryTransport(), ciphertext) == \
+            OPTIMAL.decrypt_protocol(o1, o2, InMemoryTransport(), ciphertext)
 
     @given(seed=seeds)
     @settings(max_examples=8, deadline=None)
     def test_msk_invariant_under_refresh(self, seed):
         generation, p1, p2, rng = setup_devices(SCHEME, seed)
-        channel = Channel()
+        channel = InMemoryTransport()
 
         def msk():
             share1, share2 = SCHEME.share1_of(p1), SCHEME.share2_of(p2)
@@ -104,4 +104,4 @@ class TestDLRProperties:
             a=ciphertext.a * (GROUP.g ** t_prime),
             b=ciphertext.b * (generation.public_key.z ** t_prime),
         )
-        assert SCHEME.decrypt_protocol(p1, p2, Channel(), rerandomized) == message
+        assert SCHEME.decrypt_protocol(p1, p2, InMemoryTransport(), rerandomized) == message

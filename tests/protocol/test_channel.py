@@ -1,6 +1,6 @@
 """Unit tests for the public channel."""
 
-from repro.protocol.channel import Channel
+from repro.protocol.transport import InMemoryTransport
 from repro.utils.bits import BitString
 
 
@@ -8,14 +8,14 @@ class TestChannel:
     def test_send_returns_decoded_copy(self):
         """The receiver gets an equal payload, but never the sender's
         object -- everything crosses the channel as wire bytes."""
-        channel = Channel()
+        channel = InMemoryTransport()
         payload = BitString(0b1, 1)
         delivered = channel.send("P1", "P2", "msg", payload)
         assert delivered == payload
         assert delivered is not payload
 
     def test_transcript_records_everything(self):
-        channel = Channel()
+        channel = InMemoryTransport()
         channel.send("P1", "P2", "a", BitString(1, 1))
         channel.send("P2", "P1", "b", BitString(0, 1))
         transcript = channel.transcript()
@@ -24,7 +24,7 @@ class TestChannel:
         assert transcript[1].recipient == "P1"
 
     def test_period_tagging(self):
-        channel = Channel()
+        channel = InMemoryTransport()
         channel.send("P1", "P2", "first", BitString(1, 1))
         channel.advance_period()
         channel.send("P1", "P2", "second", BitString(1, 1))
@@ -32,18 +32,18 @@ class TestChannel:
         assert [m.label for m in channel.transcript(1)] == ["second"]
 
     def test_transcript_bits_concatenation(self):
-        channel = Channel()
+        channel = InMemoryTransport()
         channel.send("P1", "P2", "a", BitString(0b10, 2))
         channel.send("P2", "P1", "b", BitString(0b1, 1))
         assert channel.transcript_bits() == BitString(0b101, 3)
 
     def test_bits_on_wire(self):
-        channel = Channel()
+        channel = InMemoryTransport()
         channel.send("P1", "P2", "a", BitString(0, 8))
         assert channel.bits_on_wire() == 8
 
     def test_prune_drops_committed_periods(self):
-        channel = Channel()
+        channel = InMemoryTransport()
         channel.send("P1", "P2", "first", BitString(1, 1))
         channel.advance_period()
         channel.send("P1", "P2", "second", BitString(1, 1))
@@ -53,7 +53,7 @@ class TestChannel:
         assert channel.bits_on_wire() == 1
 
     def test_structured_payloads_encodable(self, small_group, rng):
-        channel = Channel()
+        channel = InMemoryTransport()
         element = small_group.random_g(rng)
         channel.send("P1", "P2", "g", (element, element))
         assert channel.bits_on_wire() == 2 * small_group.g_element_bits()
@@ -61,7 +61,7 @@ class TestChannel:
 
 class TestBitsByLabel:
     def test_breakdown_sums_to_total(self):
-        channel = Channel()
+        channel = InMemoryTransport()
         channel.send("P1", "P2", "a", BitString(0b10, 2))
         channel.send("P2", "P1", "b", BitString(0b1, 1))
         channel.send("P1", "P2", "a", BitString(0b111, 3))
@@ -70,7 +70,7 @@ class TestBitsByLabel:
         assert sum(breakdown.values()) == channel.bits_on_wire()
 
     def test_per_period_breakdown(self):
-        channel = Channel()
+        channel = InMemoryTransport()
         channel.send("P1", "P2", "x", BitString(1, 1))
         channel.advance_period()
         channel.send("P1", "P2", "x", BitString(0b11, 2))
@@ -92,7 +92,7 @@ class TestBitsByLabel:
         p1 = Device("P1", small_group, _random.Random(2))
         p2 = Device("P2", small_group, _random.Random(2))
         scheme.install(p1, p2, generation.share1, generation.share2)
-        channel = Channel()
+        channel = InMemoryTransport()
         ciphertext = scheme.encrypt(generation.public_key, small_group.random_gt(rng), rng)
         scheme.run_period(p1, p2, channel, ciphertext)
         breakdown = channel.bits_by_label(0)

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.errors import FaultInjected, ParameterError
-from repro.protocol.channel import Channel
 from repro.protocol.faults import (
     DECRYPT_BOUNDARIES,
     DELAY,
@@ -14,8 +13,9 @@ from repro.protocol.faults import (
     REFRESH_BOUNDARIES,
     TRUNCATE,
     FaultRule,
-    FaultyChannel,
+    FaultyTransport,
 )
+from repro.protocol.transport import InMemoryTransport
 from repro.utils.bits import BitString
 
 
@@ -54,7 +54,7 @@ class TestBoundaryConstants:
 
 class TestDrop:
     def test_matching_label_raises_and_nothing_on_wire(self):
-        channel = FaultyChannel.dropping("b")
+        channel = FaultyTransport.dropping("b")
         channel.send("P1", "P2", "a", BitString(1, 1))
         with pytest.raises(FaultInjected) as info:
             channel.send("P1", "P2", "b", BitString(1, 1))
@@ -63,7 +63,7 @@ class TestDrop:
         assert [m.label for m in channel.transcript()] == ["a"]
 
     def test_occurrence_counts_matching_sends(self):
-        channel = FaultyChannel.dropping("x", occurrence=3)
+        channel = FaultyTransport.dropping("x", occurrence=3)
         channel.send("P1", "P2", "x", BitString(1, 1))
         channel.send("P1", "P2", "y", BitString(1, 1))  # non-matching
         channel.send("P1", "P2", "x", BitString(1, 1))
@@ -71,7 +71,7 @@ class TestDrop:
             channel.send("P1", "P2", "x", BitString(1, 1))
 
     def test_rules_are_one_shot(self):
-        channel = FaultyChannel.dropping("x")
+        channel = FaultyTransport.dropping("x")
         with pytest.raises(FaultInjected):
             channel.send("P1", "P2", "x", BitString(1, 1))
         # Spent: the same label now goes through.
@@ -79,7 +79,7 @@ class TestDrop:
         assert len(channel.transcript()) == 1
 
     def test_period_restriction(self):
-        channel = FaultyChannel()
+        channel = FaultyTransport()
         channel.add_rule(FaultRule(mode=DROP, label="x", period=1))
         channel.send("P1", "P2", "x", BitString(1, 1))  # period 0: safe
         channel.advance_period()
@@ -87,14 +87,14 @@ class TestDrop:
             channel.send("P1", "P2", "x", BitString(1, 1))
 
     def test_wildcard_label_matches_anything(self):
-        channel = FaultyChannel(rules=[FaultRule(mode=DROP)])
+        channel = FaultyTransport(rules=[FaultRule(mode=DROP)])
         with pytest.raises(FaultInjected):
             channel.send("P1", "P2", "whatever", BitString(1, 1))
 
 
 class TestTruncate:
     def test_partial_frame_reaches_transcript(self):
-        channel = FaultyChannel()
+        channel = FaultyTransport()
         channel.add_rule(FaultRule(mode=TRUNCATE, label="x", keep_bits=3))
         with pytest.raises(FaultInjected) as info:
             channel.send("P1", "P2", "x", BitString(0b10110, 5))
@@ -104,7 +104,7 @@ class TestTruncate:
         assert partial.payload == BitString(0b101, 3)
 
     def test_keep_bits_clamped_to_payload(self):
-        channel = FaultyChannel()
+        channel = FaultyTransport()
         channel.add_rule(FaultRule(mode=TRUNCATE, label="x", keep_bits=999))
         with pytest.raises(FaultInjected):
             channel.send("P1", "P2", "x", BitString(0b11, 2))
@@ -114,7 +114,7 @@ class TestTruncate:
 
 class TestDelay:
     def test_message_still_delivered(self):
-        channel = FaultyChannel()
+        channel = FaultyTransport()
         channel.add_rule(FaultRule(mode=DELAY, label="x", delay_ticks=5))
         payload = BitString(1, 1)
         assert channel.send("P1", "P2", "x", payload) == payload
@@ -124,7 +124,7 @@ class TestDelay:
 
 class TestRepeat:
     def test_repeat_fires_bounded_number_of_times(self):
-        channel = FaultyChannel()
+        channel = FaultyTransport()
         channel.add_rule(FaultRule(mode=DROP, label="x", repeat=3))
         for _ in range(3):
             with pytest.raises(FaultInjected):
@@ -135,7 +135,7 @@ class TestRepeat:
         assert len(channel.injected) == 3
 
     def test_repeat_none_is_unlimited(self):
-        channel = FaultyChannel()
+        channel = FaultyTransport()
         channel.add_rule(FaultRule(mode=DROP, label="x", repeat=None))
         for _ in range(10):
             with pytest.raises(FaultInjected):
@@ -144,7 +144,7 @@ class TestRepeat:
     def test_repeat_respects_occurrence_warmup(self):
         """The occurrence countdown still decides *when* the rule gets
         ripe; repeat only decides how many firings follow."""
-        channel = FaultyChannel()
+        channel = FaultyTransport()
         channel.add_rule(FaultRule(mode=DROP, label="x", occurrence=2, repeat=2))
         channel.send("P1", "P2", "x", BitString(1, 1))  # occurrence 1: safe
         with pytest.raises(FaultInjected):
@@ -171,7 +171,7 @@ class TestProbability:
         decisions -- the property every chaos soak leans on."""
 
         def firing_pattern(seed):
-            channel = FaultyChannel(seed=seed)
+            channel = FaultyTransport(seed=seed)
             channel.add_rule(
                 FaultRule(mode=DROP, label="x", probability=0.5, repeat=None)
             )
@@ -194,7 +194,7 @@ class TestProbability:
         own seeded generator -- one draw per ripe offer, none during the
         occurrence warm-up."""
         seed, p = 77, 0.3
-        channel = FaultyChannel(seed=seed)
+        channel = FaultyTransport(seed=seed)
         channel.add_rule(
             FaultRule(mode=DROP, label="x", occurrence=2, probability=p, repeat=None)
         )
@@ -211,7 +211,7 @@ class TestProbability:
     def test_tails_leaves_rule_ripe(self):
         """A probability miss must not consume the rule: it keeps
         offering on later sends until repeat runs out."""
-        channel = FaultyChannel(seed=5)
+        channel = FaultyTransport(seed=5)
         channel.add_rule(FaultRule(mode=DROP, label="x", probability=0.2, repeat=1))
         fired = 0
         for _ in range(200):
@@ -230,7 +230,7 @@ class TestDelaySeconds:
     def test_delay_seconds_stalls_then_delivers(self):
         import time
 
-        channel = FaultyChannel()
+        channel = FaultyTransport()
         channel.add_rule(FaultRule(mode=DELAY, label="x", delay_seconds=0.05))
         start = time.monotonic()
         payload = BitString(1, 1)
@@ -241,8 +241,8 @@ class TestDelaySeconds:
 
 class TestChannelDelegation:
     def test_is_drop_in_for_channel(self):
-        inner = Channel()
-        channel = FaultyChannel(inner=inner)
+        inner = InMemoryTransport()
+        channel = FaultyTransport(inner=inner)
         channel.send("P1", "P2", "a", BitString(0b10, 2))
         channel.advance_period()
         channel.send("P2", "P1", "b", BitString(1, 1))
@@ -253,13 +253,13 @@ class TestChannelDelegation:
         assert channel.messages is inner.messages
 
     def test_clear_rules_disarms(self):
-        channel = FaultyChannel.dropping("x")
+        channel = FaultyTransport.dropping("x")
         channel.clear_rules()
         channel.send("P1", "P2", "x", BitString(1, 1))
         assert len(channel.transcript()) == 1
 
     def test_injected_log_records_fired_rules(self):
-        channel = FaultyChannel.dropping("x")
+        channel = FaultyTransport.dropping("x")
         with pytest.raises(FaultInjected):
             channel.send("P1", "P2", "x", BitString(1, 1))
         assert len(channel.injected) == 1

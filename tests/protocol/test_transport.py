@@ -9,7 +9,6 @@ import pytest
 from repro.core.dlr import DLR
 from repro.core.params import DLRParams
 from repro.errors import FaultInjected, PeerDisconnected, ProtocolError, TransportTimeout
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
 from repro.protocol.transport import InMemoryTransport, SocketTransport
 from repro.utils.bits import BitString
@@ -246,6 +245,6 @@ class TestProtocolOverSockets:
             assert record.plaintext == message
             return transport.transcript_bits()
 
-        in_memory = one_run(Channel())
+        in_memory = one_run(InMemoryTransport())
         over_socket = one_run(SocketTransport(timeout=10.0))
         assert in_memory == over_socket

@@ -215,8 +215,19 @@ class TestServiceLoopback:
                 "service.request_seconds", op="decrypt"
             ).to_dict()
             assert decrypt_hist["count"] == SESSIONS * REQUESTS_PER_SESSION
-        # Shutdown evicted everything; the gauge must balance to zero.
+            # An unloaded loopback run never rejects, times out, sheds,
+            # expires a deadline or replays: a nonzero count means the
+            # admission or retry plumbing fired with no reason to.
+            assert metrics.counter_value("service.rejections") == 0
+            assert metrics.counter_value("service.client_timeouts") == 0
+            sheds = metrics.counters_named("service.sheds")
+            assert sum(counter.value for _labels, counter in sheds) == 0
+            assert metrics.counter_value("service.deadline_exceeded") == 0
+            assert metrics.counter_value("service.replayed_decrypts") == 0
+        # Shutdown evicted everything; the gauge must balance to zero, and
+        # the drain checkpointed every resident session.
         assert metrics.gauge("service.sessions_active").value == 0
+        assert metrics.counter_value("service.drain_checkpoint_failures") == 0
 
     def test_two_clients_one_key_serialized_not_corrupted(self, tmp_path):
         """Contending clients on the *same* key are serialized by the

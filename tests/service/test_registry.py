@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import random
+import stat
 
 import pytest
 
@@ -55,6 +57,40 @@ class TestLifecycle:
         registry = SessionRegistry(tmp_path, capacity=4)
         with pytest.raises(KeyError):
             registry.get("acme", "never-created")
+
+
+class TestDurability:
+    def test_serve_decrypt_fsyncs_checkpoint_directory_before_returning(
+        self, tmp_path, monkeypatch
+    ):
+        """A reply leaves only after its period's checkpoint rename is
+        durable: the new shares replace the ones that leaked this period,
+        and a power loss must not bring those back."""
+        registry = SessionRegistry(tmp_path, capacity=4)
+        session = fresh_session(registry)
+        _, ciphertext = encrypt_for(session)
+        path = registry.checkpoint_path(session.key)
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            if stat.S_ISDIR(info.st_mode):
+                events.append(("dir-fsync", info.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", str(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        session.serve_decrypt(ciphertext)
+        assert ("replace", str(path)) in events
+        last_replace = max(
+            i for i, event in enumerate(events) if event == ("replace", str(path))
+        )
+        assert ("dir-fsync", path.parent.stat().st_ino) in events[last_replace + 1 :]
 
 
 class TestEvictionRehydration:

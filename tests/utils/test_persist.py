@@ -1,14 +1,16 @@
 """Tests for JSON persistence of key material and ciphertexts."""
 
 import json
+import os
 import random
+import stat
 
 import pytest
 
 from repro.core.dlr import DLR
 from repro.errors import ParameterError
-from repro.protocol.channel import Channel
 from repro.protocol.device import Device
+from repro.protocol.transport import InMemoryTransport
 from repro.utils import persist
 
 
@@ -74,7 +76,7 @@ class TestRoundtrips:
         p1 = Device("P1", scheme.group, rng)
         p2 = Device("P2", scheme.group, rng)
         scheme.install(p1, p2, share1, share2)
-        channel = Channel()
+        channel = InMemoryTransport()
         assert scheme.decrypt_protocol(p1, p2, channel, ciphertext) == message
         scheme.refresh_protocol(p1, p2, channel)
         assert scheme.decrypt_protocol(p1, p2, channel, ciphertext) == message
@@ -122,3 +124,60 @@ def _transplant_gt(group, element):
     from repro.groups.encoding import decode_gt
 
     return decode_gt(group, element.to_bits())
+
+
+class TestAtomicWrite:
+    @staticmethod
+    def _record_durable_ops(monkeypatch):
+        """Record every fsync (file or directory, by inode) and replace."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
+
+        def fsync(fd):
+            info = os.fstat(fd)
+            kind = "dir" if stat.S_ISDIR(info.st_mode) else "file"
+            events.append(("fsync", kind, info.st_ino))
+            real_fsync(fd)
+
+        def replace(src, dst):
+            events.append(("replace", str(dst), None))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        return events
+
+    def test_file_fsync_then_replace_then_directory_fsync(self, tmp_path, monkeypatch):
+        """The rename is made durable too: a power loss after the write
+        returns cannot bring back the previous file."""
+        target = tmp_path / "state.json"
+        target.write_text("old")
+        events = self._record_durable_ops(monkeypatch)
+        persist.atomic_write_text(target, "new")
+        assert [event[:2] for event in events] == [
+            ("fsync", "file"),
+            ("replace", str(target)),
+            ("fsync", "dir"),
+        ]
+        assert events[2][2] == tmp_path.stat().st_ino
+        assert target.read_text() == "new"
+
+    def test_directory_descriptor_closed_when_its_fsync_fails(self, tmp_path, monkeypatch):
+        real_fsync, real_close = os.fsync, os.close
+        opened, closed = [], []
+
+        def fsync(fd):
+            if stat.S_ISDIR(os.fstat(fd).st_mode):
+                opened.append(fd)
+                raise OSError("directory fsync failed")
+            real_fsync(fd)
+
+        def close(fd):
+            closed.append(fd)
+            real_close(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "close", close)
+        with pytest.raises(OSError, match="directory fsync failed"):
+            persist.atomic_write_text(tmp_path / "state.json", "new")
+        assert len(opened) == 1 and opened[0] in closed

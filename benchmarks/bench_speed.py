@@ -55,10 +55,6 @@ import time
 #: Fraction of a baseline speedup a fresh run must retain to pass --check.
 REGRESSION_TOLERANCE = 0.75
 
-#: Paired repeats per entry at smoke scale: enough that the median ratio
-#: rides out a slow repeat, while a smoke run stays a few seconds long.
-SMOKE_REPEATS = 7
-
 
 def _trimmed(samples: list[float]) -> float:
     """Median after dropping the fastest and slowest sample."""
@@ -81,7 +77,7 @@ def trimmed_median(fn, warmup: int, repeats: int) -> float:
     return _trimmed(samples)
 
 
-def paired_entry(fast, naive, warmup: int, repeats: int, fast_items: int = 1) -> dict:
+def _paired_entry(fast, naive, warmup: int, repeats: int, fast_items: int = 1) -> dict:
     """Time ``fast`` and ``naive`` back to back within every repeat and
     report each leg's trimmed median and the median of the per-repeat
     ``naive / fast`` ratios.
@@ -143,7 +139,7 @@ def bench_kernels(group, params, rng, warmup: int, repeats: int) -> dict:
         with fastops.reference_mode():
             return G1Element.multiexp(g_bases, exponents)
 
-    report["g1_multiexp"] = paired_entry(g1_fast, g1_naive, warmup, repeats)
+    report["g1_multiexp"] = _paired_entry(g1_fast, g1_naive, warmup, repeats)
 
     def gt_fast():
         return GTElement.multiexp(gt_bases, exponents)
@@ -152,7 +148,7 @@ def bench_kernels(group, params, rng, warmup: int, repeats: int) -> dict:
         with fastops.reference_mode():
             return GTElement.multiexp(gt_bases, exponents)
 
-    report["gt_multiexp"] = paired_entry(gt_fast, gt_naive, warmup, repeats)
+    report["gt_multiexp"] = _paired_entry(gt_fast, gt_naive, warmup, repeats)
 
     # Fixed-argument pairing: one left point against `terms` right points,
     # schedule construction included in the fast timing.
@@ -166,7 +162,7 @@ def bench_kernels(group, params, rng, warmup: int, repeats: int) -> dict:
     def precomp_naive():
         return [tate_pairing(left, right, group.params) for right in rights]
 
-    report["pairing_precomp"] = paired_entry(precomp_fast, precomp_naive, warmup, repeats)
+    report["pairing_precomp"] = _paired_entry(precomp_fast, precomp_naive, warmup, repeats)
 
     def miller_projective():
         return final_exponentiation(miller_loop(left, rights[0], group.params), group.params)
@@ -176,7 +172,7 @@ def bench_kernels(group, params, rng, warmup: int, repeats: int) -> dict:
             miller_loop_affine(left, rights[0], group.params), group.params
         )
 
-    report["miller_projective"] = paired_entry(miller_projective, miller_affine, warmup, repeats)
+    report["miller_projective"] = _paired_entry(miller_projective, miller_affine, warmup, repeats)
 
     values = [rng.randrange(1, q) for _ in range(256)]
 
@@ -186,7 +182,7 @@ def bench_kernels(group, params, rng, warmup: int, repeats: int) -> dict:
     def inv_loop():
         return [inv_mod(v, q) for v in values]
 
-    report["batch_inv_256"] = paired_entry(inv_batched, inv_loop, warmup, repeats)
+    report["batch_inv_256"] = _paired_entry(inv_batched, inv_loop, warmup, repeats)
     return report
 
 
@@ -228,7 +224,7 @@ def bench_schemes(scheme, generated, rng, warmup: int, repeats: int) -> dict:
         with fastops.reference_mode():
             return combine_decrypt(generated.share2, d_list, d_phi, d_b)
 
-    report["p2_decrypt_combine"] = paired_entry(
+    report["p2_decrypt_combine"] = _paired_entry(
         dec_combine_fast, dec_combine_naive, warmup, repeats
     )
 
@@ -239,7 +235,7 @@ def bench_schemes(scheme, generated, rng, warmup: int, repeats: int) -> dict:
         with fastops.reference_mode():
             return combine_refresh(generated.share2, fresh_share, f_pairs, f_phi)
 
-    report["p2_refresh_combine"] = paired_entry(
+    report["p2_refresh_combine"] = _paired_entry(
         ref_combine_fast, ref_combine_naive, warmup, repeats
     )
 
@@ -255,7 +251,7 @@ def bench_schemes(scheme, generated, rng, warmup: int, repeats: int) -> dict:
                 f_phi.pair_with(precomp)
             ]
 
-    report["p1_derive_d"] = paired_entry(derive_fast, derive_naive, warmup, repeats)
+    report["p1_derive_d"] = _paired_entry(derive_fast, derive_naive, warmup, repeats)
 
     # The full two-party decryption protocol, end to end.
     def installed():
@@ -274,7 +270,7 @@ def bench_schemes(scheme, generated, rng, warmup: int, repeats: int) -> dict:
         with fastops.reference_mode():
             return scheme.decrypt_protocol(p1, p2, channel, ciphertext)
 
-    report["p2_full_decrypt"] = paired_entry(
+    report["p2_full_decrypt"] = _paired_entry(
         full_decrypt_fast, full_decrypt_naive, warmup, repeats
     )
     return report
@@ -332,7 +328,7 @@ def bench_batch(scheme, generated, rng, warmup: int, repeats: int) -> dict:
         def batched(subset=subset, p1b=p1b, p2b=p2b, channel_b=channel_b):
             return scheme.run_period_multi(p1b, p2b, channel_b, subset)
 
-        report[f"decrypt_amortization_b{batch}"] = paired_entry(
+        report[f"decrypt_amortization_b{batch}"] = _paired_entry(
             batched, single_period, warmup, repeats, fast_items=batch
         )
 
@@ -346,7 +342,7 @@ def bench_batch(scheme, generated, rng, warmup: int, repeats: int) -> dict:
     def in_process():
         return precomp.evaluate_many(points, jobs=1)
 
-    report["pool_evaluate_many_jobs2"] = paired_entry(pool_jobs2, in_process, warmup, repeats)
+    report["pool_evaluate_many_jobs2"] = _paired_entry(pool_jobs2, in_process, warmup, repeats)
     shutdown_pool()
     return report
 
@@ -614,7 +610,9 @@ def main(argv=None) -> int:
 
     group_bits = args.group_bits or (32 if args.smoke else 64)
     lam = args.lam or (32 if args.smoke else 128)
-    repeats = args.repeats or (SMOKE_REPEATS if args.smoke else 5)
+    # Smoke runs take 7 paired repeats: enough that the median ratio rides
+    # out a slow repeat, while a smoke run stays a few seconds long.
+    repeats = args.repeats or (7 if args.smoke else 5)
 
     if args.backends:
         from repro.math.backend import backend_available, use_backend
@@ -645,7 +643,7 @@ def main(argv=None) -> int:
     if not args.smoke and (group_bits, lam) != (32, 32):
         # Full-size baselines carry a smoke-scale sub-report so CI's
         # smoke runs have scale-matched numbers to gate against.
-        report["smoke"] = speed_report(group_bits=32, lam=32, repeats=SMOKE_REPEATS)
+        report["smoke"] = speed_report(group_bits=32, lam=32, repeats=7)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w") as handle:

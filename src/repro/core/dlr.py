@@ -69,7 +69,7 @@ from repro.protocol.engine import (
     TranscriptStats,
 )
 from repro.protocol.memory import PhaseSnapshot
-from repro.protocol.transport import InMemoryTransport, Message, Transport
+from repro.protocol.transport import Message, Transport
 from repro.telemetry.tracer import traced
 
 SK1_SLOT = "sk1"

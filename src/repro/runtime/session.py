@@ -88,7 +88,7 @@ def scheme_for_state(state: SessionState) -> DLR:
 
 
 # ---------------------------------------------------------------------------
-# The classified retry loop (shared by the supervisor and the single-period driver)
+# The classified retry loop (shared by the supervisor and drive_period_resilient)
 # ---------------------------------------------------------------------------
 
 

@@ -11,7 +11,10 @@ per-term / per-pairing code paths.  Reports trimmed-median timings and
 the speedup ratio per entry (the median of per-repeat ratios, the two
 legs timed back to back), and calibrates the
 :meth:`~repro.groups.bilinear.OperationCounter.total_cost` weights from
-the measured per-operation costs.
+the measured per-operation costs.  ``schemes.channel_handoff`` pairs
+the in-memory channel's structural handoff against a wire-codec round
+trip (the socket path, subgroup checks included) over every payload of
+one recorded period.
 
 Usage::
 
@@ -195,7 +198,8 @@ def bench_schemes(scheme, generated, rng, warmup: int, repeats: int) -> dict:
     from repro.core.keys import Share2
     from repro.groups import fastops
     from repro.protocol.device import Device
-    from repro.protocol.transport import InMemoryTransport
+    from repro.protocol.transport import InMemoryTransport, _handoff
+    from repro.utils.serialization import WireCodec
 
     group = scheme.group
     report = {}
@@ -273,6 +277,21 @@ def bench_schemes(scheme, generated, rng, warmup: int, repeats: int) -> dict:
     report["p2_full_decrypt"] = _paired_entry(
         full_decrypt_fast, full_decrypt_naive, warmup, repeats
     )
+
+    # The in-memory channel's structural handoff against a wire-codec
+    # round trip, over every payload of one recorded period.
+    p1, p2, channel = installed()
+    scheme.run_period(p1, p2, channel, ciphertext)
+    payloads = [message.payload for message in channel.transcript()]
+    codec = WireCodec(group)
+
+    def handoff():
+        return [_handoff(payload) for payload in payloads]
+
+    def codec_round_trip():
+        return [codec.decode(codec.encode(payload)) for payload in payloads]
+
+    report["channel_handoff"] = _paired_entry(handoff, codec_round_trip, warmup, repeats)
     return report
 
 

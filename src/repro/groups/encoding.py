@@ -26,15 +26,8 @@ from repro.utils.bits import BitString
 from repro.utils.serialization import int_width
 
 
-def decode_g1(
-    group: BilinearGroup, bits: BitString, *, check_subgroup: bool = True
-) -> G1Element:
-    """Inverse of :meth:`G1Element.to_bits` (compressed encoding).
-
-    ``check_subgroup=False`` skips the order-``p`` scalar multiplication
-    (curve membership is still enforced by the square-root recovery);
-    only trusted in-process decoders may skip it.
-    """
+def decode_g1(group: BilinearGroup, bits: BitString) -> G1Element:
+    """Inverse of :meth:`G1Element.to_bits` (compressed encoding)."""
     q = group.params.q
     width = int_width(q)
     if len(bits) != width + 2:
@@ -60,14 +53,12 @@ def decode_g1(
     if y % 2 != parity:
         y = (-y) % q
     point = Point(x, y, False)
-    if check_subgroup and not curve.scalar_mul(point, group.params.p, q).is_infinity():
+    if not curve.scalar_mul(point, group.params.p, q).is_infinity():
         raise GroupError("decoded point is not in the order-p subgroup")
     return G1Element(group, point)
 
 
-def decode_gt(
-    group: BilinearGroup, bits: BitString, *, check_subgroup: bool = True
-) -> GTElement:
+def decode_gt(group: BilinearGroup, bits: BitString) -> GTElement:
     """Inverse of :meth:`GTElement.to_bits`."""
     q = group.params.q
     width = int_width(q)
@@ -80,7 +71,7 @@ def decode_gt(
     value = Fq2(a, b, q)
     if value.is_zero():
         raise GroupError("zero is not a GT element")
-    if check_subgroup and not (value ** group.params.p).is_one():
+    if not (value ** group.params.p).is_one():
         raise GroupError("decoded value is not in the order-p subgroup")
     return GTElement(group, value)
 

@@ -8,13 +8,17 @@ exactly once on :class:`Transport`.
 
 Three implementations:
 
-* :class:`InMemoryTransport` -- the classic single-process channel.
-  Even in-process, payloads cross as *bytes*: the
-  sender's object is encoded with the wire codec and the receiver gets a
-  freshly decoded copy, so no mutable object is ever aliased between the
-  two devices' memories.
+* :class:`InMemoryTransport` -- the classic single-process channel.  The
+  receiver gets a structural copy of the sender's payload: every
+  container, ciphertext, scalar, bit string and element wrapper is
+  rebuilt, and only frozen leaves (points, ``F_{q^2}`` values, ints,
+  strings, bytes) are shared, so no mutable object is ever aliased
+  between the two devices' memories.  The copy equals what the wire
+  codec would decode, and each element gets the checks that decode
+  would make short of the subgroup check.
 * :class:`SocketTransport` -- P1 and P2 in separate threads over a local
-  ``socketpair``; frames are length-prefixed wire-codec bytes.
+  ``socketpair``; frames are length-prefixed wire-codec bytes, and the
+  codec subgroup-checks every element it decodes.
 * :class:`~repro.protocol.faults.FaultyTransport` -- wraps any transport
   and injects faults at send boundaries.
 
@@ -30,9 +34,15 @@ import socket
 import threading
 from dataclasses import dataclass, field
 
-from repro.errors import PeerDisconnected, TransportTimeout, WireFormatError
+from repro.errors import GroupError, PeerDisconnected, TransportTimeout, WireFormatError
 from repro.utils.bits import BitString, concat_all
-from repro.utils.serialization import WireCodec, encode_any, sniff_group
+from repro.utils.serialization import (
+    WireCodec,
+    _ciphertext,
+    _nest,
+    encode_any,
+    sniff_group,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +75,12 @@ def encode_frame(header: dict, payload: bytes) -> bytes:
     )
 
 
+#: Most bytes one ``recv`` asks for.  A frame's lengths are the peer's
+#: word, so reads never size a buffer from them: a header that declares
+#: more than the peer sends ends in EOF or a timeout, not a huge buffer.
+_READ_CHUNK = 1 << 16
+
+
 def read_exact(endpoint: socket.socket, n: int, who: str, timeout=None) -> bytes:
     """Read exactly ``n`` bytes, classifying every socket failure.
 
@@ -76,7 +92,7 @@ def read_exact(endpoint: socket.socket, n: int, who: str, timeout=None) -> bytes
     chunks = bytearray()
     while len(chunks) < n:
         try:
-            chunk = endpoint.recv(n - len(chunks))
+            chunk = endpoint.recv(min(n - len(chunks), _READ_CHUNK))
         except socket.timeout as exc:
             suffix = "" if timeout is None else f" within {timeout}s"
             raise TransportTimeout(
@@ -142,8 +158,6 @@ class Transport:
     #: Whether the two parties run in separate threads with blocking
     #: ``recv`` (socket-style) rather than an in-process rendezvous.
     threaded = False
-    #: Whether decoded group elements get the full subgroup check.
-    check_subgroup = False
     #: Optional per-request hook called with the message label before
     #: each send is recorded.  The key service installs a deadline check
     #: here for the duration of one request, so an expired deadline
@@ -170,7 +184,7 @@ class Transport:
         if group is None:
             group = sniff_group(payload)
             self._group = group
-        return WireCodec(group, check_subgroup=self.check_subgroup)
+        return WireCodec(group)
 
     # -- transcript recording ---------------------------------------------
 
@@ -266,24 +280,109 @@ class Transport:
         return breakdown
 
 
+class _NotWireable(Exception):
+    """The payload holds a value the wire format has no encoding for."""
+
+
+def _handoff(payload: object) -> object:
+    """The receiver's copy of ``payload``, built without the wire codec.
+
+    The copy is type- and value-equal to ``WireCodec(group).decode(
+    WireCodec(group).encode(payload))``: it dispatches on the types
+    :meth:`~repro.utils.serialization.WireCodec._encode_into` does, in
+    the same order, and returns what ``decode`` returns (a plain
+    ``tuple``/``list``/``int``/``str``/``bytes`` even for subclasses).
+    Containers, HPSKE ciphertexts, scalars, bit strings and element
+    wrappers are rebuilt; only frozen leaves are shared.  Points and
+    ``F_{q^2}`` values whose coordinates a lifting backend left in its
+    own integer type are rebuilt on plain ints.
+
+    Each element gets the checks the codec's decode makes short of the
+    subgroup check, at field-multiply cost: ``G`` coordinates in
+    ``[0, q)``, no 2-torsion, ``y^2 = x^3 + x``; ``GT`` coordinates in
+    range and a nonzero value.  Raises :class:`_NotWireable` where
+    ``encode`` would reject the payload.
+    """
+    from repro.core.hpske import HPSKECiphertext
+    from repro.groups.bilinear import G1Element, GTElement
+    from repro.groups.curve import INFINITY, Point
+    from repro.math.fields import Fq2
+    from repro.protocol.device import _ScalarInMemory
+
+    def copy(value: object, depth: int) -> object:
+        if value is None or isinstance(value, bool):
+            return value
+        if isinstance(value, int):
+            if value < 0:
+                raise _NotWireable
+            return value if type(value) is int else int(value)
+        if isinstance(value, str):
+            return value if type(value) is str else str.__str__(value)
+        if isinstance(value, bytes):
+            return value if type(value) is bytes else bytes(value)
+        if isinstance(value, BitString):
+            return BitString(int(value.value), len(value))
+        if isinstance(value, G1Element):
+            group = value.group
+            point = value.point
+            if point.infinity:
+                return G1Element(group, INFINITY)
+            q = group.params.q
+            x, y = point.x, point.y
+            if not (0 <= x < q and 0 <= y < q):
+                raise GroupError("G coordinate out of field range")
+            if y == 0:
+                raise GroupError("point is 2-torsion, not in G")
+            if (y * y - x * x * x - x) % q:
+                raise GroupError("point is not on the curve")
+            if type(x) is not int or type(y) is not int:
+                point = Point(int(x), int(y), False)
+            return G1Element(group, point)
+        if isinstance(value, GTElement):
+            group = value.group
+            q = group.params.q
+            element = value.value
+            a, b = element.a, element.b
+            if not (0 <= a < q and 0 <= b < q):
+                raise GroupError("GT coordinate out of field range")
+            if not (a or b):
+                raise GroupError("zero is not a GT element")
+            if type(a) is not int or type(b) is not int or element.q != q:
+                element = Fq2._from_reduced(int(a), int(b), q)
+            return GTElement(group, element)
+        if isinstance(value, HPSKECiphertext):
+            inner = _nest(depth)
+            return _ciphertext([copy(element, inner) for element in value.elements()])
+        if isinstance(value, _ScalarInMemory):
+            if value.p < 2:
+                raise WireFormatError("scalar modulus must be >= 2")
+            return _ScalarInMemory(int(value.value), int(value.p))
+        if isinstance(value, (tuple, list)):
+            inner = _nest(depth)
+            items = [copy(item, inner) for item in value]
+            return tuple(items) if isinstance(value, tuple) else items
+        raise _NotWireable
+
+    return copy(payload, 0)
+
+
 class InMemoryTransport(Transport):
     """Reliable, authenticated, in-process transport with a full transcript.
 
-    ``send`` serializes the payload to bytes and returns a freshly
-    decoded copy -- the receiver never holds a reference into the
-    sender's memory.  Payload types outside the wire format (only
-    possible for ad-hoc test traffic, never for protocol messages) pass
-    through by reference.
+    ``send`` returns a structural copy of the payload (see
+    :func:`_handoff`) -- the receiver never holds a mutable object of the
+    sender's memory, and gets the same value the wire codec would have
+    decoded, with no byte round trip.  A payload the wire format rejects
+    (only possible for ad-hoc test traffic, never for protocol messages)
+    passes through by reference.
     """
 
     def send(self, sender: str, recipient: str, label: str, payload: object) -> object:
         self.record(sender, recipient, label, payload)
-        codec = self._codec_for(payload)
         try:
-            wire = codec.encode(payload)
-        except WireFormatError:
+            return _handoff(payload)
+        except _NotWireable:
             return payload
-        return codec.decode(wire)
 
 
 class SocketTransport(Transport):
@@ -298,7 +397,6 @@ class SocketTransport(Transport):
     """
 
     threaded = True
-    check_subgroup = True
 
     def __init__(self, timeout: float = 30.0) -> None:
         super().__init__()

@@ -90,6 +90,11 @@ _TAG_GT = 0x0A
 _TAG_HPSKE = 0x0B
 _TAG_SCALAR = 0x0C
 
+#: How deeply tuples, lists and HPSKE ciphertexts may nest in one
+#: payload.  Protocol messages nest a few levels; the bound keeps a
+#: malicious payload from exhausting the decoder's stack.
+_MAX_DEPTH = 32
+
 _TAG_NAMES = {
     _TAG_NONE: "None",
     _TAG_FALSE: "False",
@@ -153,13 +158,33 @@ def _read_bits(data: bytes, offset: int) -> tuple[BitString, int]:
     return BitString(value, nbits), offset + nbytes
 
 
+def _nest(depth: int) -> int:
+    """The depth of the members of a container at ``depth``; refuses
+    payloads that nest deeper than ``_MAX_DEPTH``."""
+    if depth >= _MAX_DEPTH:
+        raise WireFormatError(f"payload nests deeper than {_MAX_DEPTH} levels")
+    return depth + 1
+
+
+def _ciphertext(elements: list):
+    """The HPSKE ciphertext whose coins and body are ``elements`` (the
+    body last); all of them must be ``G`` or all ``GT`` elements."""
+    from repro.core.hpske import HPSKECiphertext
+    from repro.groups.bilinear import G1Element, GTElement
+
+    carriers = {type(element) for element in elements}
+    if carriers != {G1Element} and carriers != {GTElement}:
+        raise WireFormatError("an HPSKE ciphertext holds only G or only GT elements")
+    return HPSKECiphertext(tuple(elements[:-1]), elements[-1])
+
+
 def sniff_group(payload: object):
     """Find the bilinear group a payload's elements live in, if any.
 
     Walks the payload structure looking for the first group element (or
     HPSKE ciphertext) and returns its ``group``; returns ``None`` for
-    group-free payloads.  Used by in-memory transports whose codec was
-    never explicitly bound to a group.
+    group-free payloads.  Used by transports whose codec was never
+    explicitly bound to a group.
     """
     from repro.core.hpske import HPSKECiphertext
     from repro.groups.bilinear import G1Element, GTElement
@@ -181,15 +206,16 @@ class WireCodec:
 
     ``encode`` maps a payload to a self-describing byte string;
     ``decode`` parses it back into fresh objects (no references shared
-    with the sender).  Decoding group elements needs a ``group``;
-    ``check_subgroup`` controls whether decoded elements are verified to
-    lie in the order-``p`` subgroup (always done for bytes that crossed
-    a real wire, skippable for trusted in-process loopback).
+    with the sender).  Decoding group elements needs a ``group``, and
+    every decoded element is checked to lie in the order-``p`` subgroup:
+    the codec only parses bytes that crossed a real wire.  Malformed
+    input raises :class:`~repro.errors.WireFormatError` (or
+    :class:`~repro.errors.GroupError` for a bad element), never anything
+    else.
     """
 
-    def __init__(self, group=None, check_subgroup: bool = True) -> None:
+    def __init__(self, group=None) -> None:
         self.group = group
-        self.check_subgroup = check_subgroup
 
     # -- encoding -----------------------------------------------------------
 
@@ -250,7 +276,7 @@ class WireCodec:
     # -- decoding -----------------------------------------------------------
 
     def decode(self, data: bytes) -> object:
-        value, offset = self._decode_from(data, 0)
+        value, offset = self._decode_from(data, 0, 0)
         if offset != len(data):
             raise WireFormatError(
                 f"{len(data) - offset} trailing bytes after payload"
@@ -264,8 +290,7 @@ class WireCodec:
             )
         return self.group
 
-    def _decode_from(self, data: bytes, offset: int) -> tuple[object, int]:
-        from repro.core.hpske import HPSKECiphertext
+    def _decode_from(self, data: bytes, offset: int, depth: int) -> tuple[object, int]:
         from repro.groups.encoding import decode_g1, decode_gt
         from repro.protocol.device import _ScalarInMemory
 
@@ -285,7 +310,11 @@ class WireCodec:
             length, offset = _read_varint(data, offset)
             if offset + length > len(data):
                 raise WireFormatError("truncated string")
-            return data[offset : offset + length].decode("utf-8"), offset + length
+            try:
+                text = data[offset : offset + length].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise WireFormatError("string is not valid UTF-8") from exc
+            return text, offset + length
         if tag == _TAG_BYTES:
             length, offset = _read_varint(data, offset)
             if offset + length > len(data):
@@ -295,30 +324,26 @@ class WireCodec:
             return _read_bits(data, offset)
         if tag == _TAG_G1:
             bits, offset = _read_bits(data, offset)
-            group = self._require_group(tag)
-            return decode_g1(group, bits, check_subgroup=self.check_subgroup), offset
+            return decode_g1(self._require_group(tag), bits), offset
         if tag == _TAG_GT:
             bits, offset = _read_bits(data, offset)
-            group = self._require_group(tag)
-            return decode_gt(group, bits, check_subgroup=self.check_subgroup), offset
-        if tag == _TAG_HPSKE:
-            kappa, offset = _read_varint(data, offset)
-            elements = []
-            for _ in range(kappa + 1):
-                element, offset = self._decode_from(data, offset)
-                elements.append(element)
-            return HPSKECiphertext(tuple(elements[:-1]), elements[-1]), offset
+            return decode_gt(self._require_group(tag), bits), offset
         if tag == _TAG_SCALAR:
             value, offset = _read_varint(data, offset)
             p, offset = _read_varint(data, offset)
             if p < 2:
                 raise WireFormatError("scalar modulus must be >= 2")
             return _ScalarInMemory(value, p), offset
-        if tag in (_TAG_TUPLE, _TAG_LIST):
-            length, offset = _read_varint(data, offset)
-            items = []
-            for _ in range(length):
-                item, offset = self._decode_from(data, offset)
-                items.append(item)
-            return (tuple(items) if tag == _TAG_TUPLE else items), offset
-        raise WireFormatError(f"unknown wire tag 0x{tag:02x}")
+        if tag not in (_TAG_HPSKE, _TAG_TUPLE, _TAG_LIST):
+            raise WireFormatError(f"unknown wire tag 0x{tag:02x}")
+        inner = _nest(depth)
+        length, offset = _read_varint(data, offset)
+        if tag == _TAG_HPSKE:
+            length += 1  # kappa coins, then the body
+        items = []
+        for _ in range(length):
+            item, offset = self._decode_from(data, offset, inner)
+            items.append(item)
+        if tag == _TAG_HPSKE:
+            return _ciphertext(items), offset
+        return (tuple(items) if tag == _TAG_TUPLE else items), offset

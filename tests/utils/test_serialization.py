@@ -100,7 +100,7 @@ class TestWireCodec:
     def _codec(self, small_group):
         from repro.utils.serialization import WireCodec
 
-        return WireCodec(small_group, check_subgroup=True)
+        return WireCodec(small_group)
 
     def roundtrip(self, codec, payload):
         wire = codec.encode(payload)

@@ -528,8 +528,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--timeout", type=float, default=30.0,
                        help="per-connection idle timeout (s); silent clients are dropped")
     serve.add_argument("--backlog", type=int, default=8,
-                       help="connections beyond the worker count before brownout "
-                            "shedding kicks in")
+                       help="heavy requests that may wait for a busy worker; "
+                            "beyond it they are shed with 'overloaded'")
     serve.add_argument("--drain-deadline", type=float, default=30.0,
                        help="seconds in-flight requests may take to finish "
                             "during a graceful drain (SIGTERM/SIGINT)")

@@ -81,18 +81,71 @@ def encode_frame(header: dict, payload: bytes) -> bytes:
 _READ_CHUNK = 1 << 16
 
 
-def read_exact(endpoint: socket.socket, n: int, who: str, timeout=None) -> bytes:
-    """Read exactly ``n`` bytes, classifying every socket failure.
+class FrameParser:
+    """Incremental decoder of the frame format above: :meth:`feed` bytes
+    as they arrive, take whole frames off the front with
+    :meth:`next_frame`.  The header is decoded as soon as its bytes are
+    in, so a bad one raises :class:`~repro.errors.WireFormatError`
+    without waiting for a payload; the stream is unusable after that."""
+
+    def __init__(self, who: str) -> None:
+        self.who = who
+        self._buffer = bytearray()
+        self._header: dict | None = None
+
+    def feed(self, data: bytes) -> None:
+        self._buffer += data
+
+    def wanted(self) -> int:
+        """Bytes still missing from the field being read (``<= 0`` once a
+        whole frame is buffered), so a blocking reader never overreads."""
+        buffer = self._buffer
+        end = 4
+        if len(buffer) >= end:
+            end += int.from_bytes(buffer[:4], "big") + 8
+            if len(buffer) >= end:
+                end += int.from_bytes(buffer[end - 8 : end], "big")
+        return end - len(buffer)
+
+    def next_frame(self) -> tuple[dict, bytes] | None:
+        """One whole ``(header, payload)``, or ``None`` until one is in."""
+        buffer = self._buffer
+        header_end = 4 + int.from_bytes(buffer[:4], "big")
+        if self._header is None and len(buffer) >= header_end:
+            try:
+                header = json.loads(buffer[4:header_end])
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise WireFormatError(
+                    f"{self.who} received an undecodable frame header"
+                ) from exc
+            if not isinstance(header, dict):
+                raise WireFormatError(
+                    f"{self.who} received a non-object frame header "
+                    f"({type(header).__name__})"
+                )
+            self._header = header
+        missing = self.wanted()
+        if missing > 0:
+            return None
+        end = len(buffer) + missing
+        frame = self._header, bytes(buffer[header_end + 8 : end])
+        del buffer[:end]
+        self._header = None
+        return frame
+
+
+def recv_frame(endpoint: socket.socket, who: str, timeout=None) -> tuple[dict, bytes]:
+    """Read one complete frame: ``(header, payload bytes)``.
 
     A silent peer surfaces as :class:`~repro.errors.TransportTimeout`
     (transient: the peer is slow, not known dead), a closed or broken
     endpoint as :class:`~repro.errors.PeerDisconnected` -- never a raw
     ``socket.timeout``/``OSError`` that a supervisor cannot classify.
     """
-    chunks = bytearray()
-    while len(chunks) < n:
+    parser = FrameParser(who)
+    while (frame := parser.next_frame()) is None:
         try:
-            chunk = endpoint.recv(min(n - len(chunks), _READ_CHUNK))
+            chunk = endpoint.recv(min(parser.wanted(), _READ_CHUNK))
         except socket.timeout as exc:
             suffix = "" if timeout is None else f" within {timeout}s"
             raise TransportTimeout(
@@ -102,24 +155,8 @@ def read_exact(endpoint: socket.socket, n: int, who: str, timeout=None) -> bytes
             raise PeerDisconnected(f"{who} read failed mid-frame") from exc
         if not chunk:
             raise PeerDisconnected(f"{who} saw EOF from its peer")
-        chunks.extend(chunk)
-    return bytes(chunks)
-
-
-def recv_frame(endpoint: socket.socket, who: str, timeout=None) -> tuple[dict, bytes]:
-    """Read one complete frame: ``(header, payload bytes)``."""
-    header_len = int.from_bytes(read_exact(endpoint, 4, who, timeout), "big")
-    try:
-        header = json.loads(read_exact(endpoint, header_len, who, timeout))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise WireFormatError(f"{who} received an undecodable frame header") from exc
-    if not isinstance(header, dict):
-        raise WireFormatError(
-            f"{who} received a non-object frame header ({type(header).__name__})"
-        )
-    payload_len = int.from_bytes(read_exact(endpoint, 8, who, timeout), "big")
-    payload = read_exact(endpoint, payload_len, who, timeout)
-    return header, payload
+        parser.feed(chunk)
+    return frame
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.core.keys import PublicKey, Share1, Share2
 from repro.core.params import DLRParams
-from repro.errors import CheckpointError, ParameterError
+from repro.errors import CheckpointError, GroupError, ParameterError
 from repro.utils import persist
 
 CHECKPOINT_VERSION = 1
@@ -86,7 +86,13 @@ def load_state(data: dict, group=None) -> SessionState:
     resumed session must interoperate with element-holding objects that
     already live in it (e.g. a DLRIBE scheme's public parameters) --
     after checking the checkpoint was written under the same pairing
-    parameters.
+    parameters.  ``group`` may also be a callable that maps the
+    checkpoint's pairing parameters to such a group, or to ``None`` for
+    a fresh one.
+
+    Damage to the data raises :class:`~repro.errors.CheckpointError`; a
+    version or group mismatch stays a
+    :class:`~repro.errors.ParameterError`.
     """
     if not isinstance(data, dict):
         raise CheckpointError(
@@ -97,6 +103,8 @@ def load_state(data: dict, group=None) -> SessionState:
     try:
         pk_data = data["public_key"]
         params = persist.load_params(pk_data["params"])
+        if callable(group):
+            group = group(params.group.params)
         if group is not None:
             if group.params != params.group.params:
                 raise ParameterError(
@@ -104,23 +112,20 @@ def load_state(data: dict, group=None) -> SessionState:
                 )
             params = DLRParams(group=group, lam=params.lam)
         public_key = PublicKey(params, persist._gt_from_hex(params.group, pk_data["z"]))
-        group = params.group
-        return SessionState(
-            scheme=data["scheme"],
-            seed=data["seed"],
-            periods_total=data["periods_total"],
-            next_period=data["next_period"],
-            public_key=public_key,
-            share1=persist.load_share1(group, data["share1"]),
-            share2=persist.load_share2(data["share2"]),
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        # A field is missing, the wrong shape, or un-decodable hex: the
+        share1 = persist.load_share1(params.group, data["share1"])
+        share2 = persist.load_share2(data["share2"])
+        fields = (data["scheme"], data["seed"], data["periods_total"], data["next_period"])
+    except (KeyError, TypeError, ValueError, IndexError, GroupError) as exc:
+        # A field is missing, the wrong shape, or un-decodable: the
         # *file* is corrupt, which is a deterministic (fatal) runtime
         # fault, never a raw KeyError crashing a rehydrating worker.
         raise CheckpointError(
             f"checkpoint is structurally invalid ({type(exc).__name__}: {exc})"
         ) from exc
+    try:
+        return SessionState(*fields, public_key, share1, share2)
+    except (ParameterError, TypeError) as exc:
+        raise CheckpointError(f"checkpoint state is invalid ({exc})") from exc
 
 
 def save_checkpoint(path: str | pathlib.Path, state: SessionState) -> None:
@@ -139,10 +144,10 @@ def load_checkpoint(path: str | pathlib.Path, group=None) -> SessionState:
     """
     path = pathlib.Path(path)
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CheckpointError(
             f"checkpoint {path} is unreadable ({exc})", path=path
         ) from exc

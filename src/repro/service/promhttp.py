@@ -15,7 +15,7 @@ Everything else is 404.  The endpoint is strictly read-only -- no
 request can mutate service state -- and runs on its own daemon thread,
 so a slow scraper never occupies a service worker.  It intentionally
 lives on a *separate* port from the framed protocol: the service's
-accept loop, admission control, and shedding stay undisturbed by
+selectors loop, admission control, and shedding stay undisturbed by
 monitoring traffic.
 """
 

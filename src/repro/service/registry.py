@@ -56,6 +56,18 @@ def _validated_key(tenant: str, key_id: str) -> SessionKey:
     return SessionKey(tenant, key_id)
 
 
+def _preset_matching(pairing):
+    """The preset group for ``pairing``, or ``None`` if it is not one.
+
+    Group interop is by params *identity*: a rehydrated session decodes
+    into the cached preset group when its checkpoint matches one, so its
+    elements compose with ciphertexts already held against the original
+    in-process group.
+    """
+    canonical = preset_group(pairing.n)
+    return canonical if canonical.params == pairing else None
+
+
 class SessionRegistry:
     """Resident-session store with checkpoint-backed eviction."""
 
@@ -157,15 +169,7 @@ class SessionRegistry:
             path = self.checkpoint_path(key)
             if not path.exists():
                 raise KeyError(str(key))
-            state = load_checkpoint(path)
-            # Group interop is by params *identity*: decode into the
-            # cached preset group when the checkpoint matches one, so a
-            # rehydrated session's elements compose with ciphertexts
-            # already held against the original in-process group.
-            pairing = state.public_key.params.group.params
-            canonical = preset_group(pairing.n)
-            if canonical.params == pairing:
-                state = load_checkpoint(path, group=canonical)
+            state = load_checkpoint(path, group=_preset_matching)
             scheme_obj = scheme_for_state(state)
             supervisor = SessionSupervisor(
                 scheme_obj,

@@ -35,7 +35,12 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
-from repro.errors import DeadlineExceeded, ParameterError, WireFormatError
+from repro.errors import (
+    DeadlineExceeded,
+    ParameterError,
+    ServiceOverloaded,
+    WireFormatError,
+)
 
 # ---------------------------------------------------------------------------
 # The failure-handling matrix (machine-readable half)
@@ -54,7 +59,7 @@ IDEMPOTENT_OPS = frozenset({"ping", "describe", "stats", "health", "metrics"})
 
 #: Ops that run (or mutate) a session: shed first under overload and
 #: refused while draining.  Everything else is *light* -- answered even
-#: in brownout so health stays observable under saturation.
+#: under overload so health stays observable under saturation.
 HEAVY_OPS = frozenset({"open", "decrypt", "decrypt_batch", "refresh", "evict"})
 
 
@@ -169,6 +174,11 @@ class ResponseCache:
     memory: the cache is a correctness aid for the retry window, not a
     durable dedup log, so evicting an old entry merely means a very
     late replay burns a fresh period.
+
+    A key is *claimed* while its first request runs (:meth:`claim`), so
+    a duplicate that overtakes the original is refused instead of
+    running a second period; the claim ends with :meth:`put` on success
+    or :meth:`release` on failure.
     """
 
     def __init__(self, capacity: int = 512) -> None:
@@ -176,7 +186,8 @@ class ResponseCache:
             raise ParameterError("replay cache capacity must be >= 1")
         self.capacity = capacity
         self._lock = threading.Lock()
-        self._entries: OrderedDict[tuple, tuple[dict, bytes]] = OrderedDict()
+        #: ``None`` marks a key claimed by a request still running.
+        self._entries: OrderedDict[tuple, tuple[dict, bytes] | None] = OrderedDict()
 
     def get(self, key: tuple) -> tuple[dict, bytes] | None:
         with self._lock:
@@ -184,6 +195,29 @@ class ResponseCache:
             if entry is not None:
                 self._entries.move_to_end(key)
             return entry
+
+    def claim(self, key: tuple) -> tuple[dict, bytes] | None:
+        """The cached response for ``key``, or ``None`` once the caller
+        holds the claim and owes a :meth:`put` or :meth:`release`.
+        Raises :class:`~repro.errors.ServiceOverloaded` (retryable)
+        while another request holds it."""
+        with self._lock:
+            if key not in self._entries:
+                self._entries[key] = None
+                return None
+            entry = self._entries[key]
+            if entry is None:
+                raise ServiceOverloaded(
+                    "a request with this request_id is still in flight", retry_after=0.1
+                )
+            self._entries.move_to_end(key)
+            return entry
+
+    def release(self, key: tuple) -> None:
+        """Drop the claim of a request that failed: a retry runs afresh."""
+        with self._lock:
+            if key in self._entries and self._entries[key] is None:
+                del self._entries[key]
 
     def put(self, key: tuple, fields: dict, payload: bytes) -> None:
         with self._lock:

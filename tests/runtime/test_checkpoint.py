@@ -2,8 +2,11 @@
 
 import json
 import random
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dlr import DLR
 from repro.errors import CheckpointError, ParameterError
@@ -179,3 +182,56 @@ class TestCorruptCheckpoints:
         path.write_text(json.dumps(data))
         with pytest.raises(ParameterError):
             load_checkpoint(path)
+
+
+@lru_cache(maxsize=1)
+def saved_checkpoint() -> bytes:
+    from repro.core.params import DLRParams
+    from repro.groups import preset_group
+
+    scheme = DLR(DLRParams(group=preset_group(32), lam=32))
+    generation = scheme.generate(random.Random(8))
+    state = SessionState(
+        "dlr", 3, 6, 2, generation.public_key, generation.share1, generation.share2
+    )
+    return json.dumps(dump_state(state), indent=2).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("damaged") / "session.json"
+
+
+def loads_or_raises_typed(path) -> None:
+    try:
+        load_checkpoint(path)
+    except (CheckpointError, ParameterError):
+        pass
+
+
+class TestDamagedCheckpointFuzz:
+    """Any truncation or byte flip of a saved checkpoint either loads or
+    raises ``CheckpointError``/``ParameterError`` -- never a raw
+    ``GroupError``, ``UnicodeDecodeError`` or ``TypeError``."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cut=st.integers(min_value=0, max_value=4096))
+    def test_truncations(self, scratch_file, cut):
+        data = saved_checkpoint()
+        scratch_file.write_bytes(data[: cut % len(data)])
+        loads_or_raises_typed(scratch_file)
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        flips=st.lists(
+            st.tuples(st.integers(min_value=0), st.integers(min_value=1, max_value=255)),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    def test_byte_flips(self, scratch_file, flips):
+        data = bytearray(saved_checkpoint())
+        for position, mask in flips:
+            data[position % len(data)] ^= mask
+        scratch_file.write_bytes(bytes(data))
+        loads_or_raises_typed(scratch_file)

@@ -11,10 +11,13 @@ invariants never violated mid-flight.
 from __future__ import annotations
 
 import random
+import socket
+import sys
 import threading
 
 from repro.core.dlr import DLR
 from repro.errors import AdmissionRejected
+from repro.protocol.transport import encode_frame, recv_frame
 from repro.service import (
     KeyService,
     ServiceClient,
@@ -258,3 +261,39 @@ class TestServiceLoopback:
 
             run_in_threads([contender(i) for i in range(2)])
         assert sorted(periods) == list(range(6))
+
+
+class TestLoopUnderSwitching:
+    def test_pipelined_bursts_answered_in_order_and_counted_once(self, tmp_path):
+        """More client threads than cores, a short switch interval, and
+        each client writes a burst of frames before reading: the loop
+        answers every frame once, in order, alternating inline ops and
+        pool ops on one connection."""
+        clients, bursts, burst = 6, 5, 4
+        registry = SessionRegistry(tmp_path, capacity=4)
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with KeyService(registry, workers=4, client_timeout=30.0) as service:
+                registry.create("t", "k", seed=1)
+
+                def stream():
+                    with socket.create_connection(service.address, timeout=30.0) as sock:
+                        for _ in range(bursts):
+                            ops = ["ping", "describe"] * (burst // 2)
+                            sock.sendall(
+                                b"".join(
+                                    encode_frame({"op": op, "tenant": "t", "key": "k"}, b"")
+                                    for op in ops
+                                )
+                            )
+                            for op in ops:
+                                header, _ = recv_frame(sock, "client", timeout=30.0)
+                                assert header["ok"] is True
+                                assert ("next_period" in header) == (op == "describe")
+
+                run_in_threads([stream] * clients)
+            # Counted once each; stop() waited for every worker.
+            assert service.requests_handled == clients * bursts * burst
+        finally:
+            sys.setswitchinterval(previous)

@@ -145,6 +145,29 @@ class TestEvictionRehydration:
         assert registry.metrics.counter_value("service.rehydrations") == 1
         assert registry.metrics.counter_value("service.evictions") == 1
 
+    def test_rehydration_decodes_the_checkpoint_once(self, tmp_path, monkeypatch):
+        import repro.service.registry as registry_mod
+        from repro.groups import preset_params
+
+        loads = []
+        real_load = registry_mod.load_checkpoint
+
+        def counting_load(*args, **kwargs):
+            loads.append(1)
+            return real_load(*args, **kwargs)
+
+        monkeypatch.setattr(registry_mod, "load_checkpoint", counting_load)
+        registry = SessionRegistry(tmp_path, capacity=4)
+        session = fresh_session(registry)
+        message, ciphertext = encrypt_for(session)
+        registry.evict("acme", "k1")
+        revived = registry.get("acme", "k1")
+        assert loads == [1]
+        # Decoded straight into the preset group: elements interoperate
+        # with ciphertexts made against the original session's group.
+        assert revived.group.params is preset_params(32)
+        assert revived.serve_decrypt(ciphertext).plaintext == message
+
     def test_corrupt_checkpoint_surfaces_checkpoint_error(self, tmp_path):
         registry = SessionRegistry(tmp_path, capacity=4)
         session = fresh_session(registry)

@@ -16,6 +16,7 @@ from repro.errors import (
     PeerDisconnected,
     RetryExhausted,
     ServiceError,
+    ServiceOverloaded,
     TransportTimeout,
     WireFormatError,
 )
@@ -139,6 +140,18 @@ class TestResponseCache:
         with pytest.raises(ParameterError):
             ResponseCache(0)
 
+    def test_claim_refuses_a_duplicate_until_put_or_release(self):
+        cache = ResponseCache(2)
+        assert cache.claim(("a",)) is None  # the caller now holds the claim
+        with pytest.raises(ServiceOverloaded) as excinfo:
+            cache.claim(("a",))
+        assert excinfo.value.retry_after > 0
+        cache.put(("a",), {"period": 0}, b"1")
+        assert cache.claim(("a",)) == ({"period": 0}, b"1")
+        assert cache.claim(("b",)) is None
+        cache.release(("b",))
+        assert cache.claim(("b",)) is None  # a failed request's retry runs
+
 
 def _ciphertext_envelope(public_key, rng):
     message = public_key.group.random_gt(rng)
@@ -239,6 +252,82 @@ class TestReplayCache:
             assert header["period"] == expected_period
         assert registry.get("acme", "nr").next_period == 2
 
+    def test_duplicate_in_flight_is_refused_not_run(self, tmp_path):
+        """Two concurrent decrypts with one request id burn one period:
+        the one that finds the id claimed is answered ``overloaded`` and
+        its retry replays the original's response."""
+        registry = SessionRegistry(tmp_path / "state", capacity=4)
+        with KeyService(registry, workers=2, client_timeout=10.0) as service:
+            with ServiceClient(service.address, timeout=10.0) as setup:
+                public_key = setup.open_key("acme", "dup", seed=5)
+            message, envelope = _ciphertext_envelope(public_key, random.Random(11))
+            clients = [
+                ServiceClient(service.address, timeout=10.0, retry=None)
+                for _ in range(2)
+            ]
+            answers: list[tuple[ServiceClient, dict]] = []
+            answered = threading.Condition()
+
+            def send(client):
+                header, _ = client.request(
+                    "decrypt", envelope, tenant="acme", key="dup", request_id="dup-1"
+                )
+                with answered:
+                    answers.append((client, header))
+                    answered.notify_all()
+
+            session = registry.get("acme", "dup")
+            session.lock.acquire()  # whichever decrypt runs first waits here
+            held = True
+            threads = [threading.Thread(target=send, args=(c,)) for c in clients]
+            try:
+                for thread in threads:
+                    thread.start()
+                with answered:
+                    assert answered.wait_for(lambda: answers, timeout=5.0), (
+                        "the duplicate waited behind the original"
+                    )
+                refused_client, refused = answers[0]
+                assert refused["ok"] is False
+                assert refused["code"] == "overloaded"
+                assert refused["retry-after"] > 0
+                session.lock.release()
+                held = False
+                for thread in threads:
+                    thread.join(timeout=10.0)
+                assert not any(thread.is_alive() for thread in threads)
+                original = next(h for c, h in answers if c is not refused_client)
+                assert original["ok"] is True and original["period"] == 0
+
+                retry, body = refused_client.request(
+                    "decrypt", envelope, tenant="acme", key="dup", request_id="dup-1"
+                )
+                assert retry["ok"] is True
+                assert retry["replayed"] is True
+                assert retry["period"] == 0
+                assert body == message.to_bits().to_bytes()
+            finally:
+                if held:
+                    session.lock.release()
+                for client in clients:
+                    client.close()
+            assert service.metrics.counter_value("service.replayed_decrypts") == 1
+            assert registry.get("acme", "dup").next_period == 1
+
+    def test_a_failed_request_releases_its_request_id(self, client, registry):
+        public_key = client.open_key("acme", "rel", seed=6)
+        message, envelope = _ciphertext_envelope(public_key, random.Random(12))
+        header, _ = client.request(
+            "decrypt", b"not a ciphertext", tenant="acme", key="rel", request_id="r-9"
+        )
+        assert header["code"] == "bad-request"
+        header, body = client.request(
+            "decrypt", envelope, tenant="acme", key="rel", request_id="r-9"
+        )
+        assert header["ok"] is True and "replayed" not in header
+        assert body == message.to_bits().to_bytes()
+        assert registry.get("acme", "rel").next_period == 1
+
     @pytest.mark.parametrize("bad", [123, "", "x" * 200])
     def test_invalid_request_id_is_bad_request(self, client, bad):
         header, _ = client.request(
@@ -302,71 +391,71 @@ def _wait_until(predicate, *, timeout: float = 5.0, message: str = "condition"):
 
 
 class TestLoadShedding:
-    def test_brownout_serves_light_ops_and_sheds_heavy(self, tmp_path):
+    def test_overload_serves_light_ops_and_sheds_heavy(self, tmp_path):
         registry = SessionRegistry(tmp_path / "state", capacity=8)
-        service = KeyService(
-            registry, workers=1, backlog=1, brownout_workers=1, client_timeout=5.0
-        )
-        mutes: list[socket.socket] = []
+        service = KeyService(registry, workers=1, backlog=1, client_timeout=5.0)
+        held = False
+        threads: list[threading.Thread] = []
         try:
             service.start()
-            # Fill the normal lane: workers + backlog parked connections.
-            for _ in range(2):
-                mutes.append(socket.create_connection(service.address, timeout=5.0))
+            with ServiceClient(service.address, timeout=5.0) as setup:
+                public_key = setup.open_key("acme", "busy", seed=1)
+            session = registry.get("acme", "busy")
+            # Hold the key's lock: one decrypt runs on the lone worker and
+            # one waits for it -- workers + backlog heavy requests.
+            session.lock.acquire()
+            held = True
+            recovered: list[bool] = []
+
+            def decrypt(seed):
+                message, envelope = _ciphertext_envelope(public_key, random.Random(seed))
+                with ServiceClient(service.address, timeout=10.0, retry=None) as c:
+                    header, body = c.request("decrypt", envelope, tenant="acme", key="busy")
+                recovered.append(header["ok"] and body == message.to_bits().to_bytes())
+
+            threads = [threading.Thread(target=decrypt, args=(i,)) for i in range(2)]
+            for thread in threads:
+                thread.start()
             _wait_until(
-                lambda: service._active_connections() == 2, message="normal lane full"
+                lambda: service.health_status() == "overloaded",
+                message="the heavy queue to fill",
             )
-            with ServiceClient(
-                service.address, timeout=5.0, retry=None
-            ) as brownout_client:
-                _wait_until(
-                    lambda: service._active_connections() == 3,
-                    message="brownout admission",
-                )
+            with ServiceClient(service.address, timeout=5.0, retry=None) as light:
                 # Light ops still answered: health stays observable.
-                assert brownout_client.ping()
-                health = brownout_client.health()
-                assert health["status"] == "overloaded"
+                assert light.ping()
+                assert light.health()["status"] == "overloaded"
                 # Heavy ops shed with the typed code and a backoff hint.
-                header, _ = brownout_client.request(
+                header, _ = light.request(
                     "open", tenant="acme", key="shed", scheme="dlr", seed=1
                 )
                 assert header["code"] == "overloaded"
                 assert header["retry-after"] > 0
                 with pytest.raises(ServiceError) as excinfo:
-                    brownout_client.open_key("acme", "shed2", seed=2)
+                    light.open_key("acme", "shed2", seed=2)
                 assert excinfo.value.code == "overloaded"
                 assert (
-                    service.metrics.counter_value("service.sheds", mode="brownout") >= 2
+                    service.metrics.counter_value("service.sheds", mode="overload") >= 2
                 )
-                assert (
-                    service.metrics.counter_value("service.brownout_connections") == 1
-                )
-
-                # Beyond the brownout bound: shed outright from the
-                # accept thread with a pre-written overloaded frame.
-                hard = socket.create_connection(service.address, timeout=5.0)
-                try:
-                    header, _ = recv_frame(hard, "client", timeout=5.0)
-                finally:
-                    hard.close()
-                assert header["ok"] is False
-                assert header["code"] == "overloaded"
-                assert header["retry-after"] > 0
-                assert service.metrics.counter_value("service.sheds", mode="hard") == 1
-            # Load gone: the service recovers to ready and serves again.
-            for mute in mutes:
-                mute.close()
-            mutes.clear()
+            # Load gone: the queued work completes, the service recovers
+            # to ready and serves again.
+            session.lock.release()
+            held = False
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+            assert recovered == [True, True]
             _wait_until(
-                lambda: service._active_connections() == 0, message="load to clear"
+                lambda: service.health_status() == "ready",
+                message="the workers to hand their connections back",
             )
             with ServiceClient(service.address, timeout=5.0) as healthy:
                 assert healthy.health()["status"] == "ready"
                 healthy.open_key("acme", "after", seed=3)
         finally:
-            for mute in mutes:
-                mute.close()
+            if held:
+                session.lock.release()
+            for thread in threads:
+                thread.join(timeout=30.0)
             service.stop()
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 import socket
 import time
@@ -9,7 +10,7 @@ import time
 import pytest
 
 from repro.errors import AdmissionRejected, ServiceError
-from repro.protocol.transport import encode_frame
+from repro.protocol.transport import encode_frame, recv_frame
 from repro.service import KeyService, ServiceClient, SessionKey, SessionRegistry
 
 
@@ -56,6 +57,25 @@ class TestRequestErrors:
         assert client.evict("acme", "hurt")
         path = registry.checkpoint_path(SessionKey("acme", "hurt"))
         path.write_text("{ truncated")
+        with pytest.raises(ServiceError) as excinfo:
+            client.describe("acme", "hurt")
+        assert excinfo.value.code == "checkpoint-corrupt"
+
+
+    @pytest.mark.parametrize("damage", ["gt-element", "not-utf8", "next-period", "scheme"])
+    def test_damaged_checkpoint_code(self, client, registry, damage):
+        client.open_key("acme", "hurt", seed=1)
+        assert client.evict("acme", "hurt")
+        path = registry.checkpoint_path(SessionKey("acme", "hurt"))
+        data = json.loads(path.read_text())
+        if damage == "gt-element":
+            data["public_key"]["z"] = "0" * len(data["public_key"]["z"])
+        elif damage == "next-period":
+            data["next_period"] = -1
+        elif damage == "scheme":
+            data["scheme"] = "mystery"
+        text = json.dumps(data).encode("utf-8")
+        path.write_bytes(b"\xff" + text if damage == "not-utf8" else text)
         with pytest.raises(ServiceError) as excinfo:
             client.describe("acme", "hurt")
         assert excinfo.value.code == "checkpoint-corrupt"
@@ -108,6 +128,46 @@ class TestSilentClient:
                 assert service.metrics.counter_value("service.client_timeouts") == 1
             finally:
                 torn.close()
+
+
+class TestIdleConnections:
+    """Connections that send nothing, or half a frame, hold no worker."""
+
+    def test_idle_keepalive_clients_do_not_delay_a_ping(self, tmp_path):
+        registry = SessionRegistry(tmp_path, capacity=4)
+        with KeyService(registry, workers=4, client_timeout=30.0) as service:
+            idle = [ServiceClient(service.address, timeout=5.0) for _ in range(4)]
+            try:
+                for keepalive in idle:
+                    assert keepalive.ping()  # then parked between requests
+                with ServiceClient(service.address, timeout=2.0, retry=None) as fifth:
+                    assert fifth.ping()
+                    with pytest.raises(ServiceError) as excinfo:
+                        fifth.describe("acme", "missing")  # a pool op
+                    assert excinfo.value.code == "unknown-key"
+            finally:
+                for keepalive in idle:
+                    keepalive.close()
+
+    def test_half_frame_sender_does_not_delay_other_clients(self, tmp_path):
+        registry = SessionRegistry(tmp_path, capacity=4)
+        with KeyService(registry, workers=1, client_timeout=30.0) as service:
+            torn = socket.create_connection(service.address, timeout=5.0)
+            try:
+                frame = encode_frame({"op": "ping"}, b"")
+                torn.sendall(frame[: len(frame) // 2])
+                with ServiceClient(service.address, timeout=2.0, retry=None) as other:
+                    assert other.ping()
+                    with pytest.raises(ServiceError) as excinfo:
+                        other.describe("acme", "missing")
+                    assert excinfo.value.code == "unknown-key"
+                # The torn request completes late and is still answered.
+                torn.sendall(frame[len(frame) // 2 :])
+                header, _ = recv_frame(torn, "client", timeout=5.0)
+                assert header == {"ok": True}
+            finally:
+                torn.close()
+            assert service.metrics.counter_value("service.client_timeouts") == 0
 
 
 class TestStats:

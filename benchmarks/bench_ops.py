@@ -5,9 +5,10 @@ sampling, HPSKE operations, and the four scheme operations (Gen, Enc,
 2-party Dec, 2-party Ref), at the default 64-bit benchmark size.
 
 Also runnable as a script (``python benchmarks/bench_ops.py --smoke``):
-runs one full period of DLR and OptimalDLR on tiny parameters and emits
-a JSON report of per-party group-operation counts and bits-on-wire per
-message label, from the engine's ``TranscriptStats``.  CI uploads this
+runs one full period of DLR and OptimalDLR on tiny parameters, plus one
+batch-of-3 ``run_period_multi`` period of each, and emits a JSON report
+of per-party group-operation counts and bits-on-wire per message label,
+from the engine's ``TranscriptStats``.  CI uploads this
 as an artifact so communication/computation regressions show up in the
 numbers, not just in wall time.
 """
@@ -197,7 +198,14 @@ def smoke_report(group_bits: int = 32, lam: int = 32, seed: int = 7) -> dict:
         "seed": seed,
         "schemes": {},
     }
-    for name, scheme_cls in (("dlr", DLR), ("optimal", OptimalDLR)):
+    # ``batch=None`` runs ``run_period`` on one ciphertext; an integer
+    # runs ``run_period_multi`` on that many.
+    for name, scheme_cls, batch in (
+        ("dlr", DLR, None),
+        ("optimal", OptimalDLR, None),
+        ("dlr_batch3", DLR, 3),
+        ("optimal_batch3", OptimalDLR, 3),
+    ):
         scheme = scheme_cls(params)
         rng = random.Random(seed)
         generation = scheme.generate(rng)
@@ -205,11 +213,15 @@ def smoke_report(group_bits: int = 32, lam: int = 32, seed: int = 7) -> dict:
         p2 = Device("P2", group, rng)
         scheme.install(p1, p2, generation.share1, generation.share2)
         channel = InMemoryTransport()
-        ciphertext = scheme.encrypt(
-            generation.public_key, group.random_gt(rng), rng
-        )
+        ciphertexts = [
+            scheme.encrypt(generation.public_key, group.random_gt(rng), rng)
+            for _ in range(batch or 1)
+        ]
         with metering() as registry:
-            record = scheme.run_period(p1, p2, channel, ciphertext)
+            if batch is None:
+                record = scheme.run_period(p1, p2, channel, ciphertexts[0])
+            else:
+                record = scheme.run_period_multi(p1, p2, channel, ciphertexts)
         stats = scheme.last_stats
         report["schemes"][name] = {
             "bits_on_wire": channel.bits_on_wire(),

@@ -20,7 +20,10 @@ Two protocol styles are provided:
 * :meth:`DLR.run_period` -- the section 5.2 remark variant where one
   time period executes decryption *and* refresh with a single
   ``sk_comm`` and the refresh ciphertexts ``f_i`` are reused as the
-  decryption ciphertexts ``d_i`` via coordinate-wise pairing with ``A``.
+  decryption ciphertexts ``d_i`` via coordinate-wise pairing with ``A``;
+  :meth:`DLR.run_period_multi` is the same period with several
+  decryptions before the one refresh (a single decryption is the batch
+  of one, under the labels ``dec.*`` instead of ``dec.0.*``).
   This is the flow the security proof (and the leakage accounting of the
   security game) is stated for; it also returns the phase snapshots the
   leakage oracle consumes.
@@ -174,6 +177,18 @@ class DLR:
     #: Prefix for telemetry span names (``dlr.gen``, ``dlr.enc``, ...);
     #: subclasses override so their spans are distinguishable.
     span_kind = "dlr"
+
+    #: The period protocol's spec-name prefix (``dlr.period``,
+    #: ``dlr.period_multi``), P1's period secrets (erased on every exit
+    #: path), its staged share rotation and its abort message; P1's
+    #: period generator and these are all OptimalDLR overrides.
+    period_protocol = "dlr"
+    period_secrets1: tuple[str, ...] = ("period.sk_comm", "period.a_next")
+    period_staged: tuple[StagedShare, ...] = DLR_STAGED
+    period_abort_message = (
+        "time period {period} aborted during refresh; "
+        "both devices rolled back to their old shares"
+    )
 
     def __init__(self, params: DLRParams) -> None:
         self.params = params
@@ -351,58 +366,23 @@ class DLR:
         self,
         device2: Device,
         period: int,
+        prefixes: list[str],
         snapshots: dict[tuple[int, str], PhaseSnapshot],
     ):
-        """P2's whole time period: decrypt, observe the output, refresh --
-        with the two phase snapshots.  Identical for DLR and OptimalDLR
-        ("the changes to the protocols only involve P1's local
-        computations")."""
+        """P2's whole time period: answer each decryption (``<prefix>.d``,
+        then observe ``<prefix>.output``), refresh -- with the two phase
+        snapshots.  Every message is received by its exact label.
+        Identical for DLR and OptimalDLR ("the changes to the protocols
+        only involve P1's local computations")."""
         device2.secret.open_phase(f"t{period}.normal")
         share2 = self.share2_of(device2)
-        yield from self._p2_decrypt_steps(device2, share_of=lambda: share2)
-        yield Recv("dec.output")
+        for prefix in prefixes:
+            yield from self._p2_decrypt_steps(device2, prefix, share_of=lambda: share2)
+            yield Recv(f"{prefix}.output")
         snapshots[(2, "normal")] = device2.secret.close_phase()
 
         device2.secret.open_phase(f"t{period}.refresh")
         yield from self._p2_refresh_steps(device2, share_of=lambda: share2)
-        snapshots[(2, "refresh")] = device2.secret.close_phase()
-
-    def _p2_period_multi_steps(
-        self,
-        device2: Device,
-        period: int,
-        snapshots: dict[tuple[int, str], PhaseSnapshot],
-    ):
-        """P2's whole *multi-decryption* time period: answer ``dec.<i>.d``
-        messages until the refresh phase starts, then refresh.  P2 never
-        needs the decryption count up front, so the same generator serves
-        DLR and OptimalDLR multi-periods (only P1's local computations
-        differ between the two schemes)."""
-        ell = self.params.ell
-        device2.secret.open_phase(f"t{period}.normal")
-        share2 = self.share2_of(device2)
-        message = yield Recv()
-        while message.label != "ref.f":
-            if message.label.endswith(".d"):
-                d_list, d_phi, d_b = message.payload
-                with device2.computing():
-                    response = combine_decrypt(share2, d_list, d_phi, d_b)
-                yield Send(message.label[:-1] + "c_prime", response)
-            message = yield Recv()
-        snapshots[(2, "normal")] = device2.secret.close_phase()
-
-        device2.secret.open_phase(f"t{period}.refresh")
-        f_pairs, f_phi = message.payload
-        with device2.computing():
-            fresh_share = Share2(
-                tuple(self.group.random_scalar(device2.rng) for _ in range(ell)),
-                self.group.p,
-            )
-            response = combine_refresh(share2, fresh_share, f_pairs, f_phi)
-        device2.secret.store(SK2_PENDING_SLOT, fresh_share)
-        yield Send("ref.f_combined", response)
-        yield Recv("ref.commit")
-        yield Commit()
         snapshots[(2, "refresh")] = device2.secret.close_phase()
 
     # ------------------------------------------------------------------
@@ -524,7 +504,8 @@ class DLR:
         self._run_engine(spec, channel)
 
     # ------------------------------------------------------------------
-    # One faithful time period (section 5.2 remark: coin reuse)
+    # One faithful time period (section 5.2 remark: coin reuse), with one
+    # or several decryptions (section 3.3 extension)
     # ------------------------------------------------------------------
 
     def run_period(
@@ -544,88 +525,10 @@ class DLR:
         re-run against intact shares
         (:func:`repro.runtime.drive_period_resilient`).
         """
-        period = channel.current_period
-        share1 = self.share1_of(device1)
-        ell = self.params.ell
-        snapshots: dict[tuple[int, str], PhaseSnapshot] = {}
-
-        def p1():
-            device1.secret.open_phase(f"t{period}.normal")
-            # P1 computes the refresh ciphertexts f_i first, then derives
-            # the decryption ciphertexts d_i by pairing with A (remark,
-            # section 5.2).
-            with device1.computing():
-                sk_comm = self.hpske_g.keygen(device1.rng)
-                device1.secret.store("period.sk_comm", sk_comm)
-                *f_list, f_phi = self.hpske_g.encrypt_batch(
-                    sk_comm, (*share1.a, share1.phi), device1.rng
-                )
-
-                # One Miller schedule for A, reused across every f_i
-                # coordinate (kappa + 1 pairings per ciphertext), all
-                # evaluated in one batched (pool-dispatchable) leg.
-                a_precomp = self.group.pairing_precomp(ciphertext.a)
-                transported = pair_ciphertexts(a_precomp, [*f_list, f_phi])
-                d_list = tuple(transported[:-1])
-                d_phi = transported[-1]
-                d_b = self.hpske_gt.encrypt(sk_comm, ciphertext.b, device1.rng)
-            yield Send("dec.d", (d_list, d_phi, d_b))
-
-            message = yield Recv("dec.c_prime")
-            with device1.computing():
-                plaintext = self.hpske_gt.decrypt(sk_comm, message.payload)
-            assert isinstance(plaintext, GTElement)
-            yield Send("dec.output", plaintext)
-            snapshots[(1, "normal")] = device1.secret.close_phase()
-
-            # --- refresh phase (same sk_comm, f_i reused) ---------------
-            device1.secret.open_phase(f"t{period}.refresh")
-            with device1.computing():
-                fresh_a = tuple(self.group.random_g_batch(device1.rng, ell))
-                device1.secret.store("period.a_next", list(fresh_a), derived=True)
-                f_new = self.hpske_g.encrypt_batch(sk_comm, fresh_a, device1.rng)
-            f_pairs = tuple(zip(f_list, f_new))
-            yield Send("ref.f", (f_pairs, f_phi))
-
-            message = yield Recv("ref.f_combined")
-            with device1.computing():
-                new_phi = self.hpske_g.decrypt(sk_comm, message.payload)
-            device1.secret.store(SK1_PENDING_SLOT, Share1(a=fresh_a, phi=new_phi))
-            yield Send("ref.commit", True)
-            yield Commit()
-
-            # Erase every protocol secret of the period before the
-            # snapshots close (the slots must not seed the next phase).
-            device1.secret.erase("period.sk_comm")
-            device1.secret.erase("period.a_next")
-            snapshots[(1, "refresh")] = device1.secret.close_phase()
-            return plaintext
-
-        spec = ProtocolSpec(
-            "dlr.period",
-            device1,
-            device2,
-            p1,
-            lambda: self._p2_period_steps(device2, period, snapshots),
-            secrets1=("period.sk_comm", "period.a_next"),
-            staged=DLR_STAGED,
-            abort_message=(
-                f"time period {period} aborted during refresh; "
-                "both devices rolled back to their old shares"
-            ),
-            abort_period=period,
-            snapshots=snapshots,
+        period, [plaintext], snapshots, messages = self._run_period(
+            device1, device2, channel, [("dec", ciphertext)], "period"
         )
-        plaintext = self._run_engine(spec, channel)
-        assert isinstance(plaintext, GTElement)
-
-        messages = channel.transcript(period)
-        channel.advance_period()
         return PeriodRecord(period, plaintext, snapshots, messages)
-
-    # ------------------------------------------------------------------
-    # One period with several decryptions (section 3.3 extension)
-    # ------------------------------------------------------------------
 
     def run_period_multi(
         self,
@@ -635,103 +538,113 @@ class DLR:
         ciphertexts: list[Ciphertext],
     ) -> MultiPeriodRecord:
         """Like :meth:`run_period`, but with several decryption protocol
-        executions inside one time period, all sharing one ``sk_comm``
-        and one set of refresh ciphertexts ``f_i`` (each decryption pairs
-        them with its own ``A``).  Crash-safe the same way: any failure
-        rolls back the staged rotation and erases the period secrets."""
+        executions (labels ``dec.<i>.*``) inside one time period, all
+        sharing one ``sk_comm`` and one set of refresh ciphertexts
+        ``f_i`` (each decryption pairs them with its own ``A``), and one
+        refresh at the end -- so the per-ciphertext cost approaches the
+        marginal decryption work as the batch grows.  An empty batch
+        still refreshes.  Crash-safe the same way."""
+        return MultiPeriodRecord(
+            *self._run_period(
+                device1,
+                device2,
+                channel,
+                [(f"dec.{index}", c) for index, c in enumerate(ciphertexts)],
+                "period_multi",
+            )
+        )
+
+    def _run_period(
+        self,
+        device1: Device,
+        device2: Device,
+        channel: Transport,
+        decryptions: list[tuple[str, Ciphertext]],
+        kind: str,
+    ) -> tuple[int, list[GTElement], dict[tuple[int, str], PhaseSnapshot], list[Message]]:
+        """The one period path: decrypt each ``(label prefix,
+        ciphertext)`` pair in order, refresh once, then read the
+        period's transcript and advance the channel."""
         period = channel.current_period
-        share1 = self.share1_of(device1)
-        ell = self.params.ell
         snapshots: dict[tuple[int, str], PhaseSnapshot] = {}
-
-        def p1():
-            device1.secret.open_phase(f"t{period}.normal")
-            with device1.computing():
-                sk_comm = self.hpske_g.keygen(device1.rng)
-                device1.secret.store("period.sk_comm", sk_comm)
-                *f_list, f_phi = self.hpske_g.encrypt_batch(
-                    sk_comm, (*share1.a, share1.phi), device1.rng
-                )
-
-            plaintexts: list[GTElement] = []
-            for index, ciphertext in enumerate(ciphertexts):
-                with device1.computing():
-                    a_precomp = self.group.pairing_precomp(ciphertext.a)
-                    transported = pair_ciphertexts(a_precomp, [*f_list, f_phi])
-                    d_list = tuple(transported[:-1])
-                    d_phi = transported[-1]
-                    d_b = self.hpske_gt.encrypt(sk_comm, ciphertext.b, device1.rng)
-                yield Send(f"dec.{index}.d", (d_list, d_phi, d_b))
-                message = yield Recv(f"dec.{index}.c_prime")
-                with device1.computing():
-                    plaintext = self.hpske_gt.decrypt(sk_comm, message.payload)
-                assert isinstance(plaintext, GTElement)
-                yield Send(f"dec.{index}.output", plaintext)
-                plaintexts.append(plaintext)
-
-            snapshots[(1, "normal")] = device1.secret.close_phase()
-            device1.secret.open_phase(f"t{period}.refresh")
-            with device1.computing():
-                fresh_a = tuple(self.group.random_g_batch(device1.rng, ell))
-                device1.secret.store("period.a_next", list(fresh_a), derived=True)
-                f_new = self.hpske_g.encrypt_batch(sk_comm, fresh_a, device1.rng)
-            f_pairs = tuple(zip(f_list, f_new))
-            yield Send("ref.f", (f_pairs, f_phi))
-
-            message = yield Recv("ref.f_combined")
-            with device1.computing():
-                new_phi = self.hpske_g.decrypt(sk_comm, message.payload)
-            device1.secret.store(SK1_PENDING_SLOT, Share1(a=fresh_a, phi=new_phi))
-            yield Send("ref.commit", True)
-            yield Commit()
-            device1.secret.erase("period.sk_comm")
-            device1.secret.erase("period.a_next")
-            snapshots[(1, "refresh")] = device1.secret.close_phase()
-            return plaintexts
-
+        prefixes = [prefix for prefix, _ in decryptions]
         spec = ProtocolSpec(
-            "dlr.period_multi",
+            f"{self.period_protocol}.{kind}",
             device1,
             device2,
-            p1,
-            lambda: self._p2_period_multi_steps(device2, period, snapshots),
-            secrets1=("period.sk_comm", "period.a_next"),
-            staged=DLR_STAGED,
-            abort_message=(
-                f"time period {period} aborted during refresh; "
-                "both devices rolled back to their old shares"
-            ),
+            lambda: self._p1_period_steps(device1, period, decryptions, snapshots),
+            lambda: self._p2_period_steps(device2, period, prefixes, snapshots),
+            secrets1=self.period_secrets1,
+            staged=self.period_staged,
+            abort_message=self.period_abort_message.format(period=period),
             abort_period=period,
             snapshots=snapshots,
         )
         plaintexts = self._run_engine(spec, channel)
         assert isinstance(plaintexts, list)
-
         messages = channel.transcript(period)
         channel.advance_period()
-        return MultiPeriodRecord(period, plaintexts, snapshots, messages)
+        return period, plaintexts, snapshots, messages
 
-    def decrypt_batch(
+    def _p1_period_steps(
         self,
         device1: Device,
-        device2: Device,
-        channel: Transport,
-        ciphertexts: "list[Ciphertext]",
-    ) -> MultiPeriodRecord:
-        """Decrypt a vector of ciphertexts in **one** key period.
+        period: int,
+        decryptions: list[tuple[str, Ciphertext]],
+        snapshots: dict[tuple[int, str], PhaseSnapshot],
+    ):
+        """P1's whole time period.  P1 computes the refresh ciphertexts
+        ``f_i`` first and derives each decryption's ``d_i`` by pairing
+        them with its ``A`` (remark, section 5.2); the refresh then
+        reuses the same ``sk_comm`` and ``f_i``."""
+        share1 = self.share1_of(device1)
+        device1.secret.open_phase(f"t{period}.normal")
+        with device1.computing():
+            sk_comm = self.hpske_g.keygen(device1.rng)
+            device1.secret.store("period.sk_comm", sk_comm)
+            *f_list, f_phi = self.hpske_g.encrypt_batch(
+                sk_comm, (*share1.a, share1.phi), device1.rng
+            )
 
-        The amortised batch entry point: a single ``sk_comm``, a single
-        set of refresh ciphertexts ``f_i`` (each decryption pairs them
-        with its own ``A`` through one batched
-        :func:`~repro.core.hpske.pair_ciphertexts` leg), and a single
-        refresh at the end -- so the per-ciphertext cost approaches the
-        marginal decryption work as the batch grows (the break-even
-        sweep lives in ``benchmarks/bench_speed.py`` and
-        docs/performance.md).  Exactly :meth:`run_period_multi` under a
-        service-facing name; an empty batch still runs the period (the
-        refresh must happen regardless).
-        """
-        return self.run_period_multi(device1, device2, channel, ciphertexts)
+        plaintexts: list[GTElement] = []
+        for prefix, ciphertext in decryptions:
+            with device1.computing():
+                # One Miller schedule for A, reused across every f_i
+                # coordinate (kappa + 1 pairings per ciphertext), all
+                # evaluated in one batched (pool-dispatchable) leg.
+                a_precomp = self.group.pairing_precomp(ciphertext.a)
+                transported = pair_ciphertexts(a_precomp, [*f_list, f_phi])
+                d_b = self.hpske_gt.encrypt(sk_comm, ciphertext.b, device1.rng)
+            yield Send(f"{prefix}.d", (tuple(transported[:-1]), transported[-1], d_b))
+            message = yield Recv(f"{prefix}.c_prime")
+            with device1.computing():
+                plaintext = self.hpske_gt.decrypt(sk_comm, message.payload)
+            assert isinstance(plaintext, GTElement)
+            yield Send(f"{prefix}.output", plaintext)
+            plaintexts.append(plaintext)
+        snapshots[(1, "normal")] = device1.secret.close_phase()
+
+        # --- refresh phase (same sk_comm, f_i reused) -------------------
+        device1.secret.open_phase(f"t{period}.refresh")
+        with device1.computing():
+            fresh_a = tuple(self.group.random_g_batch(device1.rng, self.params.ell))
+            device1.secret.store("period.a_next", list(fresh_a), derived=True)
+            f_new = self.hpske_g.encrypt_batch(sk_comm, fresh_a, device1.rng)
+        yield Send("ref.f", (tuple(zip(f_list, f_new)), f_phi))
+
+        message = yield Recv("ref.f_combined")
+        with device1.computing():
+            new_phi = self.hpske_g.decrypt(sk_comm, message.payload)
+        device1.secret.store(SK1_PENDING_SLOT, Share1(a=fresh_a, phi=new_phi))
+        yield Send("ref.commit", True)
+        yield Commit()
+
+        # Erase every protocol secret of the period before the snapshot
+        # closes (the slots must not seed the next phase).
+        device1.secret.erase("period.sk_comm")
+        device1.secret.erase("period.a_next")
+        snapshots[(1, "refresh")] = device1.secret.close_phase()
+        return plaintexts
 
     # ------------------------------------------------------------------
     # Share health check

@@ -42,7 +42,7 @@ together with the new public encrypted share.
 
 from __future__ import annotations
 
-from repro.core.dlr import DLR, SK2_PENDING_SLOT, MultiPeriodRecord, PeriodRecord
+from repro.core.dlr import DLR, REFRESH_ABORT_MESSAGE, SK2_PENDING_SLOT
 from repro.core.hpske import HPSKECiphertext, pair_ciphertexts
 from repro.core.keys import Ciphertext, Share1, Share2
 from repro.errors import ProtocolError
@@ -70,6 +70,10 @@ class OptimalDLR(DLR):
     """DLR with P1's secret memory reduced to ``sk_comm`` (+ one scratch)."""
 
     span_kind = "optimal"
+    period_protocol = "optimal"
+    period_secrets1 = (SK_COMM_PENDING_SLOT, "scratch")
+    period_staged = OPTIMAL_STAGED
+    period_abort_message = REFRESH_ABORT_MESSAGE
 
     # ------------------------------------------------------------------
     # Installation: encrypt sk1 into public memory
@@ -111,9 +115,9 @@ class OptimalDLR(DLR):
         *public* encrypted share with ``A``; the ``Enc'`` homomorphism
         makes them valid encryptions of ``e(A, a_i)`` under ``sk_comm``.
 
-        ``prefix`` namespaces the message labels so
-        :meth:`run_period_multi` can chain one instance per ciphertext
-        (``dec.0``, ``dec.1``, ...) inside a single engine run."""
+        ``prefix`` namespaces the message labels so the period generator
+        can chain one instance per ciphertext (``dec.0``, ``dec.1``, ...)
+        inside a single engine run."""
         sk_comm = self._sk_comm_of(device1)
         encrypted = self.encrypted_share_of(device1)
         with device1.computing():
@@ -216,7 +220,7 @@ class OptimalDLR(DLR):
             lambda: self._p2_refresh_steps(device2),
             secrets1=(SK_COMM_PENDING_SLOT, "scratch"),
             staged=OPTIMAL_STAGED,
-            abort_message="refresh aborted; both devices rolled back to their old shares",
+            abort_message=REFRESH_ABORT_MESSAGE,
         )
         self._run_engine(spec, channel)
 
@@ -224,103 +228,32 @@ class OptimalDLR(DLR):
     # One faithful time period with snapshots
     # ------------------------------------------------------------------
 
-    def run_period(
+    def _p1_period_steps(
         self,
         device1: Device,
-        device2: Device,
-        channel: Transport,
-        ciphertext: Ciphertext,
-    ) -> PeriodRecord:
-        """Decryption + refresh as one period, with phase snapshots.
+        period: int,
+        decryptions: list[tuple[str, Ciphertext]],
+        snapshots: dict[tuple[int, str], object],
+    ):
+        """P1's whole time period for the optimal variant: one
+        :meth:`_p1_decrypt_steps` per ``(label prefix, ciphertext)``,
+        each pairing the *public* encrypted share with its own ``A``,
+        then a single refresh that rotates ``sk_comm`` and the shares.
+        P2 runs DLR's period generator unchanged -- only P1's local
+        computations differ from the basic scheme, as the paper
+        requires."""
+        device1.secret.open_phase(f"t{period}.normal")
+        plaintexts: list[GTElement] = []
+        for prefix, ciphertext in decryptions:
+            plaintext = yield from self._p1_decrypt_steps(device1, ciphertext, prefix)
+            yield Send(f"{prefix}.output", plaintext)
+            plaintexts.append(plaintext)
+        snapshots[(1, "normal")] = device1.secret.close_phase()
 
-        One engine run: P1's generator chains the decryption and refresh
-        steps (P2's is the shared DLR period generator), so the whole
-        period is crash-safe over any transport -- a failure rolls back
-        the staged rotation and closes the open phase snapshots."""
-        period = channel.current_period
-        snapshots: dict[tuple[int, str], object] = {}
-
-        def p1():
-            device1.secret.open_phase(f"t{period}.normal")
-            plaintext = yield from self._p1_decrypt_steps(device1, ciphertext)
-            yield Send("dec.output", plaintext)
-            snapshots[(1, "normal")] = device1.secret.close_phase()
-
-            device1.secret.open_phase(f"t{period}.refresh")
-            yield from self._p1_refresh_steps(device1)
-            snapshots[(1, "refresh")] = device1.secret.close_phase()
-            return plaintext
-
-        spec = ProtocolSpec(
-            "optimal.period",
-            device1,
-            device2,
-            p1,
-            lambda: self._p2_period_steps(device2, period, snapshots),
-            secrets1=(SK_COMM_PENDING_SLOT, "scratch"),
-            staged=OPTIMAL_STAGED,
-            abort_message="refresh aborted; both devices rolled back to their old shares",
-            abort_period=period,
-            snapshots=snapshots,
-        )
-        plaintext = self._run_engine(spec, channel)
-        assert isinstance(plaintext, GTElement)
-
-        messages = channel.transcript(period)
-        channel.advance_period()
-        return PeriodRecord(period, plaintext, snapshots, messages)
-
-    def run_period_multi(
-        self,
-        device1: Device,
-        device2: Device,
-        channel: Transport,
-        ciphertexts: "list[Ciphertext]",
-    ) -> MultiPeriodRecord:
-        """Several decryptions in one time period (section 3.3 extension)
-        for the optimal variant: each decryption pairs the *public*
-        encrypted share with its own ``A`` (labels ``dec.<i>.*``), then a
-        single refresh rotates ``sk_comm`` and the shares.  P2 runs the
-        shared DLR multi-period generator -- it answers ``dec.<i>.d``
-        messages until ``ref.f`` arrives, so only P1's local computations
-        differ from the basic scheme, as the paper requires."""
-        period = channel.current_period
-        snapshots: dict[tuple[int, str], object] = {}
-
-        def p1():
-            device1.secret.open_phase(f"t{period}.normal")
-            plaintexts: list[GTElement] = []
-            for index, ciphertext in enumerate(ciphertexts):
-                plaintext = yield from self._p1_decrypt_steps(
-                    device1, ciphertext, prefix=f"dec.{index}"
-                )
-                yield Send(f"dec.{index}.output", plaintext)
-                plaintexts.append(plaintext)
-            snapshots[(1, "normal")] = device1.secret.close_phase()
-
-            device1.secret.open_phase(f"t{period}.refresh")
-            yield from self._p1_refresh_steps(device1)
-            snapshots[(1, "refresh")] = device1.secret.close_phase()
-            return plaintexts
-
-        spec = ProtocolSpec(
-            "optimal.period_multi",
-            device1,
-            device2,
-            p1,
-            lambda: self._p2_period_multi_steps(device2, period, snapshots),
-            secrets1=(SK_COMM_PENDING_SLOT, "scratch"),
-            staged=OPTIMAL_STAGED,
-            abort_message="refresh aborted; both devices rolled back to their old shares",
-            abort_period=period,
-            snapshots=snapshots,
-        )
-        plaintexts = self._run_engine(spec, channel)
-        assert isinstance(plaintexts, list)
-
-        messages = channel.transcript(period)
-        channel.advance_period()
-        return MultiPeriodRecord(period, plaintexts, snapshots, messages)
+        device1.secret.open_phase(f"t{period}.refresh")
+        yield from self._p1_refresh_steps(device1)
+        snapshots[(1, "refresh")] = device1.secret.close_phase()
+        return plaintexts
 
     # ------------------------------------------------------------------
     # Test helpers

@@ -538,15 +538,10 @@ class DLRIBE(DLR):
         super().refresh_protocol(device1, device2, channel)
         self.extract_cache.advance_epoch()
 
-    def run_period(self, device1, device2, channel, ciphertext):
-        record = super().run_period(device1, device2, channel, ciphertext)
+    def _run_period(self, *args):
+        result = super()._run_period(*args)
         self.extract_cache.advance_epoch()
-        return record
-
-    def run_period_multi(self, device1, device2, channel, ciphertexts):
-        record = super().run_period_multi(device1, device2, channel, ciphertexts)
-        self.extract_cache.advance_epoch()
-        return record
+        return result
 
     # ------------------------------------------------------------------
     # One identity-key time period (for the session supervisor)

@@ -184,10 +184,10 @@ class TranscriptStats:
     Every query below is a *view* over the recorded steps -- there is no
     second tally to drift out of sync.  When a telemetry registry is
     active (:func:`repro.telemetry.metrics.active_registry`), the engine
-    additionally mirrors each step into the registry's ``engine.*``
-    instruments as it is recorded, so the registry's per-label bit
-    counters aggregate exactly the same numbers across protocol runs
-    (:meth:`publish` pushes a whole finished transcript the same way).
+    adds the record to the registry's ``engine.*`` instruments through
+    :meth:`publish` once per run, when the run ends (aborted runs
+    included), so the registry's per-label bit counters aggregate
+    exactly the same numbers across protocol runs.
     """
 
     protocol: str
@@ -229,23 +229,20 @@ class TranscriptStats:
         return total
 
     def publish(self, registry) -> None:
-        """Mirror this transcript's steps into a metrics registry (the
-        adapter the benchmarks use on already-finished runs)."""
+        """Add this transcript's steps to a metrics registry's
+        ``engine.*`` instruments."""
         for step in self.steps:
-            _publish_step(registry, self.protocol, step)
-
-
-def _publish_step(registry, protocol: str, step: StepStat) -> None:
-    """One step's worth of ``engine.*`` instruments."""
-    registry.counter("engine.steps", protocol=protocol, kind=step.kind).inc()
-    if step.kind == "send" and step.label is not None:
-        registry.counter("engine.bits_on_wire", label=step.label).inc(step.bits_on_wire)
-    registry.histogram("engine.step_wall_seconds", kind=step.kind).observe(
-        step.wall_seconds
-    )
-    if step.ops is not None:
-        for name, count in step.ops.nonzero().items():
-            registry.counter("engine.ops", op=name, party=step.party).inc(count)
+            registry.counter("engine.steps", protocol=self.protocol, kind=step.kind).inc()
+            if step.kind == "send" and step.label is not None:
+                registry.counter("engine.bits_on_wire", label=step.label).inc(
+                    step.bits_on_wire
+                )
+            registry.histogram("engine.step_wall_seconds", kind=step.kind).observe(
+                step.wall_seconds
+            )
+            if step.ops is not None:
+                for name, count in step.ops.nonzero().items():
+                    registry.counter("engine.ops", op=name, party=step.party).inc(count)
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +256,6 @@ class ProtocolEngine:
     def __init__(self, transport: Transport) -> None:
         self.transport = transport
         self.stats = TranscriptStats("idle")
-        self._stats_lock = threading.Lock()
         self._span = NULL_SPAN
 
     # -- public entry point -------------------------------------------------
@@ -280,14 +276,21 @@ class ProtocolEngine:
         self.transport.attach_group(spec.device1.group)
         self.stats = TranscriptStats(spec.name)
         self._span = active_tracer().span(f"protocol.{spec.name}")
-        with self._span as span:
-            if self.transport.threaded:
-                result = self._run_threaded(spec)
-            else:
-                result = self._run_inline(spec)
-            span.annotate(
-                bits_on_wire=self.stats.bits_on_wire(), steps=len(self.stats.steps)
-            )
+        try:
+            with self._span as span:
+                if self.transport.threaded:
+                    result = self._run_threaded(spec)
+                else:
+                    result = self._run_inline(spec)
+                span.annotate(
+                    bits_on_wire=self.stats.bits_on_wire(), steps=len(self.stats.steps)
+                )
+        finally:
+            # The step record is the source: an aborted run publishes the
+            # steps it executed, once, after both parties have stopped.
+            registry = active_registry()
+            if registry is not None:
+                self.stats.publish(registry)
         return result
 
     # -- commit / rollback (the single implementation) ----------------------
@@ -353,14 +356,9 @@ class ProtocolEngine:
             kind, label, bits = "commit", None, 0
         else:
             kind, label, bits = "return", None, 0
-        step = StepStat(party, kind, label, bits, wall, ops)
-        registry = active_registry()
-        with self._stats_lock:
-            self.stats.record(step)
-            if registry is not None:
-                # Under the stats lock: counter increments are not atomic
-                # and threaded runs record from both party threads.
-                _publish_step(registry, self.stats.protocol, step)
+        # ``list.append`` is atomic, so both party threads of a threaded
+        # run may record without a lock.
+        self.stats.record(StepStat(party, kind, label, bits, wall, ops))
         tracer = active_tracer()
         if tracer.enabled:
             attrs = {"party": party, "protocol": self.stats.protocol}

@@ -347,15 +347,18 @@ class SessionSupervisor:
 
     def run(self) -> SessionResult:
         """Drive all remaining periods to completion (or raise)."""
+        self._refuse_if_frozen()
+        self._setup()
+        while not self.state.complete:
+            self._run_one_period()
+        return SessionResult(self.state, self.log)
+
+    def _refuse_if_frozen(self) -> None:
         if self.frozen:
             raise ProtocolError(
                 "session is frozen: a retry would have exceeded the leakage "
                 "budget; start a new period budget before resuming"
             )
-        self._setup()
-        while not self.state.complete:
-            self._run_one_period()
-        return SessionResult(self.state, self.log)
 
     def _setup(self) -> None:
         """(Re)create the devices from committed state, deterministically
@@ -391,15 +394,7 @@ class SessionSupervisor:
         stayed resident (same ``(seed, next_period)`` derivation as
         :meth:`run`).
         """
-        if self.frozen:
-            raise ProtocolError(
-                "session is frozen: a retry would have exceeded the leakage "
-                "budget; start a new period budget before resuming"
-            )
-        if self.device1 is None:
-            self._setup()
-        if self.state.complete:
-            self.state.periods_total = self.state.next_period + 1
+        self._start_request()
         record = self._run_one_period(ciphertext)
         assert isinstance(record, PeriodRecord)
         return record
@@ -420,18 +415,20 @@ class SessionSupervisor:
             raise ParameterError(
                 "batch requests are not supported for identity lifecycles"
             )
-        if self.frozen:
-            raise ProtocolError(
-                "session is frozen: a retry would have exceeded the leakage "
-                "budget; start a new period budget before resuming"
-            )
+        self._start_request()
+        record = self._run_one_period(list(ciphertexts), batch=True)
+        assert isinstance(record, MultiPeriodRecord)
+        return record
+
+    def _start_request(self) -> None:
+        """The guard both request entry points share: refuse a frozen
+        session, create the devices on first use, and open one more
+        period for this request."""
+        self._refuse_if_frozen()
         if self.device1 is None:
             self._setup()
         if self.state.complete:
             self.state.periods_total = self.state.next_period + 1
-        record = self._run_one_period(list(ciphertexts), batch=True)
-        assert isinstance(record, MultiPeriodRecord)
-        return record
 
     def _run_one_period(self, ciphertext=None, *, batch: bool = False) -> object:
         period = self.state.next_period

@@ -93,8 +93,17 @@ class SessionRegistry:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._policy = policy if policy is not None else RetryPolicy()
         self._clock = clock
+        #: Held by the writers (create, get, evict), also through key
+        #: generation, a checkpoint load or a busy session's in-flight
+        #: period.  Readers never take it.
         self._lock = threading.RLock()
+        #: Copy-on-write: :meth:`_admit` and :meth:`_drop` replace the
+        #: dict under the lock and never mutate it, so a reader that
+        #: grabs the reference sees whole rows without waiting.
         self._resident: dict[SessionKey, ManagedSession] = {}
+        #: Serialises :meth:`publish_budget_gauges` (loop and scrape
+        #: threads); held only while it sums and sets gauges.
+        self._gauge_lock = threading.Lock()
         #: Keys whose end-of-life checkpoint flush failed in the last
         #: :meth:`evict_all` (the drain path reports these).
         self.drain_failures: list[str] = []
@@ -253,7 +262,7 @@ class SessionRegistry:
                     f"registry at capacity ({self.capacity}) and every "
                     "resident session is mid-request",
                 )
-        self._resident[key] = session
+        self._resident = {**self._resident, key: session}
         self.metrics.gauge("service.sessions_active").set(len(self._resident))
 
     def _evict_lru(self) -> bool:
@@ -274,7 +283,9 @@ class SessionRegistry:
         # every period commit, and start() writes the initial state), so
         # dropping the resident half loses nothing.
         session.evicted = True
-        del self._resident[key]
+        resident = dict(self._resident)
+        del resident[key]
+        self._resident = resident
         self.metrics.gauge("service.sessions_active").set(len(self._resident))
         self.metrics.counter("service.evictions").inc()
 
@@ -294,7 +305,7 @@ class SessionRegistry:
         of freezing at their final value.
         """
         totals: dict[tuple[str, int], list[int]] = {}
-        with self._lock:
+        with self._gauge_lock:
             for key, session in self._resident.items():
                 oracle = session.supervisor.oracle
                 if oracle is None:
@@ -305,46 +316,43 @@ class SessionRegistry:
                     entry[1] += oracle.retry_charged(device=device)
             stale = self._budget_tenants - {tenant for tenant, _ in totals}
             self._budget_tenants = {tenant for tenant, _ in totals}
-        for (tenant, device), (remaining, retry_bits) in totals.items():
-            label = f"P{device}"
-            self.metrics.gauge(
-                "service.budget_remaining_bits", tenant=tenant, device=label
-            ).set(remaining)
-            self.metrics.gauge(
-                "service.budget_retry_bits", tenant=tenant, device=label
-            ).set(retry_bits)
-        for tenant in stale:
-            for device in (1, 2):
+            for (tenant, device), (remaining, retry_bits) in totals.items():
                 label = f"P{device}"
                 self.metrics.gauge(
                     "service.budget_remaining_bits", tenant=tenant, device=label
-                ).set(0)
+                ).set(remaining)
                 self.metrics.gauge(
                     "service.budget_retry_bits", tenant=tenant, device=label
-                ).set(0)
+                ).set(retry_bits)
+            for tenant in stale:
+                for device in (1, 2):
+                    label = f"P{device}"
+                    self.metrics.gauge(
+                        "service.budget_remaining_bits", tenant=tenant, device=label
+                    ).set(0)
+                    self.metrics.gauge(
+                        "service.budget_retry_bits", tenant=tenant, device=label
+                    ).set(0)
 
     def resident_count(self) -> int:
-        with self._lock:
-            return len(self._resident)
+        return len(self._resident)
 
     def known_keys(self) -> list[str]:
         """Every key with a checkpoint on disk or resident in memory."""
-        with self._lock:
-            keys = {str(key) for key in self._resident}
+        keys = {str(key) for key in self._resident}
         for path in self.checkpoint_dir.glob("*/*.ckpt.json"):
             keys.add(f"{path.parent.name}/{path.name[: -len('.ckpt.json')]}")
         return sorted(keys)
 
     def snapshot(self) -> dict:
-        """A consistent view of residency: taken under the registry
-        lock, so rows never show a half-admitted or half-evicted key."""
-        with self._lock:
-            resident = [
-                self._resident[key].view() for key in sorted(self._resident)
-            ]
-            return {
-                "capacity": self.capacity,
-                "resident": resident,
-                "resident_count": len(resident),
-                "known_keys": self.known_keys(),
-            }
+        """A consistent view of residency: read from one copy-on-write
+        version of the resident set, so rows never show a half-admitted
+        or half-evicted key, and never wait on a registry writer."""
+        resident_now = self._resident
+        resident = [resident_now[key].view() for key in sorted(resident_now)]
+        return {
+            "capacity": self.capacity,
+            "resident": resident,
+            "resident_count": len(resident),
+            "known_keys": self.known_keys(),
+        }

@@ -43,6 +43,7 @@ from repro.protocol.faults import (
 )
 from repro.protocol.transport import InMemoryTransport, SocketTransport
 from repro.runtime import RetryPolicy, SessionSupervisor, drive_period_resilient
+from repro.telemetry import metering
 from repro.utils.bits import BitString
 
 PROTOCOL_SECRET_SUFFIXES = (".sk_comm", ".a_next", ".pending", ".delta", ".r")
@@ -151,6 +152,33 @@ class TestEveryBoundary:
         assert info.value.period == 0
         assert (1, "normal") in info.value.snapshots
         assert (2, "refresh") in info.value.snapshots
+
+
+    def test_aborted_period_publishes_the_steps_it_ran(self, scheme, make_faulty):
+        """The ``engine.*`` counters of an aborted run are its executed
+        steps: nothing lost to the abort, nothing counted twice."""
+        generation, p1, p2, rng = make_setting(scheme)
+        channel = make_faulty(FaultRule(mode=DROP, label="ref.f_combined"))
+        ciphertext = scheme.encrypt(
+            generation.public_key, scheme.group.random_gt(rng), rng
+        )
+        with metering() as registry:
+            with pytest.raises(RefreshAborted):
+                scheme.run_period(p1, p2, channel, ciphertext)
+        stats = scheme.last_stats
+        kinds: dict[str, int] = {}
+        for step in stats.steps:
+            kinds[step.kind] = kinds.get(step.kind, 0) + 1
+        assert kinds["send"] > 0
+        assert {
+            labels["kind"]: counter.value
+            for labels, counter in registry.counters_named("engine.steps")
+            if labels["protocol"] == "dlr.period"
+        } == kinds
+        assert {
+            labels["label"]: counter.value
+            for labels, counter in registry.counters_named("engine.bits_on_wire")
+        } == stats.bits_by_label()
 
 
 class TestResilientDriver:

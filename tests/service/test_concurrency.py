@@ -85,9 +85,12 @@ class TestRegistryUnderThreads:
 
     def test_snapshot_stays_consistent_during_churn(self, tmp_path):
         """A reader polling ``snapshot()`` while writers create, serve,
-        and evict must never observe a violated invariant."""
+        and evict must never observe a violated invariant.  Readers take
+        no lock, so the switch interval is shortened to interleave them
+        with the writers' copy-on-write updates of the resident set."""
         registry = SessionRegistry(tmp_path, capacity=4)
         stop = threading.Event()
+        created = []
 
         def churn(base):
             def worker():
@@ -95,6 +98,7 @@ class TestRegistryUnderThreads:
                 for i in range(6):
                     name = f"k{base}-{i}"
                     session = registry.create("t", name, seed=base * 100 + i)
+                    created.append(session)
                     scheme = DLR(session.public_key.params)
                     message = session.group.random_gt(rng)
                     ciphertext = scheme.encrypt(session.public_key, message, rng)
@@ -124,15 +128,26 @@ class TestRegistryUnderThreads:
                     assert row["requests_served"] >= 0
 
         reader_thread = threading.Thread(target=reader)
-        reader_thread.start()
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
         try:
+            reader_thread.start()
             run_in_threads([churn(base) for base in range(1, 4)])
         finally:
             stop.set()
-            reader_thread.join()
+            reader_thread.join(30.0)
+            sys.setswitchinterval(previous)
+        assert not reader_thread.is_alive()
         assert observations, "reader never got a snapshot in"
         # Conservation: every created session is either resident or on disk.
         assert len(registry.known_keys()) == 18
+        # No admit or drop was lost: the resident rows are exactly the
+        # sessions never evicted, and the gauge agrees.
+        rows = registry.snapshot()["resident"]
+        assert {f"{r['tenant']}/{r['key']}" for r in rows} == {
+            str(s.key) for s in created if not s.evicted
+        }
+        assert registry.metrics.gauge("service.sessions_active").value == len(rows)
 
     def test_eviction_churn_loses_no_periods(self, tmp_path):
         """Aggressive capacity (2 slots, 6 keys) forces constant

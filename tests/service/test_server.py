@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import socket
+import threading
 import time
 
 import pytest
@@ -168,6 +169,46 @@ class TestIdleConnections:
             finally:
                 torn.close()
             assert service.metrics.counter_value("service.client_timeouts") == 0
+
+
+class TestLightOpsDuringRegistryWork:
+    """The loop answers ``health``, ``stats`` and ``ping`` itself, so
+    none of them may wait on a registry writer."""
+
+    def test_light_ops_answer_while_an_evict_waits_on_a_busy_key(self, tmp_path):
+        registry = SessionRegistry(tmp_path, capacity=4)
+        with KeyService(registry, workers=2, client_timeout=30.0) as service:
+            with ServiceClient(service.address, timeout=30.0) as opener:
+                opener.open_key("acme", "busy", seed=1)
+            session = registry.get("acme", "busy")
+            # A request in flight on the key: the evict below takes the
+            # registry lock and then waits for this session lock.
+            session.lock.acquire()
+            evicted: list[bool] = []
+
+            def evict():
+                with ServiceClient(service.address, timeout=30.0, retry=None) as a:
+                    evicted.append(a.evict("acme", "busy"))
+
+            thread = threading.Thread(target=evict)
+            try:
+                thread.start()
+                deadline = time.monotonic() + 10.0
+                while registry._lock.acquire(blocking=False):
+                    registry._lock.release()
+                    assert time.monotonic() < deadline, "evict never took the lock"
+                    time.sleep(0.01)
+                for op in ("health", "stats", "ping"):
+                    with ServiceClient(service.address, timeout=2.0, retry=None) as c:
+                        start = time.monotonic()
+                        getattr(c, op)()
+                        assert time.monotonic() - start < 0.5, op
+            finally:
+                session.lock.release()
+                thread.join(30.0)
+            assert evicted == [True]
+            with ServiceClient(service.address, timeout=5.0) as after:
+                assert after.health()["sessions_resident"] == 0
 
 
 class TestStats:

@@ -96,6 +96,13 @@ class TestDecryptBatch:
             assert list(record.plaintexts) == messages
             assert record.period == period
 
+    def test_batch_of_one_matches_run_period(self, small_params, rng):
+        scheme, generation, p1, p2, channel, _ = _installed(small_params, DLR)
+        message = scheme.group.random_gt(rng)
+        [ciphertext] = scheme.encrypt_batch(generation.public_key, [message], rng)
+        record = scheme.run_period_multi(p1, p2, channel, [ciphertext])
+        assert record.plaintexts == [message]
+
     def test_reference_decrypt_agrees_after_batch(self, small_params, rng):
         """The rotated shares reconstruct the same secret key: reference
         decryption still works after a batch period."""

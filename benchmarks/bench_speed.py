@@ -33,7 +33,9 @@ run's ``(group_bits, lam)``.  CI runs smoke mode against the checked-in
 ``results/BENCH_speed.json``.
 
 Every report records the field-arithmetic backend it ran on
-(``"backend"``).  ``--backends python,gmpy2`` runs the whole suite once
+(``"backend"``) and whether the compiled kernels of
+:mod:`repro.groups.native` served it (``"kernel_backend"``: ``native``
+or ``python``; ``"kernels"`` is the section of kernel timings).  ``--backends python,gmpy2`` runs the whole suite once
 per listed backend *in one process* (unavailable backends are skipped
 with a note) and attaches the extra runs as ``"backend_columns"`` --
 same machine, same inputs, so the columns are directly comparable.
@@ -433,6 +435,7 @@ def speed_report(
     from repro.core.dlr import DLR
     from repro.core.params import DLRParams
     from repro.groups import preset_group
+    from repro.groups.native import kernel_backend
     from repro.math.backend import active_backend
 
     group = preset_group(group_bits)
@@ -445,6 +448,7 @@ def speed_report(
 
     report = {
         "backend": active_backend().name,
+        "kernel_backend": kernel_backend(),
         "group_bits": group_bits,
         "lam": lam,
         "ell": params.ell,

@@ -271,6 +271,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_requests=args.max_requests,
         backlog=args.backlog,
     )
+    from repro.groups.native import kernel_backend
     from repro.math.backend import active_backend
 
     tracer = None
@@ -282,8 +283,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         previous_tracer = install_tracer(tracer)
     service.start()
     host, port = service.address
+    # "backend" stays last: tools read the field backend after it.
     print(f"serving on {host}:{port} ({args.workers} workers, "
-          f"capacity {args.capacity}, backend {active_backend().name})", flush=True)
+          f"capacity {args.capacity}, kernels {kernel_backend()}, "
+          f"backend {active_backend().name})", flush=True)
     if args.announce is not None:
         persist.atomic_write_text(args.announce, f"{host} {port}\n")
     prom = None

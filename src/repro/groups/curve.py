@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import GroupError
+from repro.groups import native
 from repro.math.backend import active_backend
 from repro.math.modular import inv_mod
 
@@ -351,10 +352,21 @@ def batch_scalar_mul(points: list[Point], scalar: int, q: int) -> list[Point]:
     Left-to-right double-and-add shared by the whole vector: each
     doubling and each addition round costs one inversion in total, so
     clearing the cofactor of many sampled points costs a few inversions
-    instead of one per point.  ``scalar`` must be positive.
+    instead of one per point.  ``scalar`` must be positive.  Runs as
+    one :mod:`native <repro.groups.native>` call when the compiled
+    kernels serve the active backend.
     """
     if scalar < 1:
         raise GroupError("batch_scalar_mul needs a positive scalar")
+    compiled = native.kernels()
+    if compiled is not None:
+        return unlift_affine(
+            compiled.scalar_mul_vector(
+                q,
+                scalar,
+                [None if point.infinity else (point.x, point.y) for point in points],
+            )
+        )
     lifted_q = active_backend().lift(q)
     base = lift_affine(points, lifted_q)
     acc = base

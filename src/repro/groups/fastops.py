@@ -32,6 +32,11 @@ the hot loop.  The element-level entry points live on
 :meth:`~repro.groups.bilinear.G1Element.multiexp`, which also maintain
 the ``g_multiexp`` / ``gt_multiexp`` operation counters.
 
+On the pure-Python field backend the batch-affine and ``F_{q^2}``
+Straus loops run as compiled GMP kernels when
+:mod:`repro.groups.native` can build them; the Python loops here stay
+the reference and the fallback.
+
 :func:`reference_mode` disables every fast path process-wide (kernels
 fall back to the naive per-term element ladders, fixed-argument pairing
 precomputation falls back to full pairings).  The benchmarks use it to
@@ -46,6 +51,7 @@ from itertools import chain
 from typing import Iterator
 
 from repro.errors import GroupError
+from repro.groups import native
 from repro.groups.curve import (
     INFINITY,
     Point,
@@ -322,9 +328,29 @@ def _batch_affine_multiexp(
     coordinates.  Instances sharing one exponent vector -- the HPSKE
     masks and the coordinates of a weighted product -- share one digit
     layout (:func:`_digit_layout`) and fill their columns exactly.
+
+    When the compiled kernels serve the active backend
+    (:mod:`repro.groups.native`), the whole evaluation -- layout,
+    tables, trees and Horner -- is one native call.
     """
     bits = max(e.bit_length() for _, exponents in instances for e in exponents)
     w = wnaf_window(bits)
+    compiled = native.kernels()
+    if compiled is not None:
+        return unlift_affine(
+            compiled.affine_multiexp(
+                q,
+                w,
+                _TREE_ENTRIES,
+                [
+                    (
+                        [None if p.infinity else (p.x, p.y) for p in points],
+                        list(exponents),
+                    )
+                    for points, exponents in instances
+                ],
+            )
+        )
     q = active_backend().lift(q)
 
     layouts: dict[tuple[int, ...], tuple] = {}
@@ -482,31 +508,11 @@ def _straus_fq2(values: list[_RawFq2], exponents: list[int], q: int) -> _RawFq2:
     bits = max(e.bit_length() for e in exponents)
     w = straus_window(len(values), bits)
     backend = active_backend()
-    fq2_mul, fq2_square = backend.fq2_mul, backend.fq2_square
     if not backend.native_ints:
         lift = backend.lift
         q = lift(q)
         values = [(lift(a), lift(b)) for a, b in values]
-    mask = (1 << w) - 1
-    tables = []
-    for value in values:
-        row = [value]
-        for _ in range(2, 1 << w):
-            row.append(fq2_mul(row[-1], value, q))
-        tables.append(row)
-
-    digits = -(-bits // w)
-    acc: _RawFq2 = (1, 0)
-    for position in range(digits - 1, -1, -1):
-        if acc != (1, 0):
-            for _ in range(w):
-                acc = fq2_square(acc, q)
-        shift = position * w
-        for row, exponent in zip(tables, exponents):
-            digit = (exponent >> shift) & mask
-            if digit:
-                acc = fq2_mul(acc, row[digit - 1], q)
-    return (backend.unlift(acc[0]), backend.unlift(acc[1]))
+    return _straus_fq2_shared(values, exponents, w, -(-bits // w), q)
 
 
 def _straus_fq2_shared(
@@ -514,7 +520,12 @@ def _straus_fq2_shared(
 ) -> _RawFq2:
     """Straus over ``F_{q^2}`` with a caller-chosen window and digit
     count (the shared decision of :func:`batch_multiexp_fq2`).  Inputs
-    must already be lifted to the active backend's representation."""
+    must already be lifted to the active backend's representation.
+    Runs as one :mod:`native <repro.groups.native>` call when the
+    compiled kernels serve the active backend."""
+    compiled = native.kernels()
+    if compiled is not None:
+        return compiled.straus_fq2(list(values), list(exponents), w, digits, q)
     backend = active_backend()
     fq2_mul, fq2_square = backend.fq2_mul, backend.fq2_square
     mask = (1 << w) - 1

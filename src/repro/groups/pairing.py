@@ -45,6 +45,7 @@ from __future__ import annotations
 
 from functools import partial
 
+from repro.groups import native
 from repro.groups.curve import (
     Point,
     _jacobian_add_affine,
@@ -334,8 +335,13 @@ def evaluate_schedule_chunk(
     (``f^(q-1) = conj(f)^2 / N(f)``).  Every input is a plain int, so a
     :func:`functools.partial` over this function pickles for the
     :mod:`repro.parallel` pool; each call lifts onto whatever backend
-    is active in *this* process and returns canonical ints.
+    is active in *this* process and returns canonical ints, through one
+    :mod:`native <repro.groups.native>` call when the compiled kernels
+    serve that backend.
     """
+    compiled = native.kernels()
+    if compiled is not None:
+        return compiled.schedule_chunk(list(steps), q, h, list(xys))
     backend = active_backend()
     lift, unlift = backend.lift, backend.unlift
     lq = lift(q)

@@ -93,9 +93,9 @@ class SessionRegistry:
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._policy = policy if policy is not None else RetryPolicy()
         self._clock = clock
-        #: Held by the writers (create, get, evict), also through key
-        #: generation, a checkpoint load or a busy session's in-flight
-        #: period.  Readers never take it.
+        #: Held by the writers (create, a rehydrating get, evict's drop)
+        #: through key generation or a checkpoint load, never while
+        #: waiting on a busy session.  Readers never take it.
         self._lock = threading.RLock()
         #: Copy-on-write: :meth:`_admit` and :meth:`_drop` replace the
         #: dict under the lock and never mutate it, so a reader that
@@ -169,8 +169,17 @@ class SessionRegistry:
         """The resident session, rehydrating from its checkpoint if
         evicted.  Raises ``KeyError`` for a key that was never created,
         :class:`~repro.errors.CheckpointError` if its checkpoint is
-        corrupt."""
+        corrupt.
+
+        A resident key is served from the copy-on-write resident view
+        without the registry lock, so a request never queues behind
+        another key's eviction or rehydration.  A miss loads under the
+        lock: a load outside it could admit shares older than a
+        concurrent request's commit."""
         key = _validated_key(tenant, key_id)
+        session = self._resident.get(key)
+        if session is not None:
+            return session
         with self._lock:
             session = self._resident.get(key)
             if session is not None:
@@ -199,19 +208,32 @@ class SessionRegistry:
         Blocks until any in-flight request on it commits (``wait=True``)
         or gives up immediately if it is busy.  Returns whether the
         session was resident.
+
+        The wait for a busy session happens outside the registry lock,
+        so other keys keep being served meanwhile.  The drop then
+        re-checks residency under the registry lock and takes the
+        session lock without blocking (the registry lock is always
+        taken first), retrying if a request slipped in between.
         """
         key = _validated_key(tenant, key_id)
-        with self._lock:
+        while True:
             session = self._resident.get(key)
             if session is None:
                 return False
             if not session.lock.acquire(blocking=wait):
                 raise AdmissionRejected(str(key), "session is busy; eviction skipped")
-            try:
-                self._drop(key, session)
-            finally:
-                session.lock.release()
-            return True
+            session.lock.release()
+            with self._lock:
+                if self._resident.get(key) is not session:
+                    continue  # dropped or replaced meanwhile: look again
+                if session.lock.acquire(blocking=False):
+                    try:
+                        self._drop(key, session)
+                    finally:
+                        session.lock.release()
+                    return True
+            if not wait:
+                raise AdmissionRejected(str(key), "session is busy; eviction skipped")
 
     def evict_all(self) -> int:
         """Drain the registry (service shutdown): evict every resident

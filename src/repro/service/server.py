@@ -83,6 +83,7 @@ from repro.errors import (
     ServiceOverloaded,
     WireFormatError,
 )
+from repro.groups.native import kernel_backend
 from repro.math.backend import active_backend
 from repro.protocol.transport import _READ_CHUNK, FrameParser, encode_frame
 from repro.service.registry import SessionRegistry
@@ -736,6 +737,7 @@ class KeyService:
             "busy_workers": self._busy_workers(),
             "queue_depth": self._queue_depth(),
             "backend": active_backend().name,
+            "kernels": kernel_backend(),
             "backlog": self.backlog,
             "sessions_resident": self.registry.resident_count(),
             "requests_handled": self.requests_handled,

@@ -88,6 +88,7 @@ PARENT_SPAN_FIELD = "parent_span"
 #: Bound on wire-carried trace context strings: ids become label values
 #: and JSONL fields, so a hostile client must not be able to bloat them.
 MAX_TRACE_FIELD_LENGTH = 120
+_MAX_TRACE_INT = 10**MAX_TRACE_FIELD_LENGTH
 
 
 def new_trace_id(rng=None) -> str:
@@ -136,6 +137,10 @@ class SpanContext:
         if isinstance(ref, str) and (
             not ref or len(ref) > MAX_TRACE_FIELD_LENGTH
         ):
+            return None
+        # Span ids are counters: a negative id, or one longer than the
+        # bound in decimal, is garbage (and str() of a huge int raises).
+        if isinstance(ref, int) and not 0 <= ref < _MAX_TRACE_INT:
             return None
         trace_id = header.get(TRACE_ID_FIELD)
         if trace_id is not None and (

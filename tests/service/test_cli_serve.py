@@ -7,6 +7,8 @@ import threading
 import time
 
 from repro.cli import main
+from repro.groups.native import kernel_backend
+from repro.math.backend import active_backend
 from repro.service import ServiceClient
 
 
@@ -51,4 +53,8 @@ def test_serve_bounded_run(tmp_path, capsys):
     assert (state / "cli" / "k.ckpt.json").exists()
     out = capsys.readouterr().out
     assert "serving on" in out
+    # The kernel backend precedes the field backend, which stays last.
+    assert (
+        f"kernels {kernel_backend()}, backend {active_backend().name})" in out
+    )
     assert '"requests_handled": 3' in out

@@ -14,6 +14,7 @@ import random
 import socket
 import sys
 import threading
+import time
 
 from repro.core.dlr import DLR
 from repro.errors import AdmissionRejected
@@ -186,6 +187,46 @@ class TestRegistryUnderThreads:
         # key's durable counter lands exactly on its request count.
         for name in keys:
             assert registry.get("t", name).next_period == REQUESTS_PER_SESSION
+
+
+class TestEvictionHeadOfLine:
+    def test_idle_key_is_served_while_an_evict_waits_on_a_busy_key(self, tmp_path):
+        """An ``evict`` of a key whose period is running must not stall
+        requests on other keys: with two workers, one blocked in the
+        eviction, a ``decrypt`` on an idle key still returns promptly."""
+        registry = SessionRegistry(tmp_path, capacity=4)
+        with KeyService(registry, workers=2, client_timeout=30.0) as service:
+            # The second client's short timeout fails a stalled decrypt
+            # fast instead of waiting out the held lock.
+            with ServiceClient(service.address, timeout=30.0) as admin, ServiceClient(
+                service.address, timeout=5.0
+            ) as client:
+                admin.open_key("acme", "busy", seed=1)
+                pk = client.open_key("acme", "other", seed=2)
+                rng = random.Random(7)
+                message = pk.group.random_gt(rng)
+                ciphertext = DLR(pk.params).encrypt(pk, message, rng)
+                busy = registry.get("acme", "busy")
+                evicted = []
+                busy.lock.acquire()  # a period in flight on acme/busy
+                try:
+                    evictor = threading.Thread(
+                        target=lambda: evicted.append(admin.evict("acme", "busy"))
+                    )
+                    evictor.start()
+                    deadline = time.monotonic() + 10.0
+                    while client.health()["busy_workers"] < 1:
+                        assert time.monotonic() < deadline, "evict never started"
+                        time.sleep(0.005)
+                    started = time.perf_counter()
+                    assert client.decrypt("acme", "other", ciphertext) == message
+                    elapsed = time.perf_counter() - started
+                finally:
+                    busy.lock.release()
+                evictor.join(timeout=30.0)
+                assert not evictor.is_alive()
+                assert evicted == [True]
+                assert elapsed < 0.5, f"decrypt on an idle key took {elapsed:.2f}s"
 
 
 class TestServiceLoopback:

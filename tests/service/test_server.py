@@ -181,8 +181,8 @@ class TestLightOpsDuringRegistryWork:
             with ServiceClient(service.address, timeout=30.0) as opener:
                 opener.open_key("acme", "busy", seed=1)
             session = registry.get("acme", "busy")
-            # A request in flight on the key: the evict below takes the
-            # registry lock and then waits for this session lock.
+            # A request in flight on the key: the evict below occupies a
+            # worker while it waits for this session lock.
             session.lock.acquire()
             evicted: list[bool] = []
 
@@ -194,10 +194,10 @@ class TestLightOpsDuringRegistryWork:
             try:
                 thread.start()
                 deadline = time.monotonic() + 10.0
-                while registry._lock.acquire(blocking=False):
-                    registry._lock.release()
-                    assert time.monotonic() < deadline, "evict never took the lock"
-                    time.sleep(0.01)
+                with ServiceClient(service.address, timeout=2.0, retry=None) as c:
+                    while c.health()["busy_workers"] < 1:
+                        assert time.monotonic() < deadline, "evict never started"
+                        time.sleep(0.01)
                 for op in ("health", "stats", "ping"):
                     with ServiceClient(service.address, timeout=2.0, retry=None) as c:
                         start = time.monotonic()
@@ -223,6 +223,13 @@ class TestStats:
         # The stats request itself is only counted after its response
         # ships, so it sees every *prior* request (here: the open).
         assert stats["requests_handled"] == 1
+
+    def test_health_reports_the_kernel_backend(self, client):
+        from repro.groups import native
+
+        assert client.health()["kernels"] == native.kernel_backend()
+        with native._python_kernels():
+            assert client.health()["kernels"] == "python"
 
     def test_stats_report_active_backend(self, client):
         from repro.math.backend import active_backend

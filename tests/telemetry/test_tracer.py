@@ -6,6 +6,8 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.telemetry.tracer import (
     MAX_TRACE_FIELD_LENGTH,
@@ -263,6 +265,33 @@ class TestTracedDecorator:
         assert traced_off < plain * 10
 
 
+#: JSON values of every type, with strings and ints on both sides of
+#: the trace-field length bound, nested up to a few levels.
+_json_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=10 ** (MAX_TRACE_FIELD_LENGTH - 1), max_value=10**200)
+    | st.floats()
+    | st.text(max_size=8)
+    | st.text(min_size=MAX_TRACE_FIELD_LENGTH - 2, max_size=MAX_TRACE_FIELD_LENGTH + 2)
+)
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_headers = st.fixed_dictionaries(
+    {},
+    optional={
+        "parent_span": _json_leaves | _json_values,
+        "trace_id": _json_leaves | _json_values,
+        "op": _json_values,
+    },
+)
+
+
 class TestSpanContext:
     def test_header_roundtrip(self):
         tracer = Tracer(actor="client")
@@ -293,6 +322,25 @@ class TestSpanContext:
     )
     def test_malformed_parent_degrades_to_none(self, ref):
         assert SpanContext.from_header({"parent_span": ref}) is None
+
+    @given(header=_headers)
+    @settings(max_examples=300, deadline=None)
+    def test_from_header_fuzz_returns_a_bounded_context_or_none(self, header):
+        """Any JSON-shaped header decodes to a context or ``None``:
+        never an exception, never a field over the length bound."""
+        context = SpanContext.from_header(header)
+        if context is None:
+            return
+        assert isinstance(context, SpanContext)
+        ref = context.span_ref
+        assert isinstance(ref, (int, str)) and not isinstance(ref, bool)
+        assert 0 < len(str(ref)) <= MAX_TRACE_FIELD_LENGTH
+        assert ref == header["parent_span"]
+        trace_id = context.trace_id
+        assert trace_id is None or (
+            isinstance(trace_id, str) and 0 < len(trace_id) <= MAX_TRACE_FIELD_LENGTH
+        )
+        assert SpanContext.from_header(context.header_fields()) == context
 
     def test_malformed_trace_id_kept_as_anonymous_context(self):
         # A bad trace id must not poison the parent ref: tracing context

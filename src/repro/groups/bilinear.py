@@ -173,9 +173,7 @@ _ElementT = TypeVar("_ElementT")
 
 
 def _collect_terms(
-    bases: "Sequence[_ElementT]",
-    exponents: Sequence[int],
-    is_identity: "Callable[[_ElementT], bool]",
+    bases: "Sequence[_ElementT]", exponents: Sequence[int]
 ) -> tuple["BilinearGroup | None", list[tuple["_ElementT", int]]]:
     """Shared multiexp front-end: validate, reduce exponents mod ``p``,
     and drop trivial terms (zero exponent or identity base) -- neither
@@ -192,10 +190,56 @@ def _collect_terms(
         elif base_group.params is not group.params:
             raise GroupError("mixing elements of different groups")
         reduced = exponent % group.params.p
-        if reduced == 0 or is_identity(base):
+        if reduced == 0 or base.is_identity():  # type: ignore[attr-defined]
             continue
         terms.append((base, reduced))
     return group, terms
+
+
+def _triage(
+    instances: "Sequence[tuple[Sequence[_ElementT], Sequence[int]]]",
+    identity: "Callable[[BilinearGroup], _ElementT]",
+    counter_field: str,
+) -> "tuple[list, list[tuple[int, BilinearGroup, list[tuple[_ElementT, int]]]]]":
+    """Split a vector of multiexp instances into what the kernel runs
+    and what it never sees.
+
+    An instance whose terms are all trivial is ``identity(group)``.  A
+    single-term instance, and every instance inside
+    :func:`~repro.groups.fastops.reference_mode`, is the per-term ``**``
+    ladder with the classic counter profile (a lone term counts one
+    ``g_exp`` / ``gt_exp``).  Every other instance bumps
+    ``counter_field`` by its term count and comes back as
+    ``(index, group, terms)``, its result slot left ``None``.
+    """
+    results: list = [None] * len(instances)
+    fast = []
+    for idx, (bases, exponents) in enumerate(instances):
+        group, terms = _collect_terms(bases, exponents)
+        if group is None:
+            raise GroupError("multiexp needs at least one base")
+        if not terms:
+            results[idx] = identity(group)
+        elif not fastops.enabled() or len(terms) == 1:
+            result = terms[0][0] ** terms[0][1]
+            for base, exponent in terms[1:]:
+                result = result * (base ** exponent)
+            results[idx] = result
+        else:
+            counter = group.counter
+            setattr(counter, counter_field, getattr(counter, counter_field) + len(terms))
+            fast.append((idx, group, terms))
+    return results, fast
+
+
+def _by_modulus(fast: list) -> dict[int, list]:
+    """Kernel entries partitioned by field modulus: instances may span
+    distinct group instantiations, and the raw kernels are
+    per-modulus."""
+    by_q: dict[int, list] = {}
+    for entry in fast:
+        by_q.setdefault(entry[1].params.q, []).append(entry)
+    return by_q
 
 
 class G1Element:
@@ -247,25 +291,18 @@ class G1Element:
         ``g_multiexp`` instead of individual ``g_exp``; inside
         :func:`repro.groups.fastops.reference_mode` it degrades to the
         per-term ladder with the classic counter profile.  The result is
-        bit-identical either way.
+        bit-identical either way.  The kernel is
+        :func:`repro.groups.fastops.batch_multiexp_points` on a batch of
+        one, run in-process.
         """
-        group, terms = _collect_terms(
-            bases, exponents, lambda b: b.point.is_infinity()
+        results, fast = _triage(
+            [(bases, exponents)], BilinearGroup.g_identity, "g_multiexp"
         )
-        if group is None:
-            raise GroupError("multiexp needs at least one base")
-        if not terms:
-            return group.g_identity()
-        if not fastops.enabled() or len(terms) == 1:
-            result = terms[0][0] ** terms[0][1]
-            for base, exponent in terms[1:]:
-                result = result * (base ** exponent)
-            return result
-        group.counter.g_multiexp += len(terms)
-        point = fastops.multiexp_points(
-            [base.point for base, _ in terms],
-            [exponent for _, exponent in terms],
-            group.params.q,
+        if not fast:
+            return results[0]
+        [(_, group, terms)] = fast
+        [point] = fastops.batch_multiexp_points(
+            [_g_kernel_instance(terms)], group.params.q
         )
         return G1Element(group, point)
 
@@ -279,46 +316,21 @@ class G1Element:
         :meth:`multiexp` over the instances -- each fast instance still
         bumps ``g_multiexp`` by its own term count, and degenerate /
         reference-mode instances still degrade to the per-term ladder --
-        but Straus-sized instances run together in lockstep affine
-        coordinates, one shared inversion per round
+        but the fast instances of each modulus run as one lockstep
+        affine vector, one shared inversion per round
         (:func:`repro.groups.fastops.batch_multiexp_points`), and with
         the process pool enabled the kernel fans out across workers
         (:mod:`repro.parallel`).
         """
-        results: list[G1Element | None] = [None] * len(instances)
-        fast: list[tuple[int, BilinearGroup, list[tuple[G1Element, int]]]] = []
-        for idx, (bases, exponents) in enumerate(instances):
-            group, terms = _collect_terms(
-                bases, exponents, lambda b: b.point.is_infinity()
-            )
-            if group is None:
-                raise GroupError("multiexp needs at least one base")
-            if not terms:
-                results[idx] = group.g_identity()
-            elif not fastops.enabled() or len(terms) == 1:
-                results[idx] = cls.multiexp(bases, exponents)
-            else:
-                group.counter.g_multiexp += len(terms)
-                fast.append((idx, group, terms))
-        # Instances may span distinct group instantiations; the raw
-        # kernel is per-modulus, so partition before dispatching.
-        by_q: dict[int, list[tuple[int, "BilinearGroup", list]]] = {}
-        for entry in fast:
-            by_q.setdefault(entry[1].params.q, []).append(entry)
-        for q, entries in by_q.items():
-            kernel_instances = [
-                (
-                    [base.point for base, _ in terms],
-                    [exponent for _, exponent in terms],
-                )
-                for _, _, terms in entries
-            ]
+        results, fast = _triage(instances, BilinearGroup.g_identity, "g_multiexp")
+        for q, entries in _by_modulus(fast).items():
             points = parallel_map(
-                partial(fastops.batch_multiexp_points_chunk, q), kernel_instances
+                partial(fastops.batch_multiexp_points_chunk, q),
+                [_g_kernel_instance(terms) for _, _, terms in entries],
             )
             for (idx, group, _), point in zip(entries, points):
                 results[idx] = G1Element(group, point)
-        return results  # type: ignore[return-value]
+        return results
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, G1Element):
@@ -387,24 +399,17 @@ class GTElement:
     ) -> "GTElement":
         """``prod_i bases[i] ** exponents[i]`` in ``GT`` on the
         shared-squaring kernel; see :meth:`G1Element.multiexp` for the
-        counting contract (here ``gt_multiexp`` / ``gt_exp``)."""
-        group, terms = _collect_terms(bases, exponents, lambda b: b.value.is_one())
-        if group is None:
-            raise GroupError("multiexp needs at least one base")
-        if not terms:
-            return group.gt_identity()
-        if not fastops.enabled() or len(terms) == 1:
-            result = terms[0][0] ** terms[0][1]
-            for base, exponent in terms[1:]:
-                result = result * (base ** exponent)
-            return result
-        group.counter.gt_multiexp += len(terms)
-        q = group.params.q
-        a, b = fastops.multiexp_fq2(
-            [(base.value.a, base.value.b) for base, _ in terms],
-            [exponent for _, exponent in terms],
-            q,
+        counting contract (here ``gt_multiexp`` / ``gt_exp``) and the
+        batch of one (here
+        :func:`repro.groups.fastops.batch_multiexp_fq2`)."""
+        results, fast = _triage(
+            [(bases, exponents)], BilinearGroup.gt_identity, "gt_multiexp"
         )
+        if not fast:
+            return results[0]
+        [(_, group, terms)] = fast
+        q = group.params.q
+        [(a, b)] = fastops.batch_multiexp_fq2([_gt_kernel_instance(terms)], q)
         # The kernel returns canonical reduced ints -- skip re-reduction.
         return GTElement(group, Fq2._from_reduced(a, b, q))
 
@@ -416,36 +421,15 @@ class GTElement:
         :meth:`G1Element.multiexp_batch` for the value/counter contract
         (here ``gt_multiexp``, kernel
         :func:`repro.groups.fastops.batch_multiexp_fq2`)."""
-        results: list[GTElement | None] = [None] * len(instances)
-        fast: list[tuple[int, BilinearGroup, list[tuple[GTElement, int]]]] = []
-        for idx, (bases, exponents) in enumerate(instances):
-            group, terms = _collect_terms(bases, exponents, lambda b: b.value.is_one())
-            if group is None:
-                raise GroupError("multiexp needs at least one base")
-            if not terms:
-                results[idx] = group.gt_identity()
-            elif not fastops.enabled() or len(terms) == 1:
-                results[idx] = cls.multiexp(bases, exponents)
-            else:
-                group.counter.gt_multiexp += len(terms)
-                fast.append((idx, group, terms))
-        by_q: dict[int, list[tuple[int, "BilinearGroup", list]]] = {}
-        for entry in fast:
-            by_q.setdefault(entry[1].params.q, []).append(entry)
-        for q, entries in by_q.items():
-            kernel_instances = [
-                (
-                    [(base.value.a, base.value.b) for base, _ in terms],
-                    [exponent for _, exponent in terms],
-                )
-                for _, _, terms in entries
-            ]
+        results, fast = _triage(instances, BilinearGroup.gt_identity, "gt_multiexp")
+        for q, entries in _by_modulus(fast).items():
             values = parallel_map(
-                partial(fastops.batch_multiexp_fq2_chunk, q), kernel_instances
+                partial(fastops.batch_multiexp_fq2_chunk, q),
+                [_gt_kernel_instance(terms) for _, _, terms in entries],
             )
             for (idx, group, _), (a, b) in zip(entries, values):
                 results[idx] = GTElement(group, Fq2._from_reduced(a, b, q))
-        return results  # type: ignore[return-value]
+        return results
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GTElement):
@@ -461,6 +445,21 @@ class GTElement:
 
     def __repr__(self) -> str:
         return f"GT({self.value.a} + {self.value.b}i)"
+
+
+def _g_kernel_instance(
+    terms: "list[tuple[G1Element, int]]",
+) -> tuple[list[Point], list[int]]:
+    return [base.point for base, _ in terms], [exponent for _, exponent in terms]
+
+
+def _gt_kernel_instance(
+    terms: "list[tuple[GTElement, int]]",
+) -> tuple[list[tuple[int, int]], list[int]]:
+    return (
+        [(base.value.a, base.value.b) for base, _ in terms],
+        [exponent for _, exponent in terms],
+    )
 
 
 class G1Precomp:

@@ -185,35 +185,6 @@ def _jacobian_scalar_mul(point: Point, scalar: int, q: int) -> _JacPoint:
     return result
 
 
-def _jacobian_add(p1: _JacPoint, p2: _JacPoint, q: int) -> _JacPoint:
-    """Full Jacobian + Jacobian addition (the Pippenger bucket kernel)."""
-    x1, y1, z1 = p1
-    x2, y2, z2 = p2
-    if z1 == 0:
-        return p2
-    if z2 == 0:
-        return p1
-    z1z1 = z1 * z1 % q
-    z2z2 = z2 * z2 % q
-    u1 = x1 * z2z2 % q
-    u2 = x2 * z1z1 % q
-    s1 = y1 * z2z2 * z2 % q
-    s2 = y2 * z1z1 * z1 % q
-    h = (u2 - u1) % q
-    r = (s2 - s1) % q
-    if h == 0:
-        if r == 0:
-            return _jacobian_double(p1, q)
-        return (1, 1, 0)
-    hh = h * h % q
-    hhh = h * hh % q
-    v = u1 * hh % q
-    x3 = (r * r - hhh - 2 * v) % q
-    y3 = (r * (v - x3) - s1 * hhh) % q
-    z3 = z1 * z2 * h % q
-    return (x3, y3, z3)
-
-
 def _jacobian_to_affine(p: _JacPoint, q: int) -> Point:
     x, y, z = p
     if z == 0:

@@ -6,28 +6,25 @@ square-and-multiply ladder evaluates with ``~1.5 log p`` group
 operations *per term*.  The kernels here share the squarings across all
 terms:
 
-* **Straus (interleaved window)** -- per-base tables of ``d * P_i``
-  (``d < 2^w``), one shared chain of ``w`` squarings per digit position.
-  The right choice for the ``ell <= ~50`` term counts the DLR combine
-  steps produce.  ``G`` tables are built in Jacobian form and normalised
-  to affine with a *single* batched inversion
-  (:func:`~repro.groups.curve.batch_to_affine`), so the main loop can
-  use cheap mixed additions.
-* **Pippenger (bucket method)** -- no per-base tables; per digit
-  position the bases are dropped into ``2^w - 1`` buckets and folded
-  with a running suffix sum.  Asymptotically better; selected
-  automatically above :data:`PIPPENGER_THRESHOLD` terms.
-* **Batch-affine (vectors of instances)** -- a period's independent
+* **``G``: batch-affine, one path for every instance.**
+  :func:`batch_multiexp_points` evaluates a vector of independent
   multiexps (one HPSKE mask per message, one weighted product per
-  ciphertext coordinate) evaluated together in affine coordinates with
-  signed (wNAF) digits: every doubling or addition round across the
-  whole vector shares one inversion (Montgomery's trick).  Selected by
-  :func:`batch_multiexp_points` whenever it holds two or more
-  Straus-sized instances; a lone instance keeps the Jacobian path.
+  ciphertext coordinate) together in affine coordinates with signed
+  (wNAF) digits: every doubling or addition round across the whole
+  vector shares one inversion (Montgomery's trick).  A lone instance,
+  whatever its term count, is a batch of one.
+* **``GT``: Straus (interleaved window)** -- per-base tables of
+  ``x_i ** d`` (``d < 2^w``), one shared chain of ``w`` squarings per
+  digit position; the right choice for the ``ell <= ~50`` term counts
+  the DLR combine steps produce.
+* **``GT``: Pippenger (bucket method)** -- no per-base tables; per
+  digit position the bases are dropped into ``2^w - 1`` buckets and
+  folded with a running suffix sum.  Selected by
+  :func:`batch_multiexp_fq2` at :data:`PIPPENGER_THRESHOLD` terms.
 
-Both operate on raw representations (Jacobian integer triples for the
-curve, integer pairs for ``F_{q^2}``) -- no element-object allocation in
-the hot loop.  The element-level entry points live on
+All operate on raw representations (integer pairs for affine points
+and ``F_{q^2}`` values) -- no element-object allocation in the hot
+loop.  The element-level entry points live on
 :class:`~repro.groups.bilinear.BilinearGroup` /
 :meth:`~repro.groups.bilinear.G1Element.multiexp`, which also maintain
 the ``g_multiexp`` / ``gt_multiexp`` operation counters.
@@ -47,7 +44,6 @@ property tests use it to pin fast == naive.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from itertools import chain
 from typing import Iterator
 
 from repro.errors import GroupError
@@ -55,13 +51,8 @@ from repro.groups import native
 from repro.groups.curve import (
     INFINITY,
     Point,
-    _jacobian_add,
-    _jacobian_add_affine,
-    _jacobian_double,
-    _jacobian_to_affine,
     batch_add_affine,
     batch_double_affine,
-    batch_to_affine,
     lift_affine,
     unlift_affine,
 )
@@ -70,7 +61,7 @@ from repro.math.backend import active_backend
 
 _RawFq2 = tuple[int, int]
 
-#: Term count above which the bucket method beats the interleaved
+#: ``GT`` term count from which the bucket method beats the interleaved
 #: window (tables grow linearly with terms, buckets do not).
 PIPPENGER_THRESHOLD = 64
 
@@ -113,111 +104,6 @@ def reference_mode() -> Iterator[None]:
 
 # ---------------------------------------------------------------------------
 # G (curve) kernels
-
-
-def multiexp_points(
-    points: list[Point], exponents: list[int], q: int
-) -> Point:
-    """``prod_i exponents[i] * points[i]`` on the curve (additive view).
-
-    Callers must pre-reduce exponents to ``[1, order)`` and drop
-    zero/infinity terms; this chooses Straus or Pippenger by term count.
-    """
-    if len(points) != len(exponents):
-        raise GroupError("multiexp: bases and exponents differ in length")
-    if not points:
-        return INFINITY
-    if len(points) == 1:
-        return _scalar_mul_point(points[0], exponents[0], q)
-    if len(points) >= PIPPENGER_THRESHOLD:
-        return _pippenger_points(points, exponents, q)
-    return _straus_points(points, exponents, q)
-
-
-def _scalar_mul_point(point: Point, exponent: int, q: int) -> Point:
-    lift = active_backend().lift
-    q = lift(q)
-    jac = (1, 1, 0)
-    ax, ay = lift(point.x) % q, lift(point.y) % q
-    for bit in bin(exponent)[2:]:
-        jac = _jacobian_double(jac, q)
-        if bit == "1":
-            jac = _jacobian_add_affine(jac, ax, ay, q)
-    return _jacobian_to_affine(jac, q)
-
-
-def _straus_points(points: list[Point], exponents: list[int], q: int) -> Point:
-    bits = max(e.bit_length() for e in exponents)
-    w = straus_window(len(points), bits)
-    lift = active_backend().lift
-    q = lift(q)
-    mask = (1 << w) - 1
-    # Per-base tables of d*P for d in [1, 2^w), built in Jacobian form
-    # and normalised to affine in ONE batched inversion.
-    jac_entries = []
-    for point in points:
-        ax, ay = lift(point.x) % q, lift(point.y) % q
-        entry = (ax, ay, 1)
-        jac_entries.append(entry)
-        for _ in range(2, 1 << w):
-            entry = _jacobian_add_affine(entry, ax, ay, q)
-            jac_entries.append(entry)
-    affine = batch_to_affine(jac_entries, q)
-    row_len = (1 << w) - 1
-    tables = [affine[i * row_len : (i + 1) * row_len] for i in range(len(points))]
-
-    digits = -(-bits // w)
-    acc = (1, 1, 0)
-    for position in range(digits - 1, -1, -1):
-        if acc[2] != 0:
-            for _ in range(w):
-                acc = _jacobian_double(acc, q)
-        shift = position * w
-        for table, exponent in zip(tables, exponents):
-            digit = (exponent >> shift) & mask
-            if digit:
-                entry = table[digit - 1]
-                if not entry.is_infinity():
-                    acc = _jacobian_add_affine(acc, entry.x, entry.y, q)
-    return _jacobian_to_affine(acc, q)
-
-
-def _pippenger_points(points: list[Point], exponents: list[int], q: int) -> Point:
-    bits = max(e.bit_length() for e in exponents)
-    w = bucket_window(len(points), bits)
-    lift = active_backend().lift
-    q = lift(q)
-    mask = (1 << w) - 1
-    digits = -(-bits // w)
-    affine = [(lift(p.x) % q, lift(p.y) % q) for p in points]
-
-    acc = (1, 1, 0)
-    for position in range(digits - 1, -1, -1):
-        if acc[2] != 0:
-            for _ in range(w):
-                acc = _jacobian_double(acc, q)
-        shift = position * w
-        buckets: list[tuple[int, int, int] | None] = [None] * (1 << w)
-        for (ax, ay), exponent in zip(affine, exponents):
-            digit = (exponent >> shift) & mask
-            if digit:
-                current = buckets[digit]
-                buckets[digit] = (
-                    (ax, ay, 1)
-                    if current is None
-                    else _jacobian_add_affine(current, ax, ay, q)
-                )
-        # sum_d d * bucket[d] via the running suffix sum.
-        running = (1, 1, 0)
-        window_sum = (1, 1, 0)
-        for digit in range(mask, 0, -1):
-            bucket = buckets[digit]
-            if bucket is not None:
-                running = _jacobian_add(running, bucket, q)
-            if running[2] != 0:
-                window_sum = _jacobian_add(window_sum, running, q)
-        acc = _jacobian_add(acc, window_sum, q)
-    return _jacobian_to_affine(acc, q)
 
 
 def wnaf_digits(exponent: int, w: int) -> list[tuple[int, int]]:
@@ -313,7 +199,7 @@ def _digit_layout(
 def _batch_affine_multiexp(
     instances: "list[tuple[list[Point], list[int]]]", q: int
 ) -> list[Point]:
-    """Evaluate many Straus-sized instances in lockstep affine form.
+    """Evaluate a vector of one or more instances in lockstep affine form.
 
     One shared wNAF width (:func:`~repro.groups.windows.wnaf_window`,
     sized by the widest exponent).  Every term's signed table
@@ -439,40 +325,29 @@ def _batch_affine_multiexp(
 def batch_multiexp_points(
     instances: "list[tuple[list[Point], list[int]]]", q: int
 ) -> list[Point]:
-    """Evaluate a vector of independent multiexp instances, amortised.
+    """``prod_i exponents[i] * points[i]`` on the curve (additive view)
+    for every instance of a vector, amortised.
 
-    Same per-instance contract as :func:`multiexp_points` (pre-reduced
-    exponents, trivial terms dropped).  Two or more Straus-sized
-    instances run together in lockstep affine coordinates
-    (:func:`_batch_affine_multiexp`): signed digits, one shared
-    inversion per doubling or addition round across the whole vector,
-    no per-instance normalisation.  A lone Straus instance keeps the
-    Jacobian path of :func:`multiexp_points`, which wins at one
-    instance; Pippenger-sized and degenerate instances dispatch
-    individually.  Results are bit-identical to mapping
-    :func:`multiexp_points` over the instances.
+    The one ``G`` entry point.  Callers pre-reduce exponents to
+    ``[1, order)`` and drop zero/infinity terms.  An empty instance is
+    :data:`~repro.groups.curve.INFINITY`; every other instance, whatever
+    its term count, runs in the lockstep affine vector of
+    :func:`_batch_affine_multiexp`: signed digits, one shared inversion
+    per doubling or addition round, no per-instance normalisation.  A
+    lone instance is a batch of one.
     """
-    results: list[Point | None] = [None] * len(instances)
-    straus_idx: list[int] = []
+    busy: list[int] = []
     for idx, (points, exponents) in enumerate(instances):
         if len(points) != len(exponents):
             raise GroupError("multiexp: bases and exponents differ in length")
-        if not points:
-            results[idx] = INFINITY
-        elif len(points) == 1:
-            results[idx] = _scalar_mul_point(points[0], exponents[0], q)
-        elif len(points) >= PIPPENGER_THRESHOLD:
-            results[idx] = _pippenger_points(points, exponents, q)
-        else:
-            straus_idx.append(idx)
-    if len(straus_idx) == 1:
-        idx = straus_idx[0]
-        results[idx] = _straus_points(*instances[idx], q)
-    elif straus_idx:
-        values = _batch_affine_multiexp([instances[idx] for idx in straus_idx], q)
-        for idx, value in zip(straus_idx, values):
+        if points:
+            busy.append(idx)
+    results = [INFINITY] * len(instances)
+    if busy:
+        values = _batch_affine_multiexp([instances[idx] for idx in busy], q)
+        for idx, value in zip(busy, values):
             results[idx] = value
-    return results  # type: ignore[return-value]
+    return results
 
 
 def batch_multiexp_points_chunk(
@@ -487,32 +362,6 @@ def batch_multiexp_points_chunk(
 
 # ---------------------------------------------------------------------------
 # GT (F_{q^2} subgroup) kernels
-
-
-def multiexp_fq2(values: list[_RawFq2], exponents: list[int], q: int) -> _RawFq2:
-    """``prod_i values[i] ** exponents[i]`` in ``F_{q^2}``.
-
-    Same contract as :func:`multiexp_points`: exponents pre-reduced to
-    ``[1, order)``, identity terms dropped by the caller.
-    """
-    if len(values) != len(exponents):
-        raise GroupError("multiexp: bases and exponents differ in length")
-    if not values:
-        return (1, 0)
-    if len(values) >= PIPPENGER_THRESHOLD:
-        return _pippenger_fq2(values, exponents, q)
-    return _straus_fq2(values, exponents, q)
-
-
-def _straus_fq2(values: list[_RawFq2], exponents: list[int], q: int) -> _RawFq2:
-    bits = max(e.bit_length() for e in exponents)
-    w = straus_window(len(values), bits)
-    backend = active_backend()
-    if not backend.native_ints:
-        lift = backend.lift
-        q = lift(q)
-        values = [(lift(a), lift(b)) for a, b in values]
-    return _straus_fq2_shared(values, exponents, w, -(-bits // w), q)
 
 
 def _straus_fq2_shared(
@@ -552,14 +401,18 @@ def _straus_fq2_shared(
 def batch_multiexp_fq2(
     instances: "list[tuple[list[_RawFq2], list[int]]]", q: int
 ) -> list[_RawFq2]:
-    """Evaluate a vector of ``F_{q^2}`` multiexp instances, amortised.
+    """``prod_i values[i] ** exponents[i]`` in ``F_{q^2}`` for every
+    instance of a vector, amortised.
 
-    The ``F_{q^2}`` Straus path has no batched inversion to share, so
-    the amortisation here is the window/cost-model decision (and the
-    single backend lift of the modulus): one :func:`straus_window` call
-    sized by the widest exponent and largest term count serves every
+    The one ``GT`` entry point, with the contract of
+    :func:`batch_multiexp_points`: exponents pre-reduced to
+    ``[1, order)``, identity terms dropped by the caller.  The
+    ``F_{q^2}`` Straus path has no batched inversion to share, so the
+    amortisation here is the window/cost-model decision (and the single
+    backend lift of the modulus): one :func:`straus_window` call sized
+    by the widest exponent and largest term count serves every
     Straus-sized instance.  Pippenger-sized and empty instances dispatch
-    individually.  Results equal mapping :func:`multiexp_fq2`.
+    individually.  A lone instance gets the window its own terms pick.
     """
     results: list[_RawFq2 | None] = [None] * len(instances)
     straus_idx: list[int] = []

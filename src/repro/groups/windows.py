@@ -3,9 +3,10 @@
 Four exponentiation kernels pick a window width ``w`` from the same
 family of cost trade-offs (table size vs. main-loop work):
 
-* Straus interleaved-window multiexp (:func:`straus_window`),
-* the batch-affine signed-digit multiexp (:func:`wnaf_window`),
-* Pippenger bucket multiexp (:func:`bucket_window`),
+* the batch-affine signed-digit multiexp, which runs every ``G``
+  instance (:func:`wnaf_window`),
+* ``GT`` Straus interleaved-window multiexp (:func:`straus_window`),
+* ``GT`` Pippenger bucket multiexp (:func:`bucket_window`),
 * fixed-base windowed exponentiation (:func:`fixed_base_window`,
   used by :class:`~repro.groups.precompute.FixedBaseExp`).
 
@@ -65,13 +66,13 @@ def profile_for(backend: FieldBackend | None = None) -> WindowProfile:
 def straus_window(
     terms: int, bits: int, profile: WindowProfile | None = None
 ) -> int:
-    """Straus window width minimising the group-operation count.
+    """``GT`` Straus window width minimising the group-operation count.
 
-    Cost model: table build is ``terms * (2^w - 2)`` adds, the main loop
-    does ``bits`` doublings plus ``terms * (bits / w) * (1 - 2^-w)``
-    adds (a digit is zero with probability ``2^-w``).  Short exponents
-    push toward small windows -- the table must amortise within one
-    pass.
+    Cost model: table build is ``terms * (2^w - 2)`` multiplications,
+    the main loop does ``bits`` squarings plus
+    ``terms * (bits / w) * (1 - 2^-w)`` multiplications (a digit is zero
+    with probability ``2^-w``).  Short exponents push toward small
+    windows -- the table must amortise within one pass.
     """
     if profile is None:
         profile = profile_for()
@@ -112,7 +113,7 @@ def wnaf_window(bits: int, profile: WindowProfile | None = None) -> int:
 def bucket_window(
     terms: int, bits: int, profile: WindowProfile | None = None
 ) -> int:
-    """Pippenger window width: per digit position the buckets cost
+    """``GT`` Pippenger window width: per digit position the buckets cost
     ``terms`` adds plus ``~2^{w+1}`` for the suffix-sum fold, across
     ``bits / w`` positions."""
     if profile is None:

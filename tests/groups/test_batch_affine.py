@@ -1,13 +1,13 @@
 """Property tests for the batch-affine period kernels.
 
-``batch_multiexp_points`` evaluates two or more Straus-sized instances
-in lockstep affine coordinates (signed digits, one shared inversion per
-doubling or addition round), ``batch_scalar_mul`` clears cofactors the
-same way, and ``evaluate_schedule_chunk`` evaluates Miller lines scaled
-by ``-1/y_Q``.  Each is a reorganisation with per-element special
-cases (equal abscissas, inverse pairs, infinity), so each is pinned
-against an independent path: ``reference_mode()``, the per-instance
-Jacobian kernel, the Jacobian ladder, and the full Tate pairing.
+``batch_multiexp_points`` evaluates every ``G`` instance in lockstep
+affine coordinates (signed digits, one shared inversion per doubling or
+addition round; a lone instance is a batch of one), ``batch_scalar_mul``
+clears cofactors the same way, and ``evaluate_schedule_chunk`` evaluates
+Miller lines scaled by ``-1/y_Q``.  Each is a reorganisation with
+per-element special cases (equal abscissas, inverse pairs, infinity),
+so each is pinned against an independent path: the ``reference_mode()``
+per-term ladder, the Jacobian ladder, and the full Tate pairing.
 """
 
 from __future__ import annotations
@@ -20,12 +20,7 @@ from hypothesis import strategies as st
 from repro.groups import fastops, preset_group
 from repro.groups.bilinear import G1Element
 from repro.groups.curve import INFINITY, Point, batch_scalar_mul, scalar_mul
-from repro.groups.fastops import (
-    PIPPENGER_THRESHOLD,
-    batch_multiexp_points,
-    multiexp_points,
-    wnaf_digits,
-)
+from repro.groups.fastops import batch_multiexp_points, wnaf_digits
 from repro.groups.pairing import PairingPrecomp, tate_pairing
 
 #: The 16-bit toy group: small ``p`` and ``q`` make abscissa collisions
@@ -93,15 +88,23 @@ def raw_instances(group, instances):
     return raw
 
 
+def reference_ladder(group, raw):
+    """Raw kernel instances on the ``reference_mode()`` per-term ladder."""
+    with fastops.reference_mode():
+        return [
+            G1Element.multiexp([G1Element(group, pt) for pt in points], exponents).point
+            if points
+            else INFINITY
+            for points, exponents in raw
+        ]
+
+
 class TestBatchAffineMultiexp:
     @given(shapes=instance_shapes, seed=seeds)
     @settings(**COMMON)
-    def test_kernel_matches_per_instance_jacobian(self, shapes, seed):
+    def test_kernel_matches_reference_ladder(self, shapes, seed):
         raw = raw_instances(TOY, build_instances(TOY, shapes, seed))
-        q = TOY.params.q
-        assert batch_multiexp_points(raw, q) == [
-            multiexp_points(points, exponents, q) for points, exponents in raw
-        ]
+        assert batch_multiexp_points(raw, TOY.params.q) == reference_ladder(TOY, raw)
 
     @given(shapes=instance_shapes, seed=seeds)
     @settings(**COMMON)
@@ -127,9 +130,7 @@ class TestBatchAffineMultiexp:
             ([SMALL.random_g(rng).point for _ in exponents], exponents)
             for _ in range(count)
         ]
-        assert batch_multiexp_points(raw, q) == [
-            multiexp_points(points, exponents, q) for points, _ in raw
-        ]
+        assert batch_multiexp_points(raw, q) == reference_ladder(SMALL, raw)
 
     def test_inverse_pair_and_duplicates_cancel(self):
         rng = random.Random(3)
@@ -144,9 +145,11 @@ class TestBatchAffineMultiexp:
         got = batch_multiexp_points(raw, q)
         assert got[0] == INFINITY
         assert got[1] == scalar_mul(b, 7, q)
-        assert got == [multiexp_points(pts, exps, q) for pts, exps in raw]
+        assert got == reference_ladder(TOY, raw)
 
     def test_single_instance_and_mixed_dispatch(self):
+        """A lone instance is a batch of one: alone or beside instances
+        of other term counts, each gets the ladder's value."""
         rng = random.Random(4)
         q, p = SMALL.params.q, SMALL.p
 
@@ -156,12 +159,10 @@ class TestBatchAffineMultiexp:
                 [rng.randrange(1, p) for _ in range(size)],
             )
 
-        lone = [instance(4)]
-        assert batch_multiexp_points(lone, q) == [multiexp_points(*lone[0], q)]
-        mixed = [instance(n) for n in (0, 1, 3, PIPPENGER_THRESHOLD, 7, 2)]
-        assert batch_multiexp_points(mixed, q) == [
-            multiexp_points(pts, exps, q) for pts, exps in mixed
-        ]
+        mixed = [instance(n) for n in (0, 1, 3, 64, 7, 2)]
+        assert batch_multiexp_points(mixed, q) == reference_ladder(SMALL, mixed)
+        for lone in mixed:
+            assert batch_multiexp_points([lone], q) == reference_ladder(SMALL, [lone])
 
 
 class TestWnafDigits:

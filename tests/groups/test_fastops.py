@@ -120,16 +120,8 @@ class TestMultiexpEdgeCases:
 
 
 class TestKernelAgreement:
-    """Straus and Pippenger are selected by term count; force both on
+    """``GT`` picks Straus or Pippenger by term count; force both on
     the same input and require identical results."""
-
-    def test_g1_straus_vs_pippenger(self, small_group, rng):
-        q = small_group.q
-        points = [small_group.random_g(rng).point for _ in range(20)]
-        exponents = [rng.randrange(1, small_group.p) for _ in range(20)]
-        straus = fastops._straus_points(points, exponents, q)
-        pippenger = fastops._pippenger_points(points, exponents, q)
-        assert straus == pippenger
 
     def test_fq2_straus_vs_pippenger(self, small_group, rng):
         q = small_group.q
@@ -138,7 +130,7 @@ class TestKernelAgreement:
             for v in (small_group.random_gt(rng) for _ in range(20))
         ]
         exponents = [rng.randrange(1, small_group.p) for _ in range(20)]
-        straus = fastops._straus_fq2(values, exponents, q)
+        [straus] = fastops.batch_multiexp_fq2([(values, exponents)], q)
         pippenger = fastops._pippenger_fq2(values, exponents, q)
         assert straus == pippenger
 
@@ -152,6 +144,10 @@ class TestKernelAgreement:
             exponents = [rng.randrange(1, small_group.p) for _ in range(terms)]
             assert G1Element.multiexp(bases, exponents) == naive_product(
                 bases, exponents
+            )
+            gt_bases = [small_group.random_gt(rng) for _ in range(terms)]
+            assert GTElement.multiexp(gt_bases, exponents) == naive_product(
+                gt_bases, exponents
             )
 
 

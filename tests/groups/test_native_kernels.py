@@ -8,7 +8,10 @@ here against its Python kernel, run inside
 16 to 256 bits (multi-limb ``mpz_t`` from 128 up), with the special
 cases of a round drawn in: infinity operands, ``P + P`` and
 ``P + (-P)`` inside one round, the 2-torsion point ``(0, 0)``,
-``y_Q = 0``, and empty and width-1 vectors.
+``y_Q = 0``, and empty and width-1 vectors.  Lone ``G`` instances of
+every term count, with duplicate and negated bases and the exponents 1
+and ``p - 1``, are pinned on both kernel sets against the
+``reference_mode()`` ladder.
 
 The native legs skip where the extension cannot be built; the fallback
 tests run everywhere.
@@ -32,6 +35,7 @@ from repro.core.dlr import DLR
 from repro.core.optimal import OptimalDLR
 from repro.core.params import DLRParams
 from repro.groups import fastops, native, preset_group
+from repro.groups.bilinear import G1Element
 from repro.groups.curve import INFINITY, Point, batch_scalar_mul
 from repro.groups.pairing import PairingPrecomp, evaluate_schedule_chunk
 from repro.groups.windows import straus_window
@@ -143,6 +147,45 @@ class TestAffineMultiexp:
         q = preset_group(n).q
         got, want = both(lambda: fastops._batch_affine_multiexp(instances, q))
         assert got == want
+
+
+def lone_instance(n: int, terms: int) -> tuple[list[Point], list[int]]:
+    """One instance of ``terms`` terms over subgroup points, with a
+    duplicated and a negated base once there is room, and the exponents
+    1 and ``p - 1`` among random ones."""
+    group = preset_group(n)
+    rng = random.Random(n * 1000 + terms)
+    finite = point_pool(n)[:6]
+    bases = [rng.choice(finite) for _ in range(terms)]
+    if terms >= 3:
+        bases[1] = bases[0]
+        bases[2] = bases[0].negate(group.q)
+    exponents = [rng.randrange(1, group.p) for _ in range(terms)]
+    exponents[0] = 1
+    exponents[-1] = group.p - 1
+    return bases, exponents
+
+
+@pytest.mark.parametrize("kernels", ["native", "python"])
+@pytest.mark.parametrize("n", SIZES)
+def test_lone_instances_match_the_reference_ladder(kernels, n):
+    """A lone instance is a batch of one, whatever its term count: the
+    same value as the per-term ladder on either kernel set."""
+    if kernels == "native" and native.kernels() is None:
+        pytest.skip("the native kernels cannot be built here")
+    group = preset_group(n)
+    for terms in (1, 2, 5, 63, 64, 65, 256):
+        bases, exponents = lone_instance(n, terms)
+        with fastops.reference_mode():
+            want = G1Element.multiexp(
+                [G1Element(group, point) for point in bases], exponents
+            ).point
+        if kernels == "native":
+            got = fastops.batch_multiexp_points([(bases, exponents)], group.q)
+        else:
+            with native._python_kernels():
+                got = fastops.batch_multiexp_points([(bases, exponents)], group.q)
+        assert got == [want], terms
 
 
 @needs_native

@@ -14,6 +14,7 @@ import random
 
 import pytest
 
+from repro.core.keys import PublicKey
 from repro.errors import ParameterError
 from repro.ibe.dlr_ibe import DLRIBE, _id_slot
 from repro.ibe.extract_cache import IdentityKeyCache
@@ -161,6 +162,51 @@ class TestExtractBatchCache:
             assert (
                 dibe.decrypt_protocol_id(p1, p2, channel, identity, ct) == message
             )
+
+
+class TestRetainedSharesInTheLeakageView:
+    """Identity shares stay resident across master periods, so those
+    periods' leakage functions must see them: in the continual-memory
+    model a device's leakage input is its whole secret memory."""
+
+    def test_snapshots_hold_cached_identities_and_not_evicted_ones(
+        self, small_params, rng
+    ):
+        dibe = DLRIBE(small_params, n_id=N_ID, extract_cache_size=3)
+        setup = dibe.setup(random.Random(1))
+        p1, p2, channel = fresh_devices(dibe, setup)
+        pp = setup.public_params
+        master_key = PublicKey(dibe.params, pp.z)
+
+        def master_period():
+            message = dibe.group.random_gt(rng)
+            ct = dibe.encrypt(master_key, message, rng)
+            record = dibe.run_period(p1, p2, channel, ct)
+            assert record.plaintext == message
+            return record.snapshots
+
+        def assert_view(snapshots, cached):
+            assert sorted(snapshots) == [
+                (1, "normal"), (1, "refresh"), (2, "normal"), (2, "refresh")
+            ]
+            for (index, _), snapshot in snapshots.items():
+                device = p1 if index == 1 else p2
+                slots = {_id_slot(index, identity) for identity in cached}
+                held = {name for name in snapshot.names() if name.startswith("id.")}
+                assert held == slots
+                for slot in slots:
+                    # An essential slot: it is in the leakage input bits.
+                    assert slot not in snapshot.derived
+                    assert snapshot.get(slot) == device.secret.read(slot)
+
+        extracted = ["alice", "bob", "carol"]
+        assert dibe.extract_batch(pp, p1, p2, channel, extracted) == extracted
+        # The master refresh: a whole master period, decrypt and rotate.
+        assert_view(master_period(), extracted)
+        # A fourth identity evicts the least-recently-used one.
+        assert dibe.extract_batch(pp, p1, p2, channel, ["dave"]) == ["dave"]
+        assert dibe.extract_cache.identities() == ["bob", "carol", "dave"]
+        assert_view(master_period(), ["bob", "carol", "dave"])
 
 
 class TestInvalidationRegressions:

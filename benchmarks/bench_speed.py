@@ -60,6 +60,10 @@ import time
 #: Fraction of a baseline speedup a fresh run must retain to pass --check.
 REGRESSION_TOLERANCE = 0.75
 
+#: Points in the ``random_g_batch`` that prices ``g_samples``: the
+#: largest sampling vector of a DLR period at n=32, lam=32.
+SAMPLE_VECTOR = 88
+
 
 def _trimmed(samples: list[float]) -> float:
     """Median after dropping the fastest and slowest sample."""
@@ -378,7 +382,11 @@ def calibrate_weights(group, rng, warmup: int, repeats: int) -> dict:
 
     Multiexp weights are per folded term; the precomp-pairing weight
     amortizes the schedule construction over the ``ell + 1`` evaluations
-    a decryption shares it across.
+    a decryption shares it across.  ``g_samples`` is priced per draw of
+    a ``random_g_batch`` the size of a period's largest vector
+    (``SAMPLE_VECTOR`` points), ``gt_samples`` per ``random_gt`` draw.
+    These weights are reported only: ``--check`` compares speedups, and
+    :data:`~repro.groups.bilinear.DEFAULT_COST_WEIGHTS` stays fixed.
     """
     from repro.groups.bilinear import G1Element, GTElement
     from repro.groups.pairing import PairingPrecomp, tate_pairing
@@ -415,13 +423,16 @@ def calibrate_weights(group, rng, warmup: int, repeats: int) -> dict:
         return [precomp.pair_with(right) for right in rights]
 
     timings["pairings_precomp"] = trimmed_median(precomp_batch, warmup, repeats) / terms
+    timings["g_samples"] = (
+        trimmed_median(lambda: group.random_g_batch(rng, SAMPLE_VECTOR), warmup, repeats)
+        / SAMPLE_VECTOR
+    )
+    timings["gt_samples"] = trimmed_median(lambda: group.random_gt(rng), warmup, repeats)
 
     unit = timings["g_mul"]
     weights = {
         name: max(1, round(seconds / unit)) for name, seconds in timings.items()
     }
-    weights["g_samples"] = 0
-    weights["gt_samples"] = 0
     return weights
 
 

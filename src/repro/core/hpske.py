@@ -230,8 +230,9 @@ class HPSKE:
     def sample_coins(self, rng: random.Random) -> tuple[Element, ...]:
         """Fresh encryption randomness: kappa uniform carrier-group
         elements with unknown discrete logs."""
-        sample = self.group.random_g if self.space == "G" else self.group.random_gt
-        return tuple(sample(rng) for _ in range(self.kappa))
+        if self.space == "G":
+            return tuple(self.group.random_g_batch(rng, self.kappa))
+        return tuple(self.group.random_gt(rng) for _ in range(self.kappa))
 
     def encrypt(
         self,

@@ -12,6 +12,11 @@
  *   scalar_mul_vector
  *                    the same rounds for curve.batch_scalar_mul (the
  *                    cofactor clearing of batched sampling);
+ *   sample_points    sampling.random_subgroup_points: candidate points
+ *                    drawn from a random.Random's pre-drawn output
+ *                    words exactly as its randrange and getrandbits
+ *                    would consume them, rooted with mpz_powm and
+ *                    cleared by the cofactor on the same rounds;
  *   schedule_chunk   repro.groups.pairing.evaluate_schedule_chunk: a
  *                    cached Miller schedule evaluated at many points,
  *                    batched y_Q and norm inversions and the final
@@ -29,6 +34,7 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <gmp.h>
+#include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
 
@@ -803,6 +809,19 @@ done:
 /* left-to-right, one doubling round per bit and one addition round    */
 /* per set bit across the whole vector.                                */
 
+/* acc[i] = scalar * bases[i] for every i, acc starting as the bases. */
+static int scalar_mul_rounds(rounds *c, point **acc, point *const *bases,
+                             point *const *dests, size_t n, const mpz_t scalar)
+{
+    int status = OK;
+    for (size_t bit = mpz_sizeinbase(scalar, 2) - 1; status == OK && bit-- > 0;) {
+        status |= double_round(c, acc, acc, dests, n);
+        if (mpz_tstbit(scalar, bit))
+            status |= add_round(c, acc, acc, bases, dests, n);
+    }
+    return status;
+}
+
 static PyObject *scalar_mul_vector_on(scratch *s, PyObject *args)
 {
     PyObject *qobj, *scalarobj, *points;
@@ -838,13 +857,9 @@ static PyObject *scalar_mul_vector_on(scratch *s, PyObject *args)
         dests[i] = &pool[n + i];
     }
     rounds c = {z[0], z[2], z[3], z[4], z[5], z[6], z[7], z + 8, pending, inf};
-    int status = OK;
+    int status;
     Py_BEGIN_ALLOW_THREADS
-    for (size_t bit = mpz_sizeinbase(z[1], 2) - 1; status == OK && bit-- > 0;) {
-        status |= double_round(&c, acc, acc, dests, n);
-        if (mpz_tstbit(z[1], bit))
-            status |= add_round(&c, acc, acc, bases, dests, n);
-    }
+    status = scalar_mul_rounds(&c, acc, bases, dests, n, z[1]);
     Py_END_ALLOW_THREADS
     if (status != OK) {
         PyErr_SetString(PyExc_ZeroDivisionError,
@@ -855,6 +870,153 @@ static PyObject *scalar_mul_vector_on(scratch *s, PyObject *args)
 done:
     free(ptrs);
     free(pending);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
+/* sample_points(q, h, count, words)                                   */
+/*                                                                     */
+/* sampling.random_subgroup_points on pre-drawn MT19937 output: words  */
+/* holds a random.Random's 32-bit outputs in the order it produced     */
+/* them, 4 little-endian bytes each.  Each candidate consumes them     */
+/* exactly as randrange(q) and getrandbits(1) would: an abscissa takes */
+/* ceil(k/32) words (k = q.bit_length()), low word first, the top one  */
+/* shifted right to its k mod 32 bits, and is redrawn while >= q; a    */
+/* nonzero square x^3 + x then takes one more word, whose top bit      */
+/* negates the root.  The count candidates are cleared by h on the     */
+/* scalar_mul_vector rounds.                                           */
+/*                                                                     */
+/* Returns (points, used), used being the words consumed; (None, used) */
+/* if a candidate cleared to the identity; None if the words ran out.  */
+
+enum { RAN_OUT = 4 };
+
+typedef struct {
+    const unsigned char *bytes;
+    size_t n, used;
+} word_stream;
+
+static uint32_t next_word(word_stream *ws)
+{
+    const unsigned char *b = ws->bytes + 4 * ws->used++;
+    return (uint32_t)b[0] | (uint32_t)b[1] << 8 | (uint32_t)b[2] << 16
+           | (uint32_t)b[3] << 24;
+}
+
+/* Candidate points into pts[0..count), drawn as the Python loop draws
+ * them; q = 3 mod 4, so root = rhs^((q+1)/4) is a square root exactly
+ * when rhs is a square.  digits holds ceil(k/32) words. */
+static int draw_candidates(point *pts, size_t count, word_stream *ws,
+                           const mpz_t q, const mpz_t root, mpz_t rhs,
+                           mpz_t t, uint32_t *digits)
+{
+    size_t k = mpz_sizeinbase(q, 2), nw = (k + 31) / 32;
+    unsigned shift = (unsigned)((32 - k % 32) % 32);
+    for (size_t i = 0; i < count; i++) {
+        point *pt = &pts[i];
+        for (;;) {
+            do {  /* randrange(q) */
+                if (ws->n - ws->used < nw)
+                    return RAN_OUT;
+                for (size_t j = 0; j < nw; j++)
+                    digits[j] = next_word(ws);
+                digits[nw - 1] >>= shift;
+                mpz_import(pt->x, nw, -1, sizeof *digits, 0, 0, digits);
+            } while (mpz_cmp(pt->x, q) >= 0);
+            mpz_mul(t, pt->x, pt->x);
+            mpz_add_ui(t, t, 1);
+            mpz_mul(rhs, t, pt->x);
+            mpz_mod(rhs, rhs, q);
+            if (mpz_sgn(rhs) == 0)
+                continue;
+            mpz_powm(pt->y, rhs, root, q);
+            mpz_mul(t, pt->y, pt->y);
+            mpz_mod(t, t, q);
+            if (mpz_cmp(t, rhs) != 0)
+                continue;
+            if (ws->used == ws->n)
+                return RAN_OUT;
+            if (next_word(ws) >> 31)  /* getrandbits(1) */
+                mpz_sub(pt->y, q, pt->y);
+            pt->inf = 0;
+            break;
+        }
+    }
+    return OK;
+}
+
+static PyObject *sample_points_on(scratch *s, PyObject *args)
+{
+    PyObject *qobj, *hobj;
+    Py_ssize_t count, nbytes;
+    const char *bytes;
+    if (!PyArg_ParseTuple(args, "OOny#", &qobj, &hobj, &count, &bytes, &nbytes))
+        return NULL;
+    if (count < 0 || nbytes % 4 != 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "need count >= 0 and whole 32-bit words");
+        return NULL;
+    }
+    size_t n = (size_t)count;
+    /* Every point takes at least two words, an abscissa and a sign. */
+    if (n > (size_t)nbytes / 8)
+        Py_RETURN_NONE;
+    /* z pool: q, h, 6 round temporaries, (q+1)/4, rhs, t, prefix;
+     * points: candidates, accumulators, inf */
+    if (reserve_z(s, n + 11) < 0 || reserve_p(s, 2 * n + 1) < 0)
+        return PyErr_NoMemory();
+    mpz_t *z = s->z;
+    if (load_modulus(z[0], qobj, s) < 0 || load_mpz(z[1], hobj, s) < 0)
+        return NULL;
+    if (mpz_fdiv_ui(z[0], 4) != 3 || mpz_sgn(z[1]) <= 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "need q = 3 mod 4 and a positive cofactor");
+        return NULL;
+    }
+    mpz_add_ui(z[8], z[0], 1);
+    mpz_fdiv_q_2exp(z[8], z[8], 2);
+    point *pool = s->p, *inf = &pool[2 * n];
+    inf->inf = 1;
+    PyObject *result = NULL;
+    point **ptrs = malloc((3 * n + 1) * sizeof *ptrs);
+    size_t *pending = malloc((n + 1) * sizeof *pending);
+    uint32_t *digits = malloc((mpz_sizeinbase(z[0], 2) + 31) / 32 * sizeof *digits);
+    if (ptrs == NULL || pending == NULL || digits == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    point **bases = ptrs, **acc = ptrs + n, **dests = ptrs + 2 * n;
+    for (size_t i = 0; i < n; i++) {
+        bases[i] = acc[i] = &pool[i];
+        dests[i] = &pool[n + i];
+    }
+    word_stream ws = {(const unsigned char *)bytes, (size_t)nbytes / 4, 0};
+    rounds c = {z[0], z[2], z[3], z[4], z[5], z[6], z[7], z + 11, pending, inf};
+    int status;
+    Py_BEGIN_ALLOW_THREADS
+    status = draw_candidates(pool, n, &ws, z[0], z[8], z[9], z[10], digits);
+    if (status == OK)
+        status = scalar_mul_rounds(&c, acc, bases, dests, n, z[1]);
+    Py_END_ALLOW_THREADS
+    if (status == RAN_OUT) {
+        result = Py_NewRef(Py_None);
+        goto done;
+    }
+    if (status != OK) {
+        PyErr_SetString(PyExc_ZeroDivisionError,
+                        "a slope denominator is not invertible");
+        goto done;
+    }
+    int identity = 0;
+    for (size_t i = 0; i < n; i++)
+        identity |= acc[i]->inf;
+    PyObject *points = identity ? Py_NewRef(Py_None) : store_points(acc, n, s);
+    if (points != NULL)
+        result = Py_BuildValue("(Nn)", points, (Py_ssize_t)ws.used);
+done:
+    free(ptrs);
+    free(pending);
+    free(digits);
     return result;
 }
 
@@ -1149,6 +1311,7 @@ static PyObject *reset_after_fork(PyObject *self, PyObject *unused)
 }
 
 LEND_SCRATCH(affine_multiexp)
+LEND_SCRATCH(sample_points)
 LEND_SCRATCH(scalar_mul_vector)
 LEND_SCRATCH(schedule_chunk)
 LEND_SCRATCH(straus_fq2)
@@ -1156,6 +1319,8 @@ LEND_SCRATCH(straus_fq2)
 static PyMethodDef methods[] = {
     {"affine_multiexp", affine_multiexp, METH_VARARGS,
      "affine_multiexp(q, w, tree_entries, instances) -> list of (x, y) or None"},
+    {"sample_points", sample_points, METH_VARARGS,
+     "sample_points(q, h, count, words) -> (list of (x, y) or None, used) or None"},
     {"scalar_mul_vector", scalar_mul_vector, METH_VARARGS,
      "scalar_mul_vector(q, scalar, points) -> list of (x, y) or None"},
     {"schedule_chunk", schedule_chunk, METH_VARARGS,
@@ -1169,8 +1334,8 @@ static PyMethodDef methods[] = {
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_repro_kernels",
-    "GMP kernels for the lockstep affine multiexp, the Miller-schedule "
-    "chunk and the F_{q^2} Straus loop.",
+    "GMP kernels for the lockstep affine multiexp, subgroup sampling, the "
+    "Miller-schedule chunk and the F_{q^2} Straus loop.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 

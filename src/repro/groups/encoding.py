@@ -6,7 +6,8 @@ the inverse direction, which persistence (:mod:`repro.utils.persist`)
 and the CLI need:
 
 * ``decode_g1``: flag bit, x coordinate, y parity -> curve point (y is
-  recovered as ``sqrt(x^3 + x)`` and sign-corrected);
+  recovered as ``sqrt(x^3 + x)`` and sign-corrected); ``decode_g1_batch``
+  decodes many and checks their orders as one vector;
 * ``decode_gt``: two coordinates -> ``F_{q^2}`` element.
 
 Both validate group membership: the decoded element must be on the
@@ -16,10 +17,12 @@ wrong-subgroup encodings raise :class:`~repro.errors.GroupError`.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.errors import GroupError
 from repro.groups import curve
 from repro.groups.bilinear import BilinearGroup, G1Element, GTElement
-from repro.groups.curve import Point
+from repro.groups.curve import INFINITY, Point
 from repro.math.fields import Fq2
 from repro.math.modular import sqrt_mod_or_none
 from repro.utils.bits import BitString
@@ -27,8 +30,34 @@ from repro.utils.serialization import int_width
 
 
 def decode_g1(group: BilinearGroup, bits: BitString) -> G1Element:
-    """Inverse of :meth:`G1Element.to_bits` (compressed encoding)."""
+    """Inverse of :meth:`G1Element.to_bits` (compressed encoding): the
+    :func:`decode_g1_batch` of one."""
+    return decode_g1_batch(group, [bits])[0]
+
+
+def decode_g1_batch(
+    group: BilinearGroup, encodings: Sequence[BitString]
+) -> list[G1Element]:
+    """:func:`decode_g1` of every encoding, with the subgroup checks of
+    all the points run as one lockstep vector
+    (:func:`~repro.groups.curve.batch_scalar_mul` by ``p``, a single
+    native call when the compiled kernels serve the active backend).
+
+    Every encoding is lifted to a curve point first, so a malformed one
+    raises before any order is checked."""
     q = group.params.q
+    points = [_lift_g1(q, bits) for bits in encodings]
+    finite = [point for point in points if not point.is_infinity()]
+    if finite and not all(
+        point.is_infinity()
+        for point in curve.batch_scalar_mul(finite, group.params.p, q)
+    ):
+        raise GroupError("decoded point is not in the order-p subgroup")
+    return [G1Element(group, point) for point in points]
+
+
+def _lift_g1(q: int, bits: BitString) -> Point:
+    """The curve point a compressed encoding names, its order unchecked."""
     width = int_width(q)
     if len(bits) != width + 2:
         raise GroupError(
@@ -38,7 +67,7 @@ def decode_g1(group: BilinearGroup, bits: BitString) -> G1Element:
     if not raw >> (width + 1):
         if raw:
             raise GroupError("malformed identity encoding")
-        return group.g_identity()
+        return INFINITY
     x = (raw >> 1) & ((1 << width) - 1)
     parity = raw & 1
     if x >= q:
@@ -52,10 +81,7 @@ def decode_g1(group: BilinearGroup, bits: BitString) -> G1Element:
         raise GroupError("x is not the abscissa of a curve point")
     if y % 2 != parity:
         y = (-y) % q
-    point = Point(x, y, False)
-    if not curve.scalar_mul(point, group.params.p, q).is_infinity():
-        raise GroupError("decoded point is not in the order-p subgroup")
-    return G1Element(group, point)
+    return Point(x, y, False)
 
 
 def decode_gt(group: BilinearGroup, bits: BitString) -> GTElement:

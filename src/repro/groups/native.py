@@ -3,13 +3,18 @@
 The lockstep affine multiexp
 (:func:`repro.groups.fastops._batch_affine_multiexp`) and the cofactor
 clearing that runs on the same rounds
-(:func:`repro.groups.curve.batch_scalar_mul`), the Miller-schedule
-chunk (:func:`repro.groups.pairing.evaluate_schedule_chunk`) and the
-``F_{q^2}`` Straus loop (:func:`repro.groups.fastops._straus_fq2_shared`)
-each have a C twin in ``_kernels.c``, shipped beside this module.
-Every call runs a whole loop on GMP ``mpz_t`` values, so any modulus
-size takes the same path.  The Python kernels stay the reference: the
-C versions return the same canonical residues.
+(:func:`repro.groups.curve.batch_scalar_mul`), the unknown-dlog
+sampler (:func:`repro.groups.sampling.random_subgroup_points`), the
+Miller-schedule chunk (:func:`repro.groups.pairing.evaluate_schedule_chunk`)
+and the ``F_{q^2}`` Straus loop
+(:func:`repro.groups.fastops._straus_fq2_shared`) each have a C twin in
+``_kernels.c``, shipped beside this module.  Every call runs a whole
+loop on GMP ``mpz_t`` values, so any modulus size takes the same path.
+The Python kernels stay the reference: the C versions return the same
+canonical residues.  The sampler takes a ``random.Random``'s raw
+32-bit output words, drawn ahead in Python, and consumes them exactly
+as ``randrange`` and ``getrandbits(1)`` would, so the RNG stream is
+the Python loop's.
 
 The first :func:`kernels` call compiles the source with a plain ``gcc``
 run against the interpreter's headers and ``-lgmp``, into a per-user

@@ -14,13 +14,21 @@ scheme":
   ``(q^2 - 1)/p``.
 
 Both are retried on the (probability ``~1/p``) identity outcome.
+
+A vector of ``G`` draws (:func:`random_subgroup_points`) runs as one
+compiled call (:mod:`repro.groups.native`) when the kernels serve the
+active backend and the generator is an exact :class:`random.Random`;
+it returns the same points and leaves the generator in the same state
+as the Python loop here, which stays the reference.  A lone draw stays
+in Python: saving and restoring the generator state costs about what
+the Python draw does.
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.groups import curve
+from repro.groups import curve, native
 from repro.groups.curve import Point
 from repro.groups.pairing_params import PairingParams
 from repro.math.fields import Fq2
@@ -61,6 +69,11 @@ def random_subgroup_points(
     from the same RNG stream, with the cofactors cleared as one lockstep
     vector (:func:`~repro.groups.curve.batch_scalar_mul`).
 
+    When the compiled kernels serve the active backend and ``rng`` is an
+    exact :class:`random.Random`, the whole vector is one native call
+    (:func:`_native_subgroup_points`); RNG subclasses keep the Python
+    loop, which stays the reference.
+
     The sequential sampler redraws right after a candidate whose
     cofactor multiple is the identity (probability about ``h / q`` per
     draw).  A vector that hits one would consume the stream in a
@@ -69,13 +82,51 @@ def random_subgroup_points(
     """
     if count <= 0:
         return []
-    state = rng.getstate()
-    candidates = [_random_curve_point(params, rng) for _ in range(count)]
-    cleared = curve.batch_scalar_mul(candidates, params.h, params.q)
-    if any(point.is_infinity() for point in cleared):
-        rng.setstate(state)
+    compiled = native.kernels()
+    if compiled is not None and type(rng) is random.Random:
+        points = _native_subgroup_points(compiled, params, rng, count)
+    else:
+        state = rng.getstate()
+        candidates = [_random_curve_point(params, rng) for _ in range(count)]
+        points = curve.batch_scalar_mul(candidates, params.h, params.q)
+        if any(point.is_infinity() for point in points):
+            rng.setstate(state)
+            points = None
+    if points is None:
         return [random_subgroup_point(params, rng) for _ in range(count)]
-    return cleared
+    return points
+
+
+def _native_subgroup_points(
+    compiled, params: PairingParams, rng: random.Random, count: int
+) -> list[Point] | None:
+    """The vector of :func:`random_subgroup_points` as one native call,
+    or ``None`` (with ``rng`` untouched) if a candidate clears to the
+    identity.
+
+    ``rng``'s raw 32-bit output words are drawn ahead: ``4 * ceil(k /
+    32) + 2`` per point (``k = q.bit_length()``) plus 64, against an
+    expected two abscissas per point of at most two tries each and one
+    sign word.  The kernel consumes them exactly as ``randrange`` and
+    ``getrandbits(1)`` would and reports how many it used.  The RNG is
+    then reset and advanced by just those words.  A budget that runs
+    out is doubled and redrawn from the same state.
+    """
+    q = params.q
+    state = rng.getstate()
+    budget = count * (4 * -(-q.bit_length() // 32) + 2) + 64
+    while True:
+        words = rng.getrandbits(32 * budget).to_bytes(4 * budget, "little")
+        rng.setstate(state)
+        drawn = compiled.sample_points(q, params.h, count, words)
+        if drawn is not None:
+            break
+        budget *= 2
+    raws, used = drawn
+    if raws is None:
+        return None
+    rng.getrandbits(32 * used)
+    return curve.unlift_affine(raws)
 
 
 def random_gt_value(params: PairingParams, rng: random.Random) -> Fq2:

@@ -183,7 +183,7 @@ class DLRIBE(DLR):
 
                 sk_comm = self.hpske_g.keygen(device1.rng)
                 device1.secret.store("ext.sk_comm", sk_comm)
-                fresh_a = tuple(self.group.random_g(device1.rng) for _ in range(ell))
+                fresh_a = tuple(self.group.random_g_batch(device1.rng, ell))
                 device1.secret.store("ext.a_next", list(fresh_a), derived=True)
                 f_pairs = tuple(
                     (
@@ -315,9 +315,7 @@ class DLRIBE(DLR):
                     device1.secret.store("ext.r", Share2(tuple(r), self.group.p))
                     r_pub = tuple(self.group.g ** r_j for r_j in r)
                     blinding = G1Element.multiexp((msk1.phi, *u_sel), (1, *r))
-                    fresh_a = tuple(
-                        self.group.random_g(device1.rng) for _ in range(ell)
-                    )
+                    fresh_a = tuple(self.group.random_g_batch(device1.rng, ell))
                     device1.secret.store("ext.a_next", list(fresh_a), derived=True)
                     f_pairs = tuple(
                         (
@@ -476,7 +474,7 @@ class DLRIBE(DLR):
 
                 sk_comm = self.hpske_g.keygen(device1.rng)
                 device1.secret.store("idref.sk_comm", sk_comm)
-                fresh_a = tuple(self.group.random_g(device1.rng) for _ in range(ell))
+                fresh_a = tuple(self.group.random_g_batch(device1.rng, ell))
                 device1.secret.store("idref.a_next", list(fresh_a), derived=True)
                 f_pairs = tuple(
                     (

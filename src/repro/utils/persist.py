@@ -24,7 +24,7 @@ from repro.core.keys import Ciphertext, PublicKey, Share1, Share2
 from repro.core.params import DLRParams
 from repro.errors import ParameterError
 from repro.groups.bilinear import BilinearGroup, G1Element, GTElement
-from repro.groups.encoding import decode_g1, decode_gt
+from repro.groups.encoding import decode_g1, decode_g1_batch, decode_gt
 from repro.groups.pairing_params import PairingParams
 from repro.utils.bits import BitString
 
@@ -102,10 +102,11 @@ def dump_share1(share: Share1) -> dict[str, Any]:
 
 
 def load_share1(group: BilinearGroup, data: dict[str, Any]) -> Share1:
-    return Share1(
-        a=tuple(_g1_from_hex(group, text) for text in data["a"]),
-        phi=_g1_from_hex(group, data["phi"]),
+    # a and phi share one subgroup-check vector.
+    *a, phi = decode_g1_batch(
+        group, [_bits_from_hex(text) for text in (*data["a"], data["phi"])]
     )
+    return Share1(a=tuple(a), phi=phi)
 
 
 def dump_share2(share: Share2) -> dict[str, Any]:

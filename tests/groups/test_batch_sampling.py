@@ -7,7 +7,14 @@ consuming the stream exactly like the loops, so each test compares the
 values *and* the RNG state afterwards against the sequential loop on an
 identically seeded generator.  The identity-fallback branch (a
 candidate whose cofactor multiple is the identity) is driven
-deterministically with a scripted RNG.
+deterministically with a scripted RNG on the Python path, and with a
+searched seed of an exact ``random.Random`` on the native path.
+
+With the compiled kernels, an exact ``random.Random`` samples a whole
+vector in one native call that consumes the generator's pre-drawn
+output words; those tests pin it against the Python loop (run under
+:func:`~repro.groups.native._python_kernels`) and skip where the
+extension cannot be built.
 """
 
 from __future__ import annotations
@@ -19,11 +26,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hpske import HPSKE
-from repro.groups import fastops, preset_group, sampling
+from repro.groups import fastops, native, preset_group, sampling
 from repro.groups.curve import Point, scalar_mul
 from repro.math.modular import sqrt_mod
 
 SMALL = preset_group(32)
+SIZES = (16, 32, 64, 128, 256)
+
+needs_native = pytest.mark.skipif(
+    native.kernels() is None, reason="the native kernels cannot be built here"
+)
 
 
 class ScriptedRandom(random.Random):
@@ -111,6 +123,112 @@ class TestRandomGBatch:
         assert batch_rng.getstate() == loop_rng.getstate()
         assert all(not element.is_identity() for element in batched)
         assert x not in {element.point.x for element in batched}
+
+
+def python_sample(params, seed: int, count: int):
+    """The Python sampler's points and final RNG state."""
+    rng = random.Random(seed)
+    with native._python_kernels():
+        points = sampling.random_subgroup_points(params, rng, count)
+    return points, rng.getstate()
+
+
+@needs_native
+class TestNativeSampler:
+    @given(
+        seed=st.integers(0, 2**30),
+        count=st.integers(0, 300),
+        n=st.sampled_from(SIZES),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_python_sampler(self, seed, count, n):
+        params = preset_group(n).params
+        rng = random.Random(seed)
+        points = sampling.random_subgroup_points(params, rng, count)
+        assert (points, rng.getstate()) == python_sample(params, seed, count)
+
+    def test_a_budget_that_runs_out_is_doubled(self):
+        """The wrapper redraws a larger budget from the same state."""
+        compiled = native.kernels()
+        budgets = []
+
+        class Starved:
+            def sample_points(self, q, h, count, words):
+                budgets.append(len(words) // 4)
+                if len(budgets) == 1:
+                    words = words[:8]
+                return compiled.sample_points(q, h, count, words)
+
+        rng = random.Random(3)
+        points = sampling._native_subgroup_points(Starved(), SMALL.params, rng, 40)
+        assert (points, rng.getstate()) == python_sample(SMALL.params, 3, 40)
+        assert budgets[1] == 2 * budgets[0]
+
+    def test_identity_outcome_falls_back_to_the_loop(self, monkeypatch):
+        """Seed 131 draws a candidate of order dividing h = 20 among its
+        first 200 on the 16-bit group: the native call reports it, and
+        the vector is redrawn sequentially from the restored state."""
+        group = preset_group(16)
+        words = random.Random(131).getrandbits(32 * 4000).to_bytes(16000, "little")
+        points, _ = native.kernels().sample_points(
+            group.params.q, group.params.h, 200, words
+        )
+        assert points is None
+        fallbacks = []
+        original = sampling.random_subgroup_point
+
+        def spy(*args):
+            fallbacks.append(1)
+            return original(*args)
+
+        batch_rng, loop_rng = random.Random(131), random.Random(131)
+        with monkeypatch.context() as patch:
+            patch.setattr(sampling, "random_subgroup_point", spy)
+            batched = group.random_g_batch(batch_rng, 200)
+        looped = [group.random_g(loop_rng) for _ in range(200)]
+        assert len(fallbacks) == 200
+        assert batched == looped
+        assert batch_rng.getstate() == loop_rng.getstate()
+
+    def test_rng_subclasses_keep_the_python_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a random.Random subclass reached the kernel")
+
+        monkeypatch.setattr(sampling, "_native_subgroup_points", refuse)
+        batch_rng, loop_rng = ScriptedRandom(9, {}), ScriptedRandom(9, {})
+        batched = SMALL.random_g_batch(batch_rng, 30)
+        assert batched == [SMALL.random_g(loop_rng) for _ in range(30)]
+        assert batch_rng.getstate() == loop_rng.getstate()
+
+
+def test_unbuildable_kernels_keep_the_python_path(monkeypatch, tmp_path):
+    monkeypatch.setattr(native, "_module", None)
+    monkeypatch.setattr(native, "_loaded", False)
+    monkeypatch.setattr(native, "_cache_dir", lambda: tmp_path / "cache")
+    monkeypatch.setattr(native, "_COMPILER", "repro-no-such-compiler")
+
+    def refuse(*args):
+        raise AssertionError("the native sampler ran without kernels")
+
+    monkeypatch.setattr(sampling, "_native_subgroup_points", refuse)
+    batch_rng, loop_rng = random.Random(12), random.Random(12)
+    batched = SMALL.random_g_batch(batch_rng, 30)
+    assert batched == [SMALL.random_g(loop_rng) for _ in range(30)]
+    assert batch_rng.getstate() == loop_rng.getstate()
+
+
+class TestSampleCoins:
+    @given(seed=st.integers(0, 2**30))
+    @settings(max_examples=15, deadline=None)
+    def test_g_coins_are_the_kappa_loop(self, seed):
+        scheme = HPSKE(SMALL, kappa=4, space="G")
+        coin_rng, loop_rng = random.Random(seed), random.Random(seed)
+        before = SMALL.counter.g_samples
+        coins = scheme.sample_coins(coin_rng)
+        middle = SMALL.counter.g_samples
+        assert coins == tuple(SMALL.random_g(loop_rng) for _ in range(4))
+        assert coin_rng.getstate() == loop_rng.getstate()
+        assert middle - before == SMALL.counter.g_samples - middle == 4
 
 
 class TestEncryptBatch:

@@ -1,10 +1,18 @@
 """Unit tests for group-element decoding (the persistence substrate)."""
 
+import random
+
 import pytest
 
 from repro.errors import GroupError
 from repro.groups.curve import Point
-from repro.groups.encoding import decode_g1, decode_gt, g1_roundtrip, gt_roundtrip
+from repro.groups.encoding import (
+    decode_g1,
+    decode_g1_batch,
+    decode_gt,
+    g1_roundtrip,
+    gt_roundtrip,
+)
 from repro.utils.bits import BitString
 from repro.utils.serialization import int_width
 
@@ -181,3 +189,81 @@ class TestG1DecodeRejections:
             element = small_group.random_g(rng)
             for candidate in (element, element.inverse()):
                 assert decode_g1(small_group, candidate.to_bits()) == candidate
+
+
+def _bad_encodings(group) -> dict[str, BitString]:
+    """One encoding per rejection path of ``decode_g1``."""
+    from repro.groups import curve as curve_mod
+    from repro.math.modular import sqrt_mod_or_none
+
+    q = group.params.q
+    width = int_width(q)
+    bad = {
+        "wrong length": BitString(0, width),
+        "malformed identity": BitString(0, 1) + BitString(7, width) + BitString(1, 1),
+        "out of field": _g1_bits(q, 0, width),
+        "2-torsion": _g1_bits(0, 1, width),
+    }
+    for x in range(1, 400):
+        y = sqrt_mod_or_none((x * x * x + x) % q, q)
+        if y is None:
+            bad.setdefault("off the curve", _g1_bits(x, 0, width))
+        elif not curve_mod.scalar_mul(Point(x, y, False), group.params.p, q).is_infinity():
+            bad.setdefault("wrong subgroup", _g1_bits(x, y % 2, width))
+    assert len(bad) == 6
+    return bad
+
+
+@pytest.fixture(params=["native", "python"])
+def kernel_set(request):
+    """Run the test on each kernel set the host has."""
+    from repro.groups import native
+
+    if request.param == "python":
+        with native._python_kernels():
+            yield request.param
+        return
+    if native.kernels() is None:
+        pytest.skip("the native kernels cannot be built here")
+    yield request.param
+
+
+class TestG1DecodeBatch:
+    def test_matches_decode_g1_one_by_one(self, small_group, rng, kernel_set):
+        elements = [small_group.random_g(rng) for _ in range(12)]
+        elements[3] = small_group.g_identity()
+        elements.append(elements[0].inverse())
+        encodings = [element.to_bits() for element in elements]
+        assert decode_g1_batch(small_group, encodings) == elements
+        assert decode_g1_batch(small_group, encodings) == [
+            decode_g1(small_group, bits) for bits in encodings
+        ]
+        assert decode_g1_batch(small_group, []) == []
+
+    @pytest.mark.parametrize("kind", [
+        "wrong length", "malformed identity", "out of field", "2-torsion",
+        "off the curve", "wrong subgroup",
+    ])
+    @pytest.mark.parametrize("position", [0, 4, 8])
+    def test_a_bad_encoding_anywhere_raises_decode_g1s_error(
+        self, small_group, kind, position, kernel_set
+    ):
+        bad = _bad_encodings(small_group)[kind]
+        with pytest.raises(GroupError) as lone:
+            decode_g1(small_group, bad)
+        search = random.Random(position)
+        encodings = [small_group.random_g(search).to_bits() for _ in range(9)]
+        encodings[position] = bad
+        with pytest.raises(GroupError) as batched:
+            decode_g1_batch(small_group, encodings)
+        assert str(batched.value) == str(lone.value)
+
+    def test_load_share1_round_trips(self, small_group, rng, kernel_set):
+        from repro.core.keys import Share1
+        from repro.utils import persist
+
+        share = Share1(
+            a=tuple(small_group.random_g(rng) for _ in range(21)),
+            phi=small_group.random_g(rng),
+        )
+        assert persist.load_share1(small_group, persist.dump_share1(share)) == share

@@ -1,9 +1,9 @@
 """The compiled GMP kernels against the Python kernels they mirror.
 
-:mod:`repro.groups.native` runs four loops in C: the lockstep affine
+:mod:`repro.groups.native` runs five loops in C: the lockstep affine
 multiexp, the batched cofactor-clearing scalar multiplication, the
-Miller-schedule chunk and the ``F_{q^2}`` Straus loop.  Each is pinned
-here against its Python kernel, run inside
+subgroup sampler, the Miller-schedule chunk and the ``F_{q^2}`` Straus
+loop.  Each is pinned here against its Python kernel, run inside
 :func:`~repro.groups.native._python_kernels`, at every preset size from
 16 to 256 bits (multi-limb ``mpz_t`` from 128 up), with the special
 cases of a round drawn in: infinity operands, ``P + P`` and
@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from repro.core.dlr import DLR
 from repro.core.optimal import OptimalDLR
 from repro.core.params import DLRParams
-from repro.groups import fastops, native, preset_group
+from repro.groups import fastops, native, preset_group, sampling
 from repro.groups.bilinear import G1Element
 from repro.groups.curve import INFINITY, Point, batch_scalar_mul
 from repro.groups.pairing import PairingPrecomp, evaluate_schedule_chunk
@@ -53,6 +53,12 @@ needs_native = pytest.mark.skipif(
 COMMON = dict(max_examples=30, deadline=None)
 seeds = st.integers(min_value=0, max_value=2**30)
 sizes = st.sampled_from(SIZES)
+
+
+def draw_words(seed: int, words: int) -> bytes:
+    """``words`` output words of a seeded ``random.Random``, as the
+    sampling kernel takes them."""
+    return random.Random(seed).getrandbits(32 * words).to_bytes(4 * words, "little")
 
 
 def both(run):
@@ -199,6 +205,45 @@ class TestScalarMulVector:
         scalar = rng.choice([1, 2, group.params.h, rng.randrange(1, group.p)])
         got, want = both(lambda: batch_scalar_mul(points, scalar, group.q))
         assert got == want
+
+
+@needs_native
+class TestSamplePoints:
+    """The sampling kernel consumes exactly the words it reports.  Its
+    values and RNG state against the Python sampler are pinned in
+    ``test_batch_sampling.py``."""
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_reports_the_words_it_used_and_running_out(self, n):
+        """The Python sampler on the same seed returns the same points
+        and consumes exactly ``used`` words; one word fewer runs out."""
+        params = preset_group(n).params
+        kernel = native.kernels().sample_points
+        words = draw_words(n, 4000)
+        points, used = kernel(params.q, params.h, 50, words)
+        rng, skipped = random.Random(n), random.Random(n)
+        with native._python_kernels():
+            want = sampling.random_subgroup_points(params, rng, 50)
+        skipped.getrandbits(32 * used)
+        assert points == [(point.x, point.y) for point in want]
+        assert skipped.getstate() == rng.getstate()
+        assert kernel(params.q, params.h, 50, words[: 4 * used]) == (points, used)
+        assert kernel(params.q, params.h, 50, words[: 4 * (used - 1)]) is None
+        assert kernel(params.q, params.h, 50, b"") is None
+        assert kernel(params.q, params.h, 2**62, words) is None
+        assert kernel(params.q, params.h, 0, b"") == ([], 0)
+
+    def test_rejects_a_partial_word_and_bad_parameters(self):
+        kernel = native.kernels().sample_points
+        params = preset_group(32).params
+        with pytest.raises(ValueError):
+            kernel(params.q, params.h, 1, b"\0" * 6)
+        with pytest.raises(ValueError):
+            kernel(params.q + 2, params.h, 1, bytes(8))  # q = 1 (mod 4)
+        with pytest.raises(ValueError):
+            kernel(params.q, 0, 1, bytes(8))
+        with pytest.raises(ValueError):
+            kernel(params.q, params.h, -1, b"")
 
 
 @needs_native

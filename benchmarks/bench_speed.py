@@ -26,24 +26,17 @@ Usage::
 ``--check`` compares *speedup ratios* (machine-invariant, unlike raw
 wall-clock) against a baseline JSON: the run fails if any entry's
 speedup regressed below 75% of the baseline's.  Speedups shift with the
-parameter scale (window sizes, term counts), so the comparison is
-scale-matched: a full-size baseline embeds a ``"smoke"`` sub-report, and
+parameter scale (window sizes, term counts) and with the kernel set
+(the compiled kernels of :mod:`repro.groups.native` speed up some
+reference legs as well as the fast ones), so the comparison is matched
+on both: every report records ``"kernel_backend"`` (``native`` or
+``python``; ``"kernels"`` is the section of kernel timings), a
+full-size baseline embeds smoke-scale sub-reports (``"smoke"`` on the
+Python kernels, ``"smoke_native"`` on the compiled ones), and
 ``--check`` picks whichever baseline section was measured at the fresh
-run's ``(group_bits, lam)``.  CI runs smoke mode against the checked-in
-``results/BENCH_speed.json``.
-
-Every report records the field-arithmetic backend it ran on
-(``"backend"``) and whether the compiled kernels of
-:mod:`repro.groups.native` served it (``"kernel_backend"``: ``native``
-or ``python``; ``"kernels"`` is the section of kernel timings).  ``--backends python,gmpy2`` runs the whole suite once
-per listed backend *in one process* (unavailable backends are skipped
-with a note) and attaches the extra runs as ``"backend_columns"`` --
-same machine, same inputs, so the columns are directly comparable.
-``--require-accel BENCH[:RATIO]`` then gates on that comparison: the
-last non-python column must beat the python column's fast-path
-wall-clock on ``BENCH`` by at least ``RATIO`` (default 1.5).  This is
-how CI's gmpy2 leg enforces the acceleration floor without ever
-comparing wall-clock across machines.
+run's ``(group_bits, lam, kernel_backend)``.  A section without
+``kernel_backend`` counts as ``python``.  CI runs smoke mode against
+the checked-in ``results/BENCH_speed.json`` on both kernel sets.
 
 See docs/performance.md for how to read the output.
 """
@@ -63,6 +56,9 @@ REGRESSION_TOLERANCE = 0.75
 #: Points in the ``random_g_batch`` that prices ``g_samples``: the
 #: largest sampling vector of a DLR period at n=32, lam=32.
 SAMPLE_VECTOR = 88
+
+#: The smoke-scale sub-report a full-size baseline embeds per kernel set.
+SMOKE_SECTIONS = {"python": "smoke", "native": "smoke_native"}
 
 
 def _trimmed(samples: list[float]) -> float:
@@ -447,7 +443,6 @@ def speed_report(
     from repro.core.params import DLRParams
     from repro.groups import preset_group
     from repro.groups.native import kernel_backend
-    from repro.math.backend import active_backend
 
     group = preset_group(group_bits)
     params = DLRParams(group=group, lam=lam)
@@ -458,7 +453,6 @@ def speed_report(
     import os
 
     report = {
-        "backend": active_backend().name,
         "kernel_backend": kernel_backend(),
         "group_bits": group_bits,
         "lam": lam,
@@ -493,19 +487,30 @@ def _speedups(report: dict) -> dict[str, float]:
     return ratios
 
 
+def _section_key(section: dict) -> tuple:
+    return (
+        section.get("group_bits"),
+        section.get("lam"),
+        section.get("kernel_backend", "python"),
+    )
+
+
 def _scale_matched_baseline(report: dict, baseline: dict) -> dict | None:
-    """The baseline section measured at the fresh report's scale.
+    """The baseline section measured at the fresh report's scale and on
+    its kernel set.
 
     Speedup ratios depend on the parameter scale (window sizes and table
     amortization shift with exponent width and term count), so a smoke
     run must only be compared against smoke-scale baseline numbers.
+    They also depend on the kernel set: the compiled kernels speed up
+    reference legs that share their loops (a decode's subgroup check, a
+    single period's sampling), so a native run is compared against
+    native numbers and a Python-kernel run against Python ones.
     """
-    scale = (report.get("group_bits"), report.get("lam"))
-    if (baseline.get("group_bits"), baseline.get("lam")) == scale:
-        return baseline
-    smoke = baseline.get("smoke")
-    if smoke and (smoke.get("group_bits"), smoke.get("lam")) == scale:
-        return smoke
+    wanted = _section_key(report)
+    for section in (baseline, *(baseline.get(key) for key in SMOKE_SECTIONS.values())):
+        if section and _section_key(section) == wanted:
+            return section
     return None
 
 
@@ -518,9 +523,10 @@ def check_regressions(report: dict, baseline: dict) -> list[str]:
     """
     matched = _scale_matched_baseline(report, baseline)
     if matched is None:
+        group_bits, lam, kernels = _section_key(report)
         return [
-            f"baseline has no section at group_bits={report.get('group_bits')} "
-            f"lam={report.get('lam')} -- regenerate it with "
+            f"baseline has no section at group_bits={group_bits} lam={lam} "
+            f"kernel_backend={kernels} -- regenerate it with "
             "`python benchmarks/bench_speed.py --output results/BENCH_speed.json`"
         ]
     fresh = _speedups(report)
@@ -534,50 +540,6 @@ def check_regressions(report: dict, baseline: dict) -> list[str]:
                 f"(75% of baseline {base[name]:.2f}x)"
             )
     return failures
-
-
-def _lookup_entry(column: dict, bench: str) -> dict | None:
-    if "." in bench:
-        section, name = bench.split(".", 1)
-        return column.get(section, {}).get(name)
-    return column.get("schemes", {}).get(bench) or column.get("kernels", {}).get(bench)
-
-
-def check_acceleration(report: dict, bench: str, ratio: float) -> list[str]:
-    """Same-machine acceleration gate over the report's backend columns.
-
-    Requires a ``python`` column and at least one other; the *last*
-    non-python column's fast-path wall-clock on ``bench`` must be at
-    least ``ratio`` times faster than python's.  Wall-clock comparison
-    is sound here -- unlike ``--check`` -- because both columns were
-    measured in the same process on identical inputs.
-    """
-    columns = {report.get("backend", "python"): report}
-    columns.update(report.get("backend_columns", {}))
-    python = columns.get("python")
-    accelerated = [(n, c) for n, c in columns.items() if n != "python"]
-    if python is None or not accelerated:
-        return [
-            "--require-accel needs a python column plus an accelerated one "
-            f"(run with --backends; columns present: {sorted(columns)})"
-        ]
-    accel_name, accel = accelerated[-1]
-    base_entry = _lookup_entry(python, bench)
-    accel_entry = _lookup_entry(accel, bench)
-    if base_entry is None or accel_entry is None:
-        return [f"--require-accel: unknown benchmark {bench!r}"]
-    achieved = (
-        base_entry["fast_ms"] / accel_entry["fast_ms"]
-        if accel_entry["fast_ms"] > 0
-        else float("inf")
-    )
-    if achieved < ratio:
-        return [
-            f"{bench}: backend {accel_name!r} is {achieved:.2f}x vs python "
-            f"({accel_entry['fast_ms']}ms vs {base_entry['fast_ms']}ms), "
-            f"required >= {ratio:.2f}x"
-        ]
-    return []
 
 
 def check_pool(report: dict, bench: str, ratio: float) -> list[str]:
@@ -619,20 +581,6 @@ def main(argv=None) -> int:
         help="fail if any speedup regressed below 75%% of this baseline JSON",
     )
     parser.add_argument(
-        "--backends",
-        default=None,
-        metavar="NAMES",
-        help="comma-separated field backends to run as same-machine columns "
-        "(e.g. python,gmpy2); unavailable ones are skipped with a note",
-    )
-    parser.add_argument(
-        "--require-accel",
-        default=None,
-        metavar="BENCH[:RATIO]",
-        help="fail unless the last non-python --backends column beats the "
-        "python column by RATIO (default 1.5) on BENCH (e.g. p2_full_decrypt:1.5)",
-    )
-    parser.add_argument(
         "--require-pool",
         default=None,
         metavar="BENCH[:RATIO]",
@@ -648,36 +596,16 @@ def main(argv=None) -> int:
     # out a slow repeat, while a smoke run stays a few seconds long.
     repeats = args.repeats or (7 if args.smoke else 5)
 
-    if args.backends:
-        from repro.math.backend import backend_available, use_backend
-
-        columns: dict[str, dict] = {}
-        for name in (n.strip() for n in args.backends.split(",")):
-            if not name:
-                continue
-            if not backend_available(name):
-                sys.stderr.write(
-                    f"backend {name!r} not available on this machine; column skipped\n"
-                )
-                continue
-            with use_backend(name):
-                columns[name] = speed_report(
-                    group_bits=group_bits, lam=lam, repeats=repeats
-                )
-        if not columns:
-            sys.stderr.write("no requested backend is available\n")
-            return 2
-        first = next(iter(columns))
-        report = columns[first]
-        extra = {name: column for name, column in columns.items() if name != first}
-        if extra:
-            report["backend_columns"] = extra
-    else:
-        report = speed_report(group_bits=group_bits, lam=lam, repeats=repeats)
+    report = speed_report(group_bits=group_bits, lam=lam, repeats=repeats)
     if not args.smoke and (group_bits, lam) != (32, 32):
-        # Full-size baselines carry a smoke-scale sub-report so CI's
-        # smoke runs have scale-matched numbers to gate against.
-        report["smoke"] = speed_report(group_bits=32, lam=32, repeats=7)
+        # Full-size baselines carry a smoke-scale sub-report per kernel
+        # set this host runs, so CI's smoke runs have matched numbers.
+        from repro.groups import native
+
+        if native.kernel_backend() == "native":
+            report[SMOKE_SECTIONS["native"]] = speed_report(32, 32, repeats=7)
+        with native._python_kernels():
+            report[SMOKE_SECTIONS["python"]] = speed_report(32, 32, repeats=7)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w") as handle:
@@ -697,21 +625,6 @@ def main(argv=None) -> int:
         sys.stderr.write(
             f"speed regression gate passed ({len(_speedups(report))} entries)\n"
         )
-
-    if args.require_accel:
-        bench, _, ratio_text = args.require_accel.partition(":")
-        try:
-            ratio = float(ratio_text) if ratio_text else 1.5
-        except ValueError:
-            sys.stderr.write(f"--require-accel: bad ratio {ratio_text!r}\n")
-            return 2
-        failures = check_acceleration(report, bench, ratio)
-        if failures:
-            sys.stderr.write("acceleration gate FAILED:\n")
-            for failure in failures:
-                sys.stderr.write(f"  {failure}\n")
-            return 1
-        sys.stderr.write(f"acceleration gate passed ({bench} >= {ratio:.2f}x)\n")
 
     if args.require_pool:
         bench, _, ratio_text = args.require_pool.partition(":")

@@ -272,7 +272,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         backlog=args.backlog,
     )
     from repro.groups.native import kernel_backend
-    from repro.math.backend import active_backend
 
     tracer = None
     previous_tracer = None
@@ -283,10 +282,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
         previous_tracer = install_tracer(tracer)
     service.start()
     host, port = service.address
-    # "backend" stays last: tools read the field backend after it.
+    # "backend python" stays last: perfbench/run.py reads the field
+    # arithmetic's name after "backend " (it is always plain Python ints).
     print(f"serving on {host}:{port} ({args.workers} workers, "
           f"capacity {args.capacity}, kernels {kernel_backend()}, "
-          f"backend {active_backend().name})", flush=True)
+          "backend python)", flush=True)
     if args.announce is not None:
         persist.atomic_write_text(args.announce, f"{host} {port}\n")
     prom = None
@@ -423,13 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro-dlr",
         description="Distributed leakage-resilient PKE (PODC 2012 reproduction)",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("auto", "python", "gmpy2"),
-        default=None,
-        help="field-arithmetic backend (default: $REPRO_BACKEND or auto-detect; "
-        "see docs/performance.md)",
     )
     parser.add_argument(
         "--jobs",
@@ -584,15 +577,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.backend is not None:
-        from repro.errors import ParameterError
-        from repro.math.backend import set_backend
-
-        try:
-            set_backend(args.backend)
-        except ParameterError as exc:
-            print(f"--backend {args.backend}: {exc}", file=sys.stderr)
-            return 2
     if args.jobs is not None:
         from repro.parallel import set_jobs
 

@@ -1,9 +1,8 @@
 /* GMP kernels for the hot loops of the pairing group.
  *
  * Built on first use by repro.groups.native (a plain compiler run
- * against the interpreter's headers and -lgmp) and loaded only on the
- * pure-Python field backend.  Each entry point runs a whole loop, never
- * a single field operation:
+ * against the interpreter's headers and -lgmp).  Each entry point runs
+ * a whole loop, never a single field operation:
  *
  *   affine_multiexp  the lockstep affine multiexp of
  *                    repro.groups.fastops._batch_affine_multiexp:

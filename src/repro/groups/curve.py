@@ -9,14 +9,6 @@ Arithmetic is plain affine addition with one modular inverse per
 operation; scalar multiplication is double-and-add.  This is deliberately
 simple, constant-factor-honest Python -- adequate for the parameter sizes
 the reproduction targets and easy to audit against the textbook formulas.
-
-The Jacobian kernels are written against plain integer operators, so
-they run unchanged on whatever type the active
-:mod:`field backend <repro.math.backend>` computes with: each kernel
-entry point lifts the modulus and coordinates once
-(:meth:`~repro.math.backend.FieldBackend.lift`), and every value that
-escapes into a :class:`Point` is unlifted back to a canonical
-:class:`int`.
 """
 
 from __future__ import annotations
@@ -25,8 +17,7 @@ from dataclasses import dataclass
 
 from repro.errors import GroupError
 from repro.groups import native
-from repro.math.backend import active_backend
-from repro.math.modular import inv_mod
+from repro.math.modular import batch_inv, inv_mod
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,9 +46,8 @@ class Point:
 
     def __reduce__(self):
         # Explicit recipe: frozen+slots dataclasses only gained default
-        # pickle support in 3.11, and the int() coercion guarantees a
-        # backend-independent wire form for the repro.parallel pool.
-        return (Point, (int(self.x), int(self.y), self.infinity))
+        # pickle support in 3.11 (the repro.parallel pool pickles points).
+        return (Point, (self.x, self.y, self.infinity))
 
 
 INFINITY = Point.at_infinity()
@@ -174,9 +164,7 @@ def _jacobian_add_affine(p: _JacPoint, ax: int, ay: int, q: int) -> _JacPoint:
 
 
 def _jacobian_scalar_mul(point: Point, scalar: int, q: int) -> _JacPoint:
-    lift = active_backend().lift
-    q = lift(q)
-    ax, ay = lift(point.x) % q, lift(point.y) % q
+    ax, ay = point.x % q, point.y % q
     result: _JacPoint = (1, 1, 0)
     for bit in bin(scalar)[2:]:
         result = _jacobian_double(result, q)
@@ -189,11 +177,9 @@ def _jacobian_to_affine(p: _JacPoint, q: int) -> Point:
     x, y, z = p
     if z == 0:
         return INFINITY
-    backend = active_backend()
-    z_inv = backend.inv_mod(z, q)
+    z_inv = inv_mod(z, q)
     z_inv2 = z_inv * z_inv % q
-    unlift = backend.unlift
-    return Point(unlift(x * z_inv2 % q), unlift(y * z_inv2 * z_inv % q), False)
+    return Point(x * z_inv2 % q, y * z_inv2 * z_inv % q, False)
 
 
 def batch_to_affine(points: list[_JacPoint], q: int) -> list[Point]:
@@ -202,19 +188,16 @@ def batch_to_affine(points: list[_JacPoint], q: int) -> list[Point]:
 
     Infinity entries (``Z = 0``) pass through as :data:`INFINITY`.
     """
-    backend = active_backend()
-    unlift = backend.unlift
-    q = backend.lift(q)
     # skip_zero backfills 0 for every Z = 0 entry, so infinity points can
     # ride in the mixed vector without a pre-filtering pass (and without
     # the ParameterError the strict contract would raise).
-    inverses = backend.batch_inv([p[2] for p in points], q, skip_zero=True)
+    inverses = batch_inv([p[2] for p in points], q, skip_zero=True)
     result: list[Point] = [INFINITY] * len(points)
     for i, ((x, y, z), z_inv) in enumerate(zip(points, inverses)):
         if z_inv == 0:
             continue
         z_inv2 = z_inv * z_inv % q
-        result[i] = Point(unlift(x * z_inv2 % q), unlift(y * z_inv2 * z_inv % q), False)
+        result[i] = Point(x * z_inv2 % q, y * z_inv2 * z_inv % q, False)
     return result
 
 
@@ -223,16 +206,15 @@ def batch_to_affine(points: list[_JacPoint], q: int) -> list[Point]:
 # A vector of *independent* affine additions or doublings shares one
 # modular inversion (Montgomery's trick): each slope denominator is
 # inverted from the running prefix product, so a round of ``n``
-# operations costs one :meth:`~repro.math.backend.FieldBackend.inv_mod`
-# plus ``3(n - 1)`` multiplications -- cheaper per element than a
-# Jacobian step once ``n`` is a handful.  Entries are raw ``(x, y)``
-# pairs already lifted onto the active backend and reduced mod ``q``,
-# or ``None`` for the point at infinity.
+# operations costs one :func:`~repro.math.modular.inv_mod` plus
+# ``3(n - 1)`` multiplications -- cheaper per element than a Jacobian
+# step once ``n`` is a handful.  Entries are raw ``(x, y)`` pairs
+# reduced mod ``q``, or ``None`` for the point at infinity.
 
 _RawAffine = tuple[int, int] | None
 
 
-def batch_double_affine(points: "list[_RawAffine]", q) -> "list[_RawAffine]":
+def batch_double_affine(points: "list[_RawAffine]", q: int) -> "list[_RawAffine]":
     """``2P`` for every entry of a raw affine vector, one inversion."""
     out: list[_RawAffine] = [None] * len(points)
     pending: list[int] = []
@@ -245,7 +227,7 @@ def batch_double_affine(points: "list[_RawAffine]", q) -> "list[_RawAffine]":
             prefix.append(acc)
             acc = acc * 2 * point[1] % q
     if pending:
-        inv = active_backend().inv_mod(acc, q)
+        inv = inv_mod(acc, q)
         for i, before in zip(reversed(pending), reversed(prefix)):
             x, y = points[i]
             slope = (3 * x * x + 1) * inv * before % q  # a = 1
@@ -256,7 +238,7 @@ def batch_double_affine(points: "list[_RawAffine]", q) -> "list[_RawAffine]":
 
 
 def batch_add_affine(
-    lefts: "list[_RawAffine]", rights: "list[_RawAffine]", q
+    lefts: "list[_RawAffine]", rights: "list[_RawAffine]", q: int
 ) -> "list[_RawAffine]":
     """``lefts[k] + rights[k]`` for every ``k``, one inversion.
 
@@ -284,7 +266,7 @@ def batch_add_affine(
             acc = acc * 2 * left[1] % q
         # else P + (-P), or a 2-torsion point doubled: infinity.
     if pending:
-        inv = active_backend().inv_mod(acc, q)
+        inv = inv_mod(acc, q)
         for i, before in zip(reversed(pending), reversed(prefix)):
             x1, y1 = lefts[i]
             x2, y2 = rights[i]
@@ -299,22 +281,14 @@ def batch_add_affine(
     return out
 
 
-def lift_affine(points: list[Point], q) -> "list[_RawAffine]":
-    """Points as raw affine entries on the active backend."""
-    lift = active_backend().lift
-    return [
-        None if point.infinity else (lift(point.x) % q, lift(point.y) % q)
-        for point in points
-    ]
+def to_raw_affine(points: list[Point], q: int) -> "list[_RawAffine]":
+    """Points as raw affine entries."""
+    return [None if point.infinity else (point.x % q, point.y % q) for point in points]
 
 
-def unlift_affine(raws: "list[_RawAffine]") -> list[Point]:
-    """Raw affine entries back to canonical :class:`Point` values."""
-    unlift = active_backend().unlift
-    return [
-        INFINITY if raw is None else Point(unlift(raw[0]), unlift(raw[1]), False)
-        for raw in raws
-    ]
+def from_raw_affine(raws: "list[_RawAffine]") -> list[Point]:
+    """Raw affine entries back to :class:`Point` values."""
+    return [INFINITY if raw is None else Point(raw[0], raw[1], False) for raw in raws]
 
 
 def batch_scalar_mul(points: list[Point], scalar: int, q: int) -> list[Point]:
@@ -325,24 +299,23 @@ def batch_scalar_mul(points: list[Point], scalar: int, q: int) -> list[Point]:
     clearing the cofactor of many sampled points costs a few inversions
     instead of one per point.  ``scalar`` must be positive.  Runs as
     one :mod:`native <repro.groups.native>` call when the compiled
-    kernels serve the active backend.
+    kernels are built.
     """
     if scalar < 1:
         raise GroupError("batch_scalar_mul needs a positive scalar")
     compiled = native.kernels()
     if compiled is not None:
-        return unlift_affine(
+        return from_raw_affine(
             compiled.scalar_mul_vector(
                 q,
                 scalar,
                 [None if point.infinity else (point.x, point.y) for point in points],
             )
         )
-    lifted_q = active_backend().lift(q)
-    base = lift_affine(points, lifted_q)
+    base = to_raw_affine(points, q)
     acc = base
     for bit in bin(scalar)[3:]:
-        acc = batch_double_affine(acc, lifted_q)
+        acc = batch_double_affine(acc, q)
         if bit == "1":
-            acc = batch_add_affine(acc, base, lifted_q)
-    return unlift_affine(acc)
+            acc = batch_add_affine(acc, base, q)
+    return from_raw_affine(acc)

@@ -41,7 +41,7 @@ def decode_g1_batch(
     """:func:`decode_g1` of every encoding, with the subgroup checks of
     all the points run as one lockstep vector
     (:func:`~repro.groups.curve.batch_scalar_mul` by ``p``, a single
-    native call when the compiled kernels serve the active backend).
+    native call when the compiled kernels are built).
 
     Every encoding is lifted to a curve point first, so a malformed one
     raises before any order is checked."""

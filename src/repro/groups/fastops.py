@@ -29,10 +29,9 @@ loop.  The element-level entry points live on
 :meth:`~repro.groups.bilinear.G1Element.multiexp`, which also maintain
 the ``g_multiexp`` / ``gt_multiexp`` operation counters.
 
-On the pure-Python field backend the batch-affine and ``F_{q^2}``
-Straus loops run as compiled GMP kernels when
-:mod:`repro.groups.native` can build them; the Python loops here stay
-the reference and the fallback.
+The batch-affine and ``F_{q^2}`` Straus loops run as compiled GMP
+kernels when :mod:`repro.groups.native` can build them; the Python
+loops here stay the reference and the fallback.
 
 :func:`reference_mode` disables every fast path process-wide (kernels
 fall back to the naive per-term element ladders, fixed-argument pairing
@@ -53,11 +52,11 @@ from repro.groups.curve import (
     Point,
     batch_add_affine,
     batch_double_affine,
-    lift_affine,
-    unlift_affine,
+    from_raw_affine,
+    to_raw_affine,
 )
 from repro.groups.windows import bucket_window, straus_window, wnaf_window
-from repro.math.backend import active_backend
+from repro.math.modular import fq2_mul, fq2_square
 
 _RawFq2 = tuple[int, int]
 
@@ -98,9 +97,8 @@ def reference_mode() -> Iterator[None]:
         _enabled = previous
 
 
-# Window widths come from the shared backend-aware cost models in
-# :mod:`repro.groups.windows` (formerly duplicated inline here and in
-# precompute.FixedBaseExp).
+# Window widths come from the shared cost models in
+# :mod:`repro.groups.windows`.
 
 # ---------------------------------------------------------------------------
 # G (curve) kernels
@@ -134,7 +132,7 @@ def wnaf_digits(exponent: int, w: int) -> list[tuple[int, int]]:
     return digits
 
 
-def _sum_column_groups(groups: list[list[list]], width: int, q) -> list[list]:
+def _sum_column_groups(groups: list[list[list]], width: int, q: int) -> list[list]:
     """Sum each group of equal-length columns of raw affine points
     element-wise, all groups in lockstep.
 
@@ -215,15 +213,15 @@ def _batch_affine_multiexp(
     masks and the coordinates of a weighted product -- share one digit
     layout (:func:`_digit_layout`) and fill their columns exactly.
 
-    When the compiled kernels serve the active backend
-    (:mod:`repro.groups.native`), the whole evaluation -- layout,
+    When the compiled kernels are built (:mod:`repro.groups.native`),
+    the whole evaluation -- layout,
     tables, trees and Horner -- is one native call.
     """
     bits = max(e.bit_length() for _, exponents in instances for e in exponents)
     w = wnaf_window(bits)
     compiled = native.kernels()
     if compiled is not None:
-        return unlift_affine(
+        return from_raw_affine(
             compiled.affine_multiexp(
                 q,
                 w,
@@ -237,8 +235,6 @@ def _batch_affine_multiexp(
                 ],
             )
         )
-    q = active_backend().lift(q)
-
     layouts: dict[tuple[int, ...], tuple] = {}
     instance_layouts = []
     for _, exponents in instances:
@@ -248,7 +244,7 @@ def _batch_affine_multiexp(
             layout = layouts[key] = _digit_layout(key, w)
         instance_layouts.append(layout)
     multiples = [count for layout in instance_layouts for count in layout[1]]
-    bases_raw = lift_affine([point for points, _ in instances for point in points], q)
+    bases_raw = to_raw_affine([point for points, _ in instances for point in points], q)
 
     # Odd multiples P, 3P, 5P, ... up to each term's largest digit.
     tables = [[base] for base in bases_raw]
@@ -319,7 +315,7 @@ def _batch_affine_multiexp(
     if previous:
         for _ in range(previous):
             acc = batch_double_affine(acc, q)
-    return unlift_affine(acc)
+    return from_raw_affine(acc)
 
 
 def batch_multiexp_points(
@@ -365,18 +361,15 @@ def batch_multiexp_points_chunk(
 
 
 def _straus_fq2_shared(
-    values: list[_RawFq2], exponents: list[int], w: int, digits: int, q
+    values: list[_RawFq2], exponents: list[int], w: int, digits: int, q: int
 ) -> _RawFq2:
     """Straus over ``F_{q^2}`` with a caller-chosen window and digit
-    count (the shared decision of :func:`batch_multiexp_fq2`).  Inputs
-    must already be lifted to the active backend's representation.
-    Runs as one :mod:`native <repro.groups.native>` call when the
-    compiled kernels serve the active backend."""
+    count (the shared decision of :func:`batch_multiexp_fq2`).  Runs as
+    one :mod:`native <repro.groups.native>` call when the compiled
+    kernels are built."""
     compiled = native.kernels()
     if compiled is not None:
         return compiled.straus_fq2(list(values), list(exponents), w, digits, q)
-    backend = active_backend()
-    fq2_mul, fq2_square = backend.fq2_mul, backend.fq2_square
     mask = (1 << w) - 1
     tables = []
     for value in values:
@@ -395,7 +388,7 @@ def _straus_fq2_shared(
             digit = (exponent >> shift) & mask
             if digit:
                 acc = fq2_mul(acc, row[digit - 1], q)
-    return (backend.unlift(acc[0]), backend.unlift(acc[1]))
+    return acc
 
 
 def batch_multiexp_fq2(
@@ -408,8 +401,8 @@ def batch_multiexp_fq2(
     :func:`batch_multiexp_points`: exponents pre-reduced to
     ``[1, order)``, identity terms dropped by the caller.  The
     ``F_{q^2}`` Straus path has no batched inversion to share, so the
-    amortisation here is the window/cost-model decision (and the single
-    backend lift of the modulus): one :func:`straus_window` call sized
+    amortisation here is the window/cost-model decision: one
+    :func:`straus_window` call sized
     by the widest exponent and largest term count serves every
     Straus-sized instance.  Pippenger-sized and empty instances dispatch
     individually.  A lone instance gets the window its own terms pick.
@@ -433,17 +426,9 @@ def batch_multiexp_fq2(
     )
     w = straus_window(max(len(instances[idx][0]) for idx in straus_idx), bits)
     digits = -(-bits // w)
-    backend = active_backend()
-    lifted_q = q
     for idx in straus_idx:
-        values = instances[idx][0]
-        if not backend.native_ints:
-            lift = backend.lift
-            lifted_q = lift(q)
-            values = [(lift(a), lift(b)) for a, b in values]
-        results[idx] = _straus_fq2_shared(
-            values, instances[idx][1], w, digits, lifted_q
-        )
+        values, exponents = instances[idx]
+        results[idx] = _straus_fq2_shared(values, exponents, w, digits, q)
     return results  # type: ignore[return-value]
 
 
@@ -458,12 +443,6 @@ def batch_multiexp_fq2_chunk(
 def _pippenger_fq2(values: list[_RawFq2], exponents: list[int], q: int) -> _RawFq2:
     bits = max(e.bit_length() for e in exponents)
     w = bucket_window(len(values), bits)
-    backend = active_backend()
-    fq2_mul, fq2_square = backend.fq2_mul, backend.fq2_square
-    if not backend.native_ints:
-        lift = backend.lift
-        q = lift(q)
-        values = [(lift(a), lift(b)) for a, b in values]
     mask = (1 << w) - 1
     digits = -(-bits // w)
 
@@ -488,4 +467,4 @@ def _pippenger_fq2(values: list[_RawFq2], exponents: list[int], q: int) -> _RawF
             if running != (1, 0):
                 window_sum = fq2_mul(window_sum, running, q)
         acc = fq2_mul(acc, window_sum, q)
-    return (backend.unlift(acc[0]), backend.unlift(acc[1]))
+    return acc

@@ -23,10 +23,8 @@ compiler.  The build goes to a temporary file that is renamed into
 place, so servers starting together cannot load a half-written module.
 Any failure (no compiler, no ``gmp.h``, an unwritable cache, a module
 that does not load) leaves the Python kernels in charge, silently.
-
-The kernels take plain :class:`int` operands, so they serve only the
-pure-Python field backend; other backends, and everything under
-:func:`repro.groups.fastops.reference_mode`, keep the Python algebra.
+Everything under :func:`repro.groups.fastops.reference_mode` keeps the
+Python algebra.
 """
 
 from __future__ import annotations
@@ -43,8 +41,6 @@ import tempfile
 import threading
 from contextlib import contextmanager, suppress
 from typing import Iterator
-
-from repro.math.backend import PythonBackend, active_backend
 
 _SOURCE = pathlib.Path(__file__).with_name("_kernels.c")
 _MODULE_NAME = "_repro_kernels"
@@ -142,16 +138,17 @@ def _compiled():
 
 
 def kernels():
-    """The compiled kernels if they serve the active backend, else
-    ``None`` (the caller runs its Python kernel)."""
-    if _forced_python or type(active_backend()) is not PythonBackend:
+    """The compiled kernels, or ``None`` when they cannot be built or
+    :func:`_python_kernels` is in force (the caller runs its Python
+    kernel)."""
+    if _forced_python:
         return None
     return _compiled()
 
 
 def kernel_backend() -> str:
-    """``"native"`` when the compiled kernels serve the active backend,
-    else ``"python"``: the name the server banner and ``health`` show."""
+    """``"native"`` when the compiled kernels serve the hot loops, else
+    ``"python"``: the name the server banner and ``health`` show."""
     return "python" if kernels() is None else "native"
 
 

@@ -53,19 +53,18 @@ from repro.groups.curve import (
     batch_to_affine,
 )
 from repro.groups.pairing_params import PairingParams
-from repro.math.backend import active_backend
 from repro.math.fields import Fq2
-from repro.math.modular import batch_inv
+from repro.math.modular import (
+    batch_inv,
+    fq2_inverse,
+    fq2_mul,
+    fq2_pow,
+    fq2_square,
+    inv_mod,
+)
 from repro.parallel import parallel_map
 
 _RawFq2 = tuple[int, int]
-
-# The raw F_{q^2} kernels (lazy-reduction Karatsuba product, square,
-# ladder pow, unitary-shortcut inverse) live on the field backend
-# (:meth:`~repro.math.backend.FieldBackend.fq2_mul` and friends); each
-# Miller-loop entry point lifts its operands once and binds the backend
-# methods to locals, then unlifts at the return boundary so raw pairs
-# escaping to callers are always canonical ints.
 
 
 def miller_loop_affine(p_point: Point, q_point: Point, params: PairingParams) -> _RawFq2:
@@ -77,17 +76,14 @@ def miller_loop_affine(p_point: Point, q_point: Point, params: PairingParams) ->
     order = params.p
     if p_point.is_infinity() or q_point.is_infinity():
         return (1, 0)
-    backend = active_backend()
-    fq2_mul, fq2_square = backend.fq2_mul, backend.fq2_square
-    inv_mod, lift = backend.inv_mod, backend.lift
-    q = lift(params.q)
+    q = params.q
     # phi(Q) = (-x_Q, i * y_Q): affine x in F_q, purely imaginary y.
-    phi_x = lift(-q_point.x) % q
-    phi_y = lift(q_point.y) % q
+    phi_x = -q_point.x % q
+    phi_y = q_point.y % q
     neg_phi_y = (-phi_y) % q
 
     f: _RawFq2 = (1, 0)
-    tx, ty = lift(p_point.x) % q, lift(p_point.y) % q
+    tx, ty = p_point.x % q, p_point.y % q
     px, py = tx, ty
     t_infinity = False
 
@@ -115,7 +111,7 @@ def miller_loop_affine(p_point: Point, q_point: Point, params: PairingParams) ->
                 x3 = (slope * slope - tx - px) % q
                 ty = (slope * (tx - x3) - ty) % q
                 tx = x3
-    return (backend.unlift(f[0]), backend.unlift(f[1]))
+    return f
 
 
 def miller_loop(p_point: Point, q_point: Point, params: PairingParams) -> _RawFq2:
@@ -133,16 +129,13 @@ def miller_loop(p_point: Point, q_point: Point, params: PairingParams) -> _RawFq
     order = params.p
     if p_point.is_infinity() or q_point.is_infinity():
         return (1, 0)
-    backend = active_backend()
-    fq2_mul, fq2_square = backend.fq2_mul, backend.fq2_square
-    lift = backend.lift
-    q = lift(params.q)
-    phi_x = lift(-q_point.x) % q
-    phi_y = lift(q_point.y) % q
+    q = params.q
+    phi_x = -q_point.x % q
+    phi_y = q_point.y % q
     neg_phi_y = (-phi_y) % q
 
     f: _RawFq2 = (1, 0)
-    px, py = lift(p_point.x) % q, lift(p_point.y) % q
+    px, py = p_point.x % q, p_point.y % q
     tx_, ty_, tz_ = px, py, 1  # T = P, Jacobian with Z = 1
     t_infinity = False
 
@@ -180,7 +173,7 @@ def miller_loop(p_point: Point, q_point: Point, params: PairingParams) -> _RawFq
                 )
                 f = fq2_mul(f, line, q)
                 tx_, ty_, tz_ = _jacobian_add_affine((tx_, ty_, tz_), px, py, q)
-    return (backend.unlift(f[0]), backend.unlift(f[1]))
+    return f
 
 
 class PairingPrecomp:
@@ -210,9 +203,8 @@ class PairingPrecomp:
         self.steps: list[tuple[tuple[int, int] | None, tuple[int, int] | None]] = []
         if self._trivial:
             return
-        lift = active_backend().lift
-        q = lift(params.q)
-        px, py = lift(p_point.x) % q, lift(p_point.y) % q
+        q = params.q
+        px, py = p_point.x % q, p_point.y % q
 
         # Pass 1: walk the schedule in Jacobian form, recording the point
         # *before* each doubling / addition plus the step layout.
@@ -238,10 +230,6 @@ class PairingPrecomp:
                     jac = _jacobian_add_affine(jac, px, py, q)
             layout.append((has_double, has_add))
 
-        # Pass 2 runs on canonical ints: batch_to_affine unlifts its
-        # output, and the cached step coefficients must be plain ints.
-        q = params.q
-        px, py = p_point.x % q, p_point.y % q
         # One batched normalisation for every step point ...
         affine = batch_to_affine(dbl_points + add_points, q)
         dbl_affine = affine[: len(dbl_points)]
@@ -282,14 +270,13 @@ class PairingPrecomp:
         the process pool enabled (``jobs > 1``, or the
         :func:`repro.parallel.get_jobs` default) the evaluations fan out
         across workers, with only canonical ints crossing the process
-        boundary (the schedule coefficients already are; the ``Q``
-        coordinates are coerced here).  Results are bit-identical to --
+        boundary.  Results are bit-identical to --
         and ordered like -- mapping :meth:`pair_with` over the vector.
         """
         xys = [
             None
             if self._trivial or pt.is_infinity()
-            else (int(pt.x), int(pt.y))
+            else (pt.x, pt.y)
             for pt in q_points
         ]
         worker = partial(
@@ -300,7 +287,7 @@ class PairingPrecomp:
     def pair_with_many(
         self, q_points: "list[Point]", jobs: int | None = None
     ) -> list[Fq2]:
-        """:meth:`evaluate_many`, lifted to ``F_{q^2}`` elements."""
+        """:meth:`evaluate_many`, as ``F_{q^2}`` elements."""
         q = self.params.q
         return [
             Fq2._from_reduced(a, b, q)
@@ -334,66 +321,57 @@ def evaluate_schedule_chunk(
     and so do the norms that the final exponentiations invert
     (``f^(q-1) = conj(f)^2 / N(f)``).  Every input is a plain int, so a
     :func:`functools.partial` over this function pickles for the
-    :mod:`repro.parallel` pool; each call lifts onto whatever backend
-    is active in *this* process and returns canonical ints, through one
+    :mod:`repro.parallel` pool.  Runs as one
     :mod:`native <repro.groups.native>` call when the compiled kernels
-    serve that backend.
+    are built.
     """
     compiled = native.kernels()
     if compiled is not None:
         return compiled.schedule_chunk(list(steps), q, h, list(xys))
-    backend = active_backend()
-    lift, unlift = backend.lift, backend.unlift
-    lq = lift(q)
     results: list[_RawFq2] = [(1, 0)] * len(xys)
     live = [k for k, xy in enumerate(xys) if xy is not None and xy[1] % q]
-    inv_ys = backend.batch_inv([lift(xys[k][1]) for k in live], lq)
+    inv_ys = batch_inv([xys[k][1] for k in live], q)
     values = []
     for k, inv_y in zip(live, inv_ys):
-        u = lift(xys[k][0]) * inv_y % lq  # x_Q / y_Q
-        v = -inv_y % lq  # -1 / y_Q
-        a, b = lift(1), lift(0)
+        u = xys[k][0] * inv_y % q  # x_Q / y_Q
+        v = -inv_y % q  # -1 / y_Q
+        a, b = 1, 0
         for dbl_coeffs, add_coeffs in steps:
             # f^2, left unreduced until the line multiply.
             s0 = (a - b) * (a + b)
             s1 = 2 * a * b
             if dbl_coeffs is None:
-                a, b = s0 % lq, s1 % lq
+                a, b = s0 % q, s1 % q
             else:
                 c = dbl_coeffs[0] * u + dbl_coeffs[1] * v  # reduced below
-                a, b = (s0 * c - s1) % lq, (s0 + s1 * c) % lq
+                a, b = (s0 * c - s1) % q, (s0 + s1 * c) % q
             if add_coeffs is not None:
                 c = add_coeffs[0] * u + add_coeffs[1] * v
-                a, b = (a * c - b) % lq, (a + b * c) % lq
+                a, b = (a * c - b) % q, (a + b * c) % q
         values.append((a, b))
     # Final exponentiation (q - 1) * h, Frobenius = conjugation:
     # f^(q-1) = conj(f) / f = conj(f)^2 / (a^2 + b^2).
     # The result is unitary (norm 1), so raising it to h squares as
     # (a + bi)^2 = (2a^2 - 1) + 2ab i.
-    inv_norms = backend.batch_inv([a * a + b * b for a, b in values], lq)
+    inv_norms = batch_inv([a * a + b * b for a, b in values], q)
     for k, (a, b), inv_norm in zip(live, values, inv_norms):
-        x0, x1 = (a - b) * (a + b) * inv_norm % lq, -2 * a * b * inv_norm % lq
+        x0, x1 = (a - b) * (a + b) * inv_norm % q, -2 * a * b * inv_norm % q
         r0, r1 = x0, x1
         for bit in bin(h)[3:]:
-            r0, r1 = (2 * r0 * r0 - 1) % lq, 2 * r0 * r1 % lq
+            r0, r1 = (2 * r0 * r0 - 1) % q, 2 * r0 * r1 % q
             if bit == "1":
-                r0, r1 = (r0 * x0 - r1 * x1) % lq, (r0 * x1 + r1 * x0) % lq
-        results[k] = (unlift(r0), unlift(r1))
+                r0, r1 = (r0 * x0 - r1 * x1) % q, (r0 * x1 + r1 * x0) % q
+        results[k] = (r0, r1)
     return results
 
 
 def final_exponentiation(value: _RawFq2, params: PairingParams) -> _RawFq2:
     """Raise to ``(q^2 - 1)/p = (q - 1) * h`` using Frobenius = conjugation."""
-    backend = active_backend()
-    lift = backend.lift
-    q = lift(params.q)
-    a, b = lift(value[0]) % q, lift(value[1]) % q
+    q = params.q
+    a, b = value[0] % q, value[1] % q
     conjugate: _RawFq2 = (a, (-b) % q)
-    powered_q_minus_1 = backend.fq2_mul(
-        conjugate, backend.fq2_inverse((a, b), q), q
-    )
-    raw = backend.fq2_pow(powered_q_minus_1, params.h, q)
-    return (backend.unlift(raw[0]), backend.unlift(raw[1]))
+    powered_q_minus_1 = fq2_mul(conjugate, fq2_inverse((a, b), q), q)
+    return fq2_pow(powered_q_minus_1, params.h, q)
 
 
 def tate_pairing(p_point: Point, q_point: Point, params: PairingParams) -> Fq2:

@@ -28,7 +28,7 @@ class FixedBaseExp:
 
     ``window`` trades table size (``ceil(bits/w) * 2^w`` elements) for
     multiplications per exponentiation (``ceil(bits/w)``); pass
-    ``window=None`` to pick the width from the shared backend-aware cost
+    ``window=None`` to pick the width from the shared cost
     model (:func:`repro.groups.windows.fixed_base_window`).
     """
 

@@ -16,8 +16,8 @@ scheme":
 Both are retried on the (probability ``~1/p``) identity outcome.
 
 A vector of ``G`` draws (:func:`random_subgroup_points`) runs as one
-compiled call (:mod:`repro.groups.native`) when the kernels serve the
-active backend and the generator is an exact :class:`random.Random`;
+compiled call (:mod:`repro.groups.native`) when the kernels are built
+and the generator is an exact :class:`random.Random`;
 it returns the same points and leaves the generator in the same state
 as the Python loop here, which stays the reference.  A lone draw stays
 in Python: saving and restoring the generator state costs about what
@@ -69,8 +69,8 @@ def random_subgroup_points(
     from the same RNG stream, with the cofactors cleared as one lockstep
     vector (:func:`~repro.groups.curve.batch_scalar_mul`).
 
-    When the compiled kernels serve the active backend and ``rng`` is an
-    exact :class:`random.Random`, the whole vector is one native call
+    When the compiled kernels are built and ``rng`` is an exact
+    :class:`random.Random`, the whole vector is one native call
     (:func:`_native_subgroup_points`); RNG subclasses keep the Python
     loop, which stays the reference.
 
@@ -126,7 +126,7 @@ def _native_subgroup_points(
     if raws is None:
         return None
     rng.getrandbits(32 * used)
-    return curve.unlift_affine(raws)
+    return curve.from_raw_affine(raws)
 
 
 def random_gt_value(params: PairingParams, rng: random.Random) -> Fq2:

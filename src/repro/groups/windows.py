@@ -1,4 +1,4 @@
-"""Shared, backend-aware window-selection cost models.
+"""Shared window-selection cost models.
 
 Four exponentiation kernels pick a window width ``w`` from the same
 family of cost trade-offs (table size vs. main-loop work):
@@ -10,25 +10,11 @@ family of cost trade-offs (table size vs. main-loop work):
 * fixed-base windowed exponentiation (:func:`fixed_base_window`,
   used by :class:`~repro.groups.precompute.FixedBaseExp`).
 
-Historically the first two formulas lived inline in
-:mod:`repro.groups.fastops` and :class:`FixedBaseExp` hard-coded its
-width; this module is the single home for all of them.
-
-The models are **backend-aware**: costs are expressed in units of one
-group addition/multiplication, with the squaring/doubling cost read from
-the active :class:`~repro.math.backend.FieldBackend`'s
-:attr:`~repro.math.backend.FieldBackend.window_costs` profile.  For the
-shipped backends both ratios are 1.0 -- the formulas then reduce exactly
-to the historical ones -- but a backend with, say, cheap squarings
-(dedicated ``sqrmod``) can shift the optimum without the kernels
-changing.
+Costs are counted in group operations, with a squaring or doubling
+costing the same as a multiplication or addition.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-from repro.math.backend import FieldBackend, active_backend
 
 #: Inclusive search bound for Straus windows: tables are per-base, so
 #: widths beyond 7 never amortise at the term counts the schemes produce.
@@ -43,29 +29,7 @@ MAX_BUCKET_WINDOW = 11
 MAX_FIXED_BASE_WINDOW = 16
 
 
-@dataclass(frozen=True, slots=True)
-class WindowProfile:
-    """Relative operation costs used by the window cost models.
-
-    ``add_cost`` is the unit (one group addition / field multiplication);
-    ``double_cost`` is a squaring or point doubling relative to it.
-    """
-
-    add_cost: float = 1.0
-    double_cost: float = 1.0
-
-
-def profile_for(backend: FieldBackend | None = None) -> WindowProfile:
-    """The window profile of ``backend`` (default: the active backend)."""
-    if backend is None:
-        backend = active_backend()
-    add_cost, double_cost = backend.window_costs
-    return WindowProfile(add_cost=add_cost, double_cost=double_cost)
-
-
-def straus_window(
-    terms: int, bits: int, profile: WindowProfile | None = None
-) -> int:
+def straus_window(terms: int, bits: int) -> int:
     """``GT`` Straus window width minimising the group-operation count.
 
     Cost model: table build is ``terms * (2^w - 2)`` multiplications,
@@ -74,22 +38,15 @@ def straus_window(
     with probability ``2^-w``).  Short exponents push toward small
     windows -- the table must amortise within one pass.
     """
-    if profile is None:
-        profile = profile_for()
-    add, dbl = profile.add_cost, profile.double_cost
     best_w, best_cost = 1, None
     for w in range(1, MAX_STRAUS_WINDOW + 1):
-        cost = (
-            terms * ((1 << w) - 2) * add
-            + bits * dbl
-            + terms * (bits / w) * (1 - 2.0 ** -w) * add
-        )
+        cost = terms * ((1 << w) - 2) + bits + terms * (bits / w) * (1 - 2.0 ** -w)
         if best_cost is None or cost < best_cost:
             best_w, best_cost = w, cost
     return best_w
 
 
-def wnaf_window(bits: int, profile: WindowProfile | None = None) -> int:
+def wnaf_window(bits: int) -> int:
     """wNAF width for one term of the batch-affine multiexp.
 
     Cost model per term: the table of odd multiples ``P, 3P, ..,
@@ -98,56 +55,40 @@ def wnaf_window(bits: int, profile: WindowProfile | None = None) -> int:
     loop adds one entry per nonzero digit, ``bits / (w + 1)`` of them
     on average.  The accumulator doublings do not depend on ``w``.
     """
-    if profile is None:
-        profile = profile_for()
-    add, dbl = profile.add_cost, profile.double_cost
     best_w, best_cost = 2, None
     for w in range(2, MAX_STRAUS_WINDOW + 1):
-        table = 0.0 if w == 2 else dbl + ((1 << (w - 2)) - 1) * add
-        cost = table + bits / (w + 1) * add
+        table = 0 if w == 2 else 1 << (w - 2)  # 1 doubling + the additions
+        cost = table + bits / (w + 1)
         if best_cost is None or cost < best_cost:
             best_w, best_cost = w, cost
     return best_w
 
 
-def bucket_window(
-    terms: int, bits: int, profile: WindowProfile | None = None
-) -> int:
+def bucket_window(terms: int, bits: int) -> int:
     """``GT`` Pippenger window width: per digit position the buckets cost
     ``terms`` adds plus ``~2^{w+1}`` for the suffix-sum fold, across
     ``bits / w`` positions."""
-    if profile is None:
-        profile = profile_for()
-    add, dbl = profile.add_cost, profile.double_cost
     best_w, best_cost = 1, None
     for w in range(1, MAX_BUCKET_WINDOW + 1):
-        cost = bits * dbl + (bits / w) * (terms + (1 << (w + 1))) * add
+        cost = bits + (bits / w) * (terms + (1 << (w + 1)))
         if best_cost is None or cost < best_cost:
             best_w, best_cost = w, cost
     return best_w
 
 
-def fixed_base_window(
-    bits: int,
-    expected_uses: int = 256,
-    profile: WindowProfile | None = None,
-) -> int:
+def fixed_base_window(bits: int, expected_uses: int = 256) -> int:
     """Fixed-base window width for a table amortised over
     ``expected_uses`` exponentiations.
 
     Cost model: the one-time table build is ``ceil(bits/w) * (2^w - 1)``
     multiplications (every row entry is one multiply), and each
     exponentiation then costs at most ``ceil(bits/w)`` multiplications.
-    Minimises ``build + expected_uses * per_exp``; doublings never occur
-    in this method, so only ``add_cost`` matters.
+    Minimises ``build + expected_uses * per_exp``.
     """
-    if profile is None:
-        profile = profile_for()
-    add = profile.add_cost
     best_w, best_cost = 1, None
     for w in range(1, MAX_FIXED_BASE_WINDOW + 1):
         digits = -(-bits // w)
-        cost = digits * ((1 << w) - 1) * add + expected_uses * digits * add
+        cost = digits * ((1 << w) - 1) + expected_uses * digits
         if best_cost is None or cost < best_cost:
             best_w, best_cost = w, cost
     return best_w

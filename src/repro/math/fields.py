@@ -10,10 +10,9 @@ Elements are small immutable value objects; arithmetic returns new
 elements.  For hot loops the elliptic-curve code works on raw integer
 pairs instead, but every public API trades in these classes.
 
-All arithmetic routes through the active field backend
-(:mod:`repro.math.backend`); stored coordinates are always canonical
-:class:`int` in ``[0, q)``, whatever type the backend computes with.
-Internally the arithmetic uses the **trusted constructors**
+All arithmetic runs on plain :class:`int` through the helpers of
+:mod:`repro.math.modular`; stored coordinates are always canonical in
+``[0, q)``.  Internally the arithmetic uses the **trusted constructors**
 :meth:`Fq._from_reduced` / :meth:`Fq2._from_reduced`, which skip the
 ``__post_init__`` re-reduction (and, for ``Fq2``, the ``q % 4``
 re-validation) the public constructors perform -- results of a modular
@@ -27,8 +26,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import GroupError, ParameterError
-from repro.math.backend import active_backend
-from repro.math.modular import sqrt_mod
+from repro.math.modular import (
+    fq2_inverse,
+    fq2_mul,
+    fq2_pow,
+    fq2_square,
+    inv_mod,
+    mul_mod,
+    pow_mod,
+    sqrt_mod,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,8 +52,8 @@ class Fq:
     def _from_reduced(cls, value: int, q: int) -> "Fq":
         """Trusted constructor: ``value`` must already lie in ``[0, q)``.
 
-        Skips ``__post_init__``'s re-reduction; the backend seam uses it
-        for every arithmetic result (already reduced by construction).
+        Skips ``__post_init__``'s re-reduction; every arithmetic result
+        (already reduced by construction) goes through it.
         """
         element = object.__new__(cls)
         object.__setattr__(element, "value", value)
@@ -67,10 +74,7 @@ class Fq:
 
     def __mul__(self, other: "Fq") -> "Fq":
         self._check(other)
-        backend = active_backend()
-        return Fq._from_reduced(
-            backend.unlift(backend.mul_mod(self.value, other.value, self.q)), self.q
-        )
+        return Fq._from_reduced(mul_mod(self.value, other.value, self.q), self.q)
 
     def __neg__(self) -> "Fq":
         return Fq._from_reduced((-self.value) % self.q, self.q)
@@ -78,16 +82,10 @@ class Fq:
     def __pow__(self, exponent: int) -> "Fq":
         if exponent < 0:
             return self.inverse() ** (-exponent)
-        backend = active_backend()
-        return Fq._from_reduced(
-            backend.unlift(backend.pow_mod(self.value, exponent, self.q)), self.q
-        )
+        return Fq._from_reduced(pow_mod(self.value, exponent, self.q), self.q)
 
     def inverse(self) -> "Fq":
-        backend = active_backend()
-        return Fq._from_reduced(
-            backend.unlift(backend.inv_mod(self.value, self.q)), self.q
-        )
+        return Fq._from_reduced(inv_mod(self.value, self.q), self.q)
 
     def __truediv__(self, other: "Fq") -> "Fq":
         self._check(other)
@@ -104,11 +102,8 @@ class Fq:
 
     def __reduce__(self):
         # Frozen slotted dataclasses have no __dict__ for the default
-        # pickle protocol, and a coordinate produced by an accelerated
-        # backend may be a backend-native integer (gmpy2 mpz): coerce to
-        # canonical int so the pickled form crosses process boundaries
-        # (the repro.parallel pool) independent of the sending backend.
-        return (Fq, (int(self.value), int(self.q)))
+        # pickle protocol (the repro.parallel pool pickles elements).
+        return (Fq, (self.value, self.q))
 
 
 @dataclass(frozen=True, slots=True)
@@ -174,15 +169,13 @@ class Fq2:
     def __mul__(self, other: "Fq2") -> "Fq2":
         self._check(other)
         q = self.q
-        backend = active_backend()
-        a, b = backend.fq2_mul((self.a, self.b), (other.a, other.b), q)
-        return Fq2._from_reduced(backend.unlift(a), backend.unlift(b), q)
+        a, b = fq2_mul((self.a, self.b), (other.a, other.b), q)
+        return Fq2._from_reduced(a, b, q)
 
     def square(self) -> "Fq2":
         q = self.q
-        backend = active_backend()
-        a, b = backend.fq2_square((self.a, self.b), q)
-        return Fq2._from_reduced(backend.unlift(a), backend.unlift(b), q)
+        a, b = fq2_square((self.a, self.b), q)
+        return Fq2._from_reduced(a, b, q)
 
     def conjugate(self) -> "Fq2":
         q = self.q
@@ -196,12 +189,11 @@ class Fq2:
         if self.a == 0 and self.b == 0:
             raise GroupError("0 is not invertible in F_{q^2}")
         q = self.q
-        backend = active_backend()
-        # The backend applies the unitary (norm-1) conjugation shortcut
+        # fq2_inverse applies the unitary (norm-1) conjugation shortcut
         # -- every member of the order-p pairing subgroup inverts for
         # free -- and falls back to one modular inversion otherwise.
-        a, b = backend.fq2_inverse((self.a, self.b), q)
-        return Fq2._from_reduced(backend.unlift(a), backend.unlift(b), q)
+        a, b = fq2_inverse((self.a, self.b), q)
+        return Fq2._from_reduced(a, b, q)
 
     def __truediv__(self, other: "Fq2") -> "Fq2":
         self._check(other)
@@ -211,9 +203,8 @@ class Fq2:
         if exponent < 0:
             return self.inverse() ** (-exponent)
         q = self.q
-        backend = active_backend()
-        a, b = backend.fq2_pow((self.a, self.b), exponent, q)
-        return Fq2._from_reduced(backend.unlift(a), backend.unlift(b), q)
+        a, b = fq2_pow((self.a, self.b), exponent, q)
+        return Fq2._from_reduced(a, b, q)
 
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -225,10 +216,8 @@ class Fq2:
         return (self.a, self.b)
 
     def __reduce__(self):
-        # See Fq.__reduce__: slots + frozen needs an explicit recipe, and
-        # the int() coercion unlifts any backend-native coordinates so
-        # the wire form is backend-independent.
-        return (Fq2, (int(self.a), int(self.b), int(self.q)))
+        # See Fq.__reduce__: slots + frozen needs an explicit recipe.
+        return (Fq2, (self.a, self.b, self.q))
 
     def __repr__(self) -> str:
         return f"Fq2({self.a} + {self.b}i mod {self.q})"

@@ -1,32 +1,43 @@
 """Modular arithmetic primitives over prime moduli.
 
 These are the low-level building blocks for the finite fields in
-:mod:`repro.math.fields` and the elliptic-curve arithmetic in
-:mod:`repro.groups.curve`.  All functions operate on plain Python
-integers and assume (without re-checking) that the modulus is an odd
-prime unless stated otherwise.
+:mod:`repro.math.fields`, the elliptic-curve arithmetic in
+:mod:`repro.groups.curve` and the pairing in :mod:`repro.groups.pairing`.
+All functions operate on plain Python integers and assume (without
+re-checking) that the modulus is an odd prime unless stated otherwise.
 
-Every modular power and inverse routes through the active
-:mod:`field-arithmetic backend <repro.math.backend>` -- this module is
-the *functional* face of that seam (the raw-representation face used by
-the group kernels is :meth:`~repro.math.backend.FieldBackend.lift`).
-Results are always canonical :class:`int`, whatever type the backend
-computes with.
+The raw ``F_{q^2} = F_q[i]/(i^2 + 1)`` kernels (:func:`fq2_mul`,
+:func:`fq2_square`, :func:`fq2_pow`, :func:`fq2_inverse`) take and
+return ``(a, b)`` pairs standing for ``a + b*i``; the element API in
+:mod:`repro.math.fields` and the Miller loops are written on them.
 """
 
 from __future__ import annotations
 
 from repro.errors import ParameterError
-from repro.math.backend import active_backend
+
+_RawFq2 = tuple[int, int]  # (a, b) representing a + b*i, i^2 = -1
+
+
+def mul_mod(a: int, b: int, p: int) -> int:
+    """``a * b mod p``."""
+    return a * b % p
+
+
+def pow_mod(base: int, exponent: int, p: int) -> int:
+    """``base ** exponent mod p``."""
+    return pow(base, exponent, p)
 
 
 def inv_mod(a: int, p: int) -> int:
     """Return the inverse of ``a`` modulo ``p``.
 
-    Raises :class:`~repro.errors.ParameterError` if ``a`` is not invertible.
+    Raises :class:`~repro.errors.ParameterError` if ``a`` is ``0 (mod p)``.
     """
-    backend = active_backend()
-    return backend.unlift(backend.inv_mod(a, p))
+    a %= p
+    if a == 0:
+        raise ParameterError(f"0 is not invertible modulo {p}")
+    return pow(a, -1, p)
 
 
 def batch_inv(
@@ -38,32 +49,91 @@ def batch_inv(
     ``n`` inversions cost ``3(n - 1)`` multiplications plus one
     :func:`inv_mod` -- the kernel behind the batched Jacobian-to-affine
     normalisation and the pairing-precomputation schedule in
-    :mod:`repro.groups.fastops` / :mod:`repro.groups.pairing`.
+    :mod:`repro.groups.curve` / :mod:`repro.groups.pairing`.
 
     Raises :class:`~repro.errors.ParameterError` if any value is
     ``0 (mod p)`` (reporting the offending index), leaving no partial
     output.  With ``skip_zero`` zero entries are instead skipped and
     backfilled as ``0`` -- the mixed-vector contract callers such as
     :func:`~repro.groups.curve.batch_to_affine` need when identity
-    elements ride along with finite ones.
+    elements ride along with finite ones -- while every other entry
+    still shares the single inversion.
     """
-    backend = active_backend()
-    inverses = backend.batch_inv(values, p, skip_zero=skip_zero)
-    if backend.native_ints:
+    prefix = []
+    acc = 1
+    for value in values:
+        acc = acc * value % p
+        prefix.append(acc)
+    if acc == 0:
+        # Some entry is 0 (mod p), p being prime: report the first, or
+        # invert the others with those entries standing in as 1.
+        zeros = [i for i, value in enumerate(values) if value % p == 0]
+        if not skip_zero:
+            raise ParameterError(f"0 is not invertible modulo {p} (index {zeros[0]})")
+        inverses = batch_inv([1 if value % p == 0 else value for value in values], p)
+        for i in zeros:
+            inverses[i] = 0
         return inverses
-    unlift = backend.unlift
-    return [unlift(inverse) for inverse in inverses]
+    n = len(values)
+    if n == 0:
+        return []
+    inv = inv_mod(acc, p)
+    inverses = [0] * n
+    for i in range(n - 1, 0, -1):
+        inverses[i] = inv * prefix[i - 1] % p
+        inv = inv * values[i] % p
+    inverses[0] = inv
+    return inverses
 
 
-def pow_mod(base: int, exponent: int, p: int) -> int:
-    """``base ** exponent mod p`` on the active backend.
+def fq2_mul(u: _RawFq2, v: _RawFq2, q: int) -> _RawFq2:
+    """Karatsuba product in ``F_{q^2}`` with **lazy reduction**: the
+    three cross products stay unreduced and each output coordinate is
+    reduced exactly once."""
+    a, b = u
+    c, d = v
+    ac = a * c
+    bd = b * d
+    cross = (a + b) * (c + d) - ac - bd
+    return ((ac - bd) % q, cross % q)
 
-    The sanctioned spelling of ``pow(base, exponent, p)`` for every
-    layer above :mod:`repro.math` (the backend may route it to, e.g.,
-    ``gmpy2.powmod``).
+
+def fq2_square(u: _RawFq2, q: int) -> _RawFq2:
+    """``u^2`` in ``F_{q^2}``: ``(a - b)(a + b) + 2ab*i``."""
+    a, b = u
+    return ((a - b) * (a + b) % q, 2 * a * b % q)
+
+
+def fq2_pow(u: _RawFq2, exponent: int, q: int) -> _RawFq2:
+    """``u ** exponent`` in ``F_{q^2}`` by square-and-multiply; a
+    negative exponent inverts first (:func:`fq2_inverse`)."""
+    if exponent < 0:
+        return fq2_pow(fq2_inverse(u, q), -exponent, q)
+    result: _RawFq2 = (1, 0)
+    base = u
+    while exponent:
+        if exponent & 1:
+            result = fq2_mul(result, base, q)
+        base = fq2_square(base, q)
+        exponent >>= 1
+    return result
+
+
+def fq2_inverse(u: _RawFq2, q: int) -> _RawFq2:
+    """``1 / u`` in ``F_{q^2}``: ``conj(u) / N(u)``.
+
+    Unitary elements (norm 1, which includes all of the order-``p``
+    pairing subgroup) invert by conjugation alone, with no modular
+    inversion.  Raises :class:`~repro.errors.ParameterError` on zero.
     """
-    backend = active_backend()
-    return backend.unlift(backend.pow_mod(base, exponent, p))
+    a, b = u
+    norm = a * a + b * b
+    if norm % q == 0:
+        raise ParameterError("0 is not invertible in F_{q^2}")
+    if norm % q == 1:
+        return (a % q, (-b) % q)
+    norm_inv = inv_mod(norm, q)
+    return (a * norm_inv % q, (-b) * norm_inv % q)
 
 
 def legendre_symbol(a: int, p: int) -> int:

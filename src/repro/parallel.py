@@ -10,13 +10,10 @@ sized by :func:`get_jobs` (the ``--jobs`` CLI flag / ``REPRO_JOBS``
 environment variable), plus the :func:`parallel_map` primitive the batch
 kernels dispatch through.
 
-Everything that crosses the process boundary must be picklable **and**
-backend-independent: callers unlift raw representations to canonical
-:class:`int` before submitting (gmpy2 ``mpz`` coordinates must never be
-pickled -- see ``Fq.__reduce__`` and friends), and workers re-lift on
-their own active backend.  Workers inherit ``REPRO_BACKEND`` from the
-parent environment, so parent and children always compute on the same
-backend and results are bit-identical to in-process evaluation.
+Everything that crosses the process boundary must be picklable: the
+workers take plain :class:`int` coordinates and schedule coefficients
+(see ``Fq.__reduce__`` and friends) and compute exactly what the parent
+would, so results are bit-identical to in-process evaluation.
 
 With the default ``jobs = 1`` the pool is **never created** -- every
 ``parallel_map`` call degrades to a plain in-process invocation of the

@@ -330,9 +330,7 @@ def _handoff(payload: object) -> object:
     the same order, and returns what ``decode`` returns (a plain
     ``tuple``/``list``/``int``/``str``/``bytes`` even for subclasses).
     Containers, HPSKE ciphertexts, scalars, bit strings and element
-    wrappers are rebuilt; only frozen leaves are shared.  Points and
-    ``F_{q^2}`` values whose coordinates a lifting backend left in its
-    own integer type are rebuilt on plain ints.
+    wrappers are rebuilt; only frozen leaves are shared.
 
     Each element gets the checks the codec's decode makes short of the
     subgroup check, at field-multiply cost: ``G`` coordinates in
@@ -342,7 +340,7 @@ def _handoff(payload: object) -> object:
     """
     from repro.core.hpske import HPSKECiphertext
     from repro.groups.bilinear import G1Element, GTElement
-    from repro.groups.curve import INFINITY, Point
+    from repro.groups.curve import INFINITY
     from repro.math.fields import Fq2
     from repro.protocol.device import _ScalarInMemory
 
@@ -372,8 +370,6 @@ def _handoff(payload: object) -> object:
                 raise GroupError("point is 2-torsion, not in G")
             if (y * y - x * x * x - x) % q:
                 raise GroupError("point is not on the curve")
-            if type(x) is not int or type(y) is not int:
-                point = Point(int(x), int(y), False)
             return G1Element(group, point)
         if isinstance(value, GTElement):
             group = value.group
@@ -384,8 +380,8 @@ def _handoff(payload: object) -> object:
                 raise GroupError("GT coordinate out of field range")
             if not (a or b):
                 raise GroupError("zero is not a GT element")
-            if type(a) is not int or type(b) is not int or element.q != q:
-                element = Fq2._from_reduced(int(a), int(b), q)
+            if element.q != q:
+                element = Fq2._from_reduced(a, b, q)
             return GTElement(group, element)
         if isinstance(value, HPSKECiphertext):
             inner = _nest(depth)

@@ -84,7 +84,6 @@ from repro.errors import (
     WireFormatError,
 )
 from repro.groups.native import kernel_backend
-from repro.math.backend import active_backend
 from repro.protocol.transport import _READ_CHUNK, FrameParser, encode_frame
 from repro.service.registry import SessionRegistry
 from repro.service.resilience import (
@@ -94,7 +93,7 @@ from repro.service.resilience import (
     validated_request_id,
 )
 from repro.service.session import ManagedSession, StaleSessionError
-from repro.telemetry.metrics import MetricsRegistry, mark_backend
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.prometheus import PROMETHEUS_CONTENT_TYPE, render_prometheus
 from repro.telemetry.tracer import SpanContext, active_tracer
 from repro.utils import persist
@@ -226,9 +225,6 @@ class KeyService:
         self._listener = socket.create_server((self.host, self.port))
         self._listener.setblocking(False)
         self.address = self._listener.getsockname()
-        # Tag this process's metrics with the live arithmetic backend so
-        # operators can confirm what a deployment actually computes on.
-        mark_backend(self.metrics)
         self._wake_reader, self._wake_writer = socket.socketpair()
         self._wake_reader.setblocking(False)
         self._wake_writer.setblocking(False)
@@ -736,7 +732,6 @@ class KeyService:
             "workers": self.workers,
             "busy_workers": self._busy_workers(),
             "queue_depth": self._queue_depth(),
-            "backend": active_backend().name,
             "kernels": kernel_backend(),
             "backlog": self.backlog,
             "sessions_resident": self.registry.resident_count(),
@@ -885,7 +880,6 @@ class KeyService:
         self.refresh_gauges()
         body = json.dumps(
             {
-                "backend": active_backend().name,
                 "health": self.health_status(),
                 "registry": self.registry.snapshot(),
                 "metrics": self.metrics.snapshot(),

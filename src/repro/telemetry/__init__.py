@@ -48,7 +48,6 @@ from repro.telemetry.metrics import (
     active_registry,
     install_registry,
     label_text,
-    mark_backend,
     metering,
 )
 from repro.telemetry.prometheus import (
@@ -96,7 +95,6 @@ __all__ = [
     "install_registry",
     "install_tracer",
     "label_text",
-    "mark_backend",
     "merge_trace_files",
     "merge_traces",
     "metering",

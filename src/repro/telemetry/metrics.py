@@ -343,21 +343,6 @@ class MetricsRegistry:
             }
 
 
-def mark_backend(registry: MetricsRegistry) -> str:
-    """Record the active field backend as ``backend.active{backend=...}``.
-
-    The gauge's *label* carries the name (the value is a constant 1, the
-    Prometheus "info metric" idiom), so a snapshot diff between two runs
-    shows immediately when they computed on different arithmetic.
-    Returns the name for convenience.
-    """
-    from repro.math.backend import active_backend
-
-    name = active_backend().name
-    registry.gauge("backend.active", backend=name).set(1)
-    return name
-
-
 # ---------------------------------------------------------------------------
 # The active registry (process-global, None by default)
 # ---------------------------------------------------------------------------

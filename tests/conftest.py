@@ -9,11 +9,13 @@ deterministic presets, cached per session.
 from __future__ import annotations
 
 import random
+from contextlib import contextmanager
+from typing import Iterator
 
 import pytest
 
 from repro.core.params import DLRParams
-from repro.groups import preset_group
+from repro.groups import native, preset_group
 
 
 def pytest_configure(config):
@@ -63,3 +65,26 @@ def rng():
 
 def make_rng(seed: int = 0) -> random.Random:
     return random.Random(seed)
+
+
+#: The two kernel sets a cross-kernel check runs on, by the names
+#: :func:`repro.groups.native.kernel_backend` reports.
+KERNEL_SETS = ("python", "native")
+
+
+def built_kernel_sets() -> list[str]:
+    """The kernel sets this environment can run."""
+    return [name for name in KERNEL_SETS if name == "python" or native.kernels()]
+
+
+@contextmanager
+def kernel_set(name: str) -> Iterator[None]:
+    """Run the block on the named kernel set: the Python kernels, or the
+    compiled ones (skipping the test where they cannot be built)."""
+    if name == "native":
+        if native.kernels() is None:
+            pytest.skip("the native kernels cannot be built here")
+        yield
+    else:
+        with native._python_kernels():
+            yield

@@ -226,41 +226,3 @@ class TestNormalisedMillerLines:
         right = SMALL.random_g(random.Random(1)).point
         assert precomp.pair_with(right) == tate_pairing(INFINITY, right, SMALL.params)
 
-
-class TestLiftingBackend:
-    """On a backend whose native type is not ``int`` (the shape of
-    gmpy2), the kernels compute on lifted values and every output --
-    including what a pool worker returns -- is a canonical ``int``."""
-
-    def test_outputs_are_canonical_and_identical(self):
-        from repro.groups.pairing import evaluate_schedule_chunk
-        from repro.math.backend import use_backend
-        from tests.math.test_backends import FakeAccelBackend
-
-        rng = random.Random(8)
-        q, p = SMALL.params.q, SMALL.p
-        exponents = [1] + [rng.randrange(1, p) for _ in range(4)]
-        raw = [([SMALL.random_g(rng).point for _ in exponents], exponents) for _ in range(3)]
-        left = SMALL.random_g(rng).point
-        schedule = PairingPrecomp(left, SMALL.params)
-        xys = [(pt.x, pt.y) for pt in (SMALL.random_g(rng).point for _ in range(4))]
-        candidates = [points[0] for points, _ in raw]
-
-        def run():
-            return (
-                batch_multiexp_points(raw, q),
-                evaluate_schedule_chunk(schedule.steps, q, SMALL.params.h, xys),
-                batch_scalar_mul(candidates, SMALL.params.h, q),
-            )
-
-        reference = run()
-        with use_backend(FakeAccelBackend.name) as backend:
-            backend.lift_calls = 0
-            lifted = run()
-            assert backend.lift_calls > 0
-        assert lifted == reference
-        points, pairs, cleared = lifted
-        for value in [c for pt in points + cleared for c in (pt.x, pt.y)] + [
-            c for pair in pairs for c in pair
-        ]:
-            assert type(value) is int

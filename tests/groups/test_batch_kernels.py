@@ -6,8 +6,8 @@ and ``batch_multiexp_fq2`` shares one window decision; ``evaluate_many`` /
 ``pair_many`` serve a vector of right points from one cached Miller
 schedule, optionally fanned across the :mod:`repro.parallel` process
 pool.  All of them are *pure reorganizations*: every output must be
-bit-identical to the sequential loop they replace, on every available
-field backend, at sizes straddling the Pippenger threshold, and with
+bit-identical to the sequential loop they replace, on both kernel sets
+(Python and compiled), at sizes straddling the Pippenger threshold, and with
 the pool active.
 """
 
@@ -20,10 +20,8 @@ from repro.groups import fastops, preset_group
 from repro.groups.bilinear import G1Element, GTElement
 from repro.groups.fastops import PIPPENGER_THRESHOLD
 from repro.groups.pairing import PairingPrecomp
-from repro.math.backend import available_backends, use_backend
 from repro.parallel import parallel_map, set_jobs, shutdown_pool
-
-BACKENDS = available_backends()
+from tests.conftest import KERNEL_SETS, kernel_set
 
 #: Instance sizes the shared-window batch must triage correctly:
 #: single-term, small Straus, straddling the Pippenger threshold.
@@ -56,9 +54,9 @@ def _gt_instances(group, rng, sizes):
 
 
 class TestMultiexpBatchEquivalence:
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_g1_matches_sequential(self, small_group, rng, backend_name):
-        with use_backend(backend_name):
+    @pytest.mark.parametrize("kernels", KERNEL_SETS)
+    def test_g1_matches_sequential(self, small_group, rng, kernels):
+        with kernel_set(kernels):
             instances = _g1_instances(small_group, rng, SIZES)
             batched = G1Element.multiexp_batch(instances)
             sequential = [
@@ -66,9 +64,9 @@ class TestMultiexpBatchEquivalence:
             ]
         assert batched == sequential
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_gt_matches_sequential(self, small_group, rng, backend_name):
-        with use_backend(backend_name):
+    @pytest.mark.parametrize("kernels", KERNEL_SETS)
+    def test_gt_matches_sequential(self, small_group, rng, kernels):
+        with kernel_set(kernels):
             instances = _gt_instances(small_group, rng, SIZES)
             batched = GTElement.multiexp_batch(instances)
             sequential = [
@@ -113,11 +111,11 @@ class TestMultiexpBatchEquivalence:
         small_group.counter.reset()
         assert batched == sequential
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_pooled_dispatch_matches(self, small_group, rng, backend_name):
+    @pytest.mark.parametrize("kernels", KERNEL_SETS)
+    def test_pooled_dispatch_matches(self, small_group, rng, kernels):
         """jobs=2 fans the kernel instances across worker processes; the
-        re-lifted results must be identical to the in-process run."""
-        with use_backend(backend_name):
+        returned results must be identical to the in-process run."""
+        with kernel_set(kernels):
             instances = _g1_instances(small_group, rng, [3, 6, 9, 4, 8, 2, 5, 7, 11, 3])
             in_process = G1Element.multiexp_batch(instances)
             set_jobs(2)
@@ -134,9 +132,9 @@ class TestEvaluateManyEquivalence:
         left = group.random_g(rng).point
         return PairingPrecomp(left, group.params)
 
-    @pytest.mark.parametrize("backend_name", BACKENDS)
-    def test_matches_pair_with_loop(self, small_group, rng, backend_name):
-        with use_backend(backend_name):
+    @pytest.mark.parametrize("kernels", KERNEL_SETS)
+    def test_matches_pair_with_loop(self, small_group, rng, kernels):
+        with kernel_set(kernels):
             precomp = self._schedule(small_group, rng)
             rights = [small_group.random_g(rng).point for _ in range(9)]
             many = precomp.pair_with_many(rights)

@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import functools
 import os
+import pathlib
 import random
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -40,7 +42,6 @@ from repro.groups.curve import INFINITY, Point, batch_scalar_mul
 from repro.groups.pairing import PairingPrecomp, evaluate_schedule_chunk
 from repro.groups.windows import straus_window
 from repro.ibe.dlr_ibe import DLRIBE
-from repro.math.backend import use_backend
 from repro.protocol.device import Device
 from repro.protocol.transport import InMemoryTransport
 
@@ -402,16 +403,36 @@ class TestFallback:
         unbuilt.setattr(native, "_cache_dir", lambda: blocker / "cache")
         self._assert_python_kernels()
 
-    def test_other_backends_keep_the_python_kernels(self):
-        from tests.math.test_backends import FakeAccelBackend
-
-        with use_backend(FakeAccelBackend.name):
-            assert native.kernels() is None
-            assert native.kernel_backend() == "python"
-
     def test_forcing_the_python_kernels(self):
         with native._python_kernels():
             assert native.kernel_backend() == "python"
+
+
+@needs_native
+def test_an_importable_gmpy2_keeps_the_native_kernels(tmp_path):
+    """Nothing but a failed build turns the compiled kernels off: with a
+    ``gmpy2`` module on the path they still serve the hot loops."""
+    (tmp_path / "gmpy2.py").write_text(
+        "mpz = int\npowmod = pow\n\n\ndef invert(a, m):\n    return pow(a, -1, m)\n"
+    )
+    source_root = pathlib.Path(native.__file__).resolve().parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(tmp_path), str(source_root)])
+    probe = (
+        "import gmpy2; from repro.groups.native import kernel_backend; "
+        "print(gmpy2.__file__); print(kernel_backend())"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    stub, kernels = result.stdout.split()
+    assert pathlib.Path(stub) == tmp_path / "gmpy2.py"
+    assert kernels == "native"
 
 
 @needs_native

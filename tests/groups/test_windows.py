@@ -18,13 +18,10 @@ from repro.groups.windows import (
     MAX_BUCKET_WINDOW,
     MAX_FIXED_BASE_WINDOW,
     MAX_STRAUS_WINDOW,
-    WindowProfile,
     bucket_window,
     fixed_base_window,
-    profile_for,
     straus_window,
 )
-from repro.math.backend import get_backend, use_backend
 
 SWEEP = [
     (terms, bits)
@@ -110,27 +107,6 @@ class TestFixedBaseWindow:
         # One exponentiation cannot amortise any table: w=1 minimises.
         for bits in (16, 64, 256, 1024):
             assert fixed_base_window(bits, expected_uses=1) == 1
-
-
-class TestProfiles:
-    def test_profile_for_reads_backend_costs(self):
-        assert profile_for(get_backend("python")) == WindowProfile(1.0, 1.0)
-        with use_backend("python"):
-            assert profile_for() == WindowProfile(1.0, 1.0)
-
-    def test_uniform_scaling_never_shifts_selection(self):
-        # The models are homogeneous in the add cost; a backend that is
-        # uniformly k times faster picks identical windows.
-        scaled = WindowProfile(add_cost=0.04, double_cost=0.04)
-        for terms, bits in SWEEP:
-            assert straus_window(terms, bits, scaled) == straus_window(terms, bits)
-            assert bucket_window(terms, bits, scaled) == bucket_window(terms, bits)
-            assert fixed_base_window(bits, 256, scaled) == fixed_base_window(bits, 256)
-
-    def test_profile_is_frozen(self):
-        profile = WindowProfile()
-        with pytest.raises(AttributeError):
-            profile.add_cost = 2.0
 
 
 class TestFixedBaseExpAutoWindow:

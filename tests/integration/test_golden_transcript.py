@@ -17,9 +17,9 @@ from repro.core.optimal import OptimalDLR
 from repro.core.params import DLRParams
 from repro.groups import preset_group
 from repro.ibe.dlr_ibe import DLRIBE
-from repro.math.backend import available_backends, use_backend
 from repro.protocol.device import Device
 from repro.protocol.transport import InMemoryTransport
+from tests.conftest import KERNEL_SETS, built_kernel_sets, kernel_set
 
 
 def _digest(bits):
@@ -213,14 +213,14 @@ class TestFastKernelTransparency:
 
 
 class TestBackendTransparency:
-    """The field-arithmetic backend seam must be invisible too: the
-    pinned seed-1234 transcript holds byte-for-byte under *every*
-    backend this environment can instantiate (the CI gmpy2 leg makes
-    the accelerated column mandatory)."""
+    """Which kernels run must be invisible too: the pinned seed-1234
+    transcript holds byte-for-byte on the compiled kernels and on the
+    Python kernels, and the two agree on every phase snapshot.  The
+    native legs skip where the kernels cannot be built."""
 
-    @pytest.mark.parametrize("backend_name", available_backends())
-    def test_transcript_matches_pinned_digest(self, backend_name):
-        with use_backend(backend_name):
+    @pytest.mark.parametrize("kernels", KERNEL_SETS)
+    def test_transcript_matches_pinned_digest(self, kernels):
+        with kernel_set(kernels):
             scheme, rng, generation, p1, p2, channel, message, ciphertext = _setup(
                 DLR, 1234
             )
@@ -228,23 +228,23 @@ class TestBackendTransparency:
         assert record.plaintext == message
         assert _digest(channel.transcript_bits(0)) == (
             "9e5b8488f23b63d2597555c23ac7ad90c0306a1a886ac502fef10d8ede51f522"
-        ), backend_name
+        ), kernels
 
     def test_backend_columns_agree_on_snapshots(self):
-        per_backend = {}
-        for backend_name in available_backends():
-            with use_backend(backend_name):
+        per_kernel_set = {}
+        for kernels in built_kernel_sets():
+            with kernel_set(kernels):
                 scheme, rng, generation, p1, p2, channel, message, ciphertext = (
                     _setup(DLR, 77)
                 )
                 record = scheme.run_period(p1, p2, channel, ciphertext)
-            per_backend[backend_name] = {
+            per_kernel_set[kernels] = {
                 key: _digest(snapshot.to_bits())
                 for key, snapshot in record.snapshots.items()
             }
-        reference = per_backend.pop("python")
-        for backend_name, snapshots in per_backend.items():
-            assert snapshots == reference, backend_name
+        reference = per_kernel_set.pop("python")
+        for kernels, snapshots in per_kernel_set.items():
+            assert snapshots == reference, kernels
 
 
 class TestBatchTransparency:

@@ -22,16 +22,12 @@ from repro.groups import preset_group
 from repro.groups.bilinear import G1Element, GTElement
 from repro.groups.curve import Point
 from repro.ibe.dlr_ibe import DLRIBE
-from repro.math.backend import active_backend, use_backend
 from repro.math.fields import Fq2
 from repro.protocol.device import Device, _ScalarInMemory
 from repro.protocol.transport import InMemoryTransport
 from repro.utils.bits import BitString
 from repro.utils.serialization import WireCodec
-
-# Importing the backend tests registers their "fake-accel" backend: a
-# lifting backend whose native integer type is an ``int`` subclass.
-from tests.math.test_backends import FakeMpz  # noqa: F401
+from tests.conftest import KERNEL_SETS, kernel_set
 
 #: Wrappers and containers the handoff must rebuild.
 REBUILT = (tuple, list, HPSKECiphertext, G1Element, GTElement, _ScalarInMemory, BitString)
@@ -132,28 +128,18 @@ class TestDisjointMemories:
 
 
 # ---------------------------------------------------------------------------
-# Equal to the codec's decode, on every backend
+# Equal to the codec's decode, on both kernel sets
 
 GROUP = preset_group(32)
 
 
-def lifted(value):
-    """``value`` in the active backend's native integer type."""
-    return active_backend().lift(value)
+class IntSubclass(int):
+    """An ``int`` subclass leaf: the codec decodes it as a plain int."""
 
 
 exponents = st.integers(min_value=0, max_value=GROUP.p - 1)
 g_elements = exponents.map(lambda k: GROUP.g ** k)
 gt_elements = exponents.map(lambda k: GROUP.gt_generator() ** k)
-# Elements whose coordinates a lifting backend handed over unconverted.
-lifted_g = g_elements.map(
-    lambda e: e
-    if e.point.infinity
-    else G1Element(GROUP, Point(lifted(e.point.x), lifted(e.point.y), False))
-)
-lifted_gt = gt_elements.map(
-    lambda e: GTElement(GROUP, Fq2._from_reduced(lifted(e.value.a), lifted(e.value.b), GROUP.q))
-)
 
 
 @st.composite
@@ -169,7 +155,7 @@ leaves = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=0, max_value=2**80),
-    st.integers(min_value=0, max_value=2**40).map(lifted),
+    st.integers(min_value=0, max_value=2**40).map(IntSubclass),
     st.text(max_size=8),
     st.binary(max_size=8),
     st.integers(min_value=0, max_value=64).flatmap(
@@ -177,8 +163,6 @@ leaves = st.one_of(
     ),
     g_elements,
     gt_elements,
-    lifted_g,
-    lifted_gt,
     st.just(GROUP.g_identity()),
     st.just(GROUP.gt_identity()),
     exponents.map(lambda k: _ScalarInMemory(k, GROUP.p)),
@@ -222,15 +206,15 @@ def assert_same(actual, expected):
 
 
 class TestEqualsCodecRoundTrip:
-    @pytest.mark.parametrize("backend", ["python", "fake-accel"])
+    @pytest.mark.parametrize("kernels", KERNEL_SETS)
     @given(data=st.data())
     @settings(
         max_examples=60,
         deadline=None,
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
-    def test_payload_trees(self, backend, data):
-        with use_backend(backend):
+    def test_payload_trees(self, kernels, data):
+        with kernel_set(kernels):
             payload = data.draw(payloads)
             codec = WireCodec(GROUP)
             expected = codec.decode(codec.encode(payload))

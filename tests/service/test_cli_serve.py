@@ -8,7 +8,6 @@ import time
 
 from repro.cli import main
 from repro.groups.native import kernel_backend
-from repro.math.backend import active_backend
 from repro.service import ServiceClient
 
 
@@ -53,8 +52,6 @@ def test_serve_bounded_run(tmp_path, capsys):
     assert (state / "cli" / "k.ckpt.json").exists()
     out = capsys.readouterr().out
     assert "serving on" in out
-    # The kernel backend precedes the field backend, which stays last.
-    assert (
-        f"kernels {kernel_backend()}, backend {active_backend().name})" in out
-    )
+    # The kernel set precedes "backend python", which stays last.
+    assert f"kernels {kernel_backend()}, backend python)" in out
     assert '"requests_handled": 3' in out

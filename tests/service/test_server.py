@@ -223,19 +223,17 @@ class TestStats:
         # The stats request itself is only counted after its response
         # ships, so it sees every *prior* request (here: the open).
         assert stats["requests_handled"] == 1
+        # The field arithmetic is always plain ints: nothing to report.
+        assert "backend" not in stats
+        assert not any(
+            gauge.startswith("backend.") for gauge in stats["metrics"]["gauges"]
+        )
 
     def test_health_reports_the_kernel_backend(self, client):
         from repro.groups import native
 
-        assert client.health()["kernels"] == native.kernel_backend()
+        health = client.health()
+        assert health["kernels"] == native.kernel_backend()
+        assert "backend" not in health
         with native._python_kernels():
             assert client.health()["kernels"] == "python"
-
-    def test_stats_report_active_backend(self, client):
-        from repro.math.backend import active_backend
-
-        stats = client.stats()
-        assert stats["backend"] == active_backend().name
-        # The info-metric spelling is in the shared registry too.
-        gauge = f"backend.active{{backend={active_backend().name}}}"
-        assert stats["metrics"]["gauges"][gauge] == 1

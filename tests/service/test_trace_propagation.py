@@ -336,7 +336,7 @@ class TestBudgetGaugeReconciliation:
     def test_health_op_reports_backend_and_load(self, client):
         health = client.health()
         assert health["status"] == "ready"
-        assert "backend" in health
+        assert health["kernels"] in ("native", "python")
         assert health["busy_workers"] >= 1  # the worker serving this request
         assert health["queue_depth"] >= 0
 
@@ -348,7 +348,7 @@ class TestBudgetGaugeReconciliation:
             ) as response:
                 payload = json.loads(response.read().decode("utf-8"))
         assert payload["status"] == "ready"
-        assert "backend" in payload
+        assert payload["kernels"] in ("native", "python")
 
     def test_disabled_tracer_adds_no_spans_or_exemplars(self, registry):
         # The default NULL_TRACER path: no spans anywhere, and request

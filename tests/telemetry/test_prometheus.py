@@ -139,13 +139,3 @@ class TestRenderer:
         registry.gauge("weird").set(float("inf"))
         parsed = parse_exposition(render_prometheus(registry))
         assert math.isinf(parsed["series"][("weird", ())])
-
-
-class TestBackendInfoMetric:
-    def test_backend_active_gauge_survives_rendering(self):
-        from repro.telemetry import mark_backend
-
-        registry = MetricsRegistry()
-        name = mark_backend(registry)
-        parsed = parse_exposition(render_prometheus(registry))
-        assert parsed["series"][("backend_active", (("backend", name),))] == 1

@@ -181,3 +181,94 @@ class TestAtomicWrite:
         with pytest.raises(OSError, match="directory fsync failed"):
             persist.atomic_write_text(tmp_path / "state.json", "new")
         assert len(opened) == 1 and opened[0] in closed
+
+
+#: Every step of ``atomic_write_text`` that can fail, in order.
+CRASH_POINTS = ("write", "flush", "file_fsync", "replace", "dir_open", "dir_fsync")
+#: The points at which the replace has already happened.
+AFTER_REPLACE = ("dir_open", "dir_fsync")
+
+
+class TestAtomicWriteCrashPoints:
+    """An ``OSError`` injected at each step in turn propagates, and the
+    destination holds the whole old text up to the replace and the whole
+    new text after it -- never a torn mix -- with no descriptor leaked."""
+
+    @staticmethod
+    def _inject(monkeypatch, point):
+        """Fail ``point``; return the directory descriptors opened and
+        the descriptors closed."""
+        real_open, real_fsync, real_replace = open, os.fsync, os.replace
+        real_os_open, real_close = os.open, os.close
+        opened, closed = [], []
+
+        def crash(name):
+            if name == point:
+                raise OSError(f"injected {name} failure")
+
+        class Handle:
+            def __init__(self, handle):
+                self._handle = handle
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self._handle.close()
+
+            def write(self, text):
+                if point == "write":
+                    # A torn temp file: half the text lands, then the error.
+                    self._handle.write(text[: len(text) // 2])
+                crash("write")
+                return self._handle.write(text)
+
+            def flush(self):
+                crash("flush")
+                self._handle.flush()
+
+            def fileno(self):
+                return self._handle.fileno()
+
+        def fsync(fd):
+            crash("dir_fsync" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file_fsync")
+            real_fsync(fd)
+
+        def replace(src, dst):
+            crash("replace")
+            real_replace(src, dst)
+
+        def os_open(path, flags, *args):
+            crash("dir_open")
+            fd = real_os_open(path, flags, *args)
+            opened.append(fd)
+            return fd
+
+        def close(fd):
+            closed.append(fd)
+            real_close(fd)
+
+        monkeypatch.setattr(persist, "open", lambda *a, **k: Handle(real_open(*a, **k)), raising=False)
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        monkeypatch.setattr(os, "open", os_open)
+        monkeypatch.setattr(os, "close", close)
+        return opened, closed
+
+    @pytest.mark.parametrize("point", CRASH_POINTS)
+    def test_crash_leaves_old_or_new_text(self, tmp_path, monkeypatch, point):
+        target = tmp_path / "state.json"
+        old, new = "old-" * 2000, "new+" * 3000
+        target.write_text(old)
+        opened, closed = self._inject(monkeypatch, point)
+        with pytest.raises(OSError, match=f"injected {point} failure"):
+            persist.atomic_write_text(target, new)
+        monkeypatch.undo()
+        assert target.read_text() == (new if point in AFTER_REPLACE else old)
+        assert all(fd in closed for fd in opened)
+        if point == "dir_fsync":
+            assert len(opened) == 1
+        # A retry after the crash completes over whatever it left behind.
+        persist.atomic_write_text(target, new)
+        assert target.read_text() == new
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["state.json"]

@@ -298,27 +298,18 @@ def bench_schemes(scheme, generated, rng, warmup: int, repeats: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Batch / multi-core benchmarks
+# Batch benchmarks
 
 
 def bench_batch(scheme, generated, rng, warmup: int, repeats: int) -> dict:
-    """Amortized batch APIs vs the single-op path, plus the pool leg.
+    """Amortized batch APIs vs the single-op path.
 
     ``decrypt_amortization_bN`` compares the *per-ciphertext* wall-clock
     of a batch-of-N period (:meth:`~repro.core.dlr.DLR.run_period_multi`:
     N decrypts sharing one refresh, one precomp schedule, one batched
     multiexp window decision) against one single-ciphertext period --
     the ratio is the amortization factor and is machine-invariant.
-
-    ``pool_evaluate_many_jobs2`` compares one fixed-argument pairing
-    schedule evaluated over a vector with ``jobs=2`` (process pool)
-    against ``jobs=1`` (in-process): the same-machine multi-core gate
-    (``--require-pool``) reads its speedup, which only exceeds 1 with
-    >= 2 cores -- a committed baseline from a 1-core box honestly
-    records ~1.0x.
     """
-    from repro.groups.pairing import PairingPrecomp
-    from repro.parallel import shutdown_pool
     from repro.protocol.device import Device
     from repro.protocol.transport import InMemoryTransport
 
@@ -352,19 +343,6 @@ def bench_batch(scheme, generated, rng, warmup: int, repeats: int) -> dict:
         report[f"decrypt_amortization_b{batch}"] = _paired_entry(
             batched, single_period, warmup, repeats, fast_items=batch
         )
-
-    left = group.random_g(rng).point
-    points = [group.random_g(rng).point for _ in range(32)]
-    precomp = PairingPrecomp(left, group.params)
-
-    def pool_jobs2():
-        return precomp.evaluate_many(points, jobs=2)
-
-    def in_process():
-        return precomp.evaluate_many(points, jobs=1)
-
-    report["pool_evaluate_many_jobs2"] = _paired_entry(pool_jobs2, in_process, warmup, repeats)
-    shutdown_pool()
     return report
 
 
@@ -477,12 +455,6 @@ def _speedups(report: dict) -> dict[str, float]:
     ratios = {}
     for section in ("kernels", "schemes", "batch"):
         for name, entry in report.get(section, {}).items():
-            if name.startswith("pool_"):
-                # Pool speedups scale with the machine's core count --
-                # not machine-invariant, so the --check gate must not
-                # compare them across machines.  The same-machine
-                # --require-pool gate owns them instead.
-                continue
             ratios[f"{section}.{name}"] = entry["speedup"]
     return ratios
 
@@ -542,27 +514,6 @@ def check_regressions(report: dict, baseline: dict) -> list[str]:
     return failures
 
 
-def check_pool(report: dict, bench: str, ratio: float) -> list[str]:
-    """Same-machine multi-core gate over a ``batch`` pool entry.
-
-    The entry's speedup already *is* the jobs=2 vs jobs=1 comparison
-    measured in this process on identical inputs, so the gate simply
-    requires it to reach ``ratio``.  Only meaningful on a machine with
-    >= 2 cores -- CI's multi-core job runs it; a 1-core dev box should
-    not (its honest speedup is ~1.0x).
-    """
-    entry = report.get("batch", {}).get(bench)
-    if entry is None:
-        return [f"--require-pool: unknown batch benchmark {bench!r}"]
-    if entry["speedup"] < ratio:
-        return [
-            f"{bench}: pool speedup {entry['speedup']:.2f}x "
-            f"({entry['naive_ms']}ms in-process vs {entry['fast_ms']}ms pooled), "
-            f"required >= {ratio:.2f}x (cpu_count={report.get('cpu_count')})"
-        ]
-    return []
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -579,14 +530,6 @@ def main(argv=None) -> int:
         default=None,
         metavar="BASELINE",
         help="fail if any speedup regressed below 75%% of this baseline JSON",
-    )
-    parser.add_argument(
-        "--require-pool",
-        default=None,
-        metavar="BENCH[:RATIO]",
-        help="fail unless the batch-section pool entry BENCH reaches a jobs=2 "
-        "vs jobs=1 speedup of RATIO (default 1.5); same-machine gate, run it "
-        "only on >= 2 cores (e.g. pool_evaluate_many_jobs2:1.5)",
     )
     args = parser.parse_args(argv)
 
@@ -626,20 +569,6 @@ def main(argv=None) -> int:
             f"speed regression gate passed ({len(_speedups(report))} entries)\n"
         )
 
-    if args.require_pool:
-        bench, _, ratio_text = args.require_pool.partition(":")
-        try:
-            ratio = float(ratio_text) if ratio_text else 1.5
-        except ValueError:
-            sys.stderr.write(f"--require-pool: bad ratio {ratio_text!r}\n")
-            return 2
-        failures = check_pool(report, bench, ratio)
-        if failures:
-            sys.stderr.write("pool gate FAILED:\n")
-            for failure in failures:
-                sys.stderr.write(f"  {failure}\n")
-            return 1
-        sys.stderr.write(f"pool gate passed ({bench} >= {ratio:.2f}x)\n")
     return 0
 
 

@@ -424,13 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-dlr",
         description="Distributed leakage-resilient PKE (PODC 2012 reproduction)",
     )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        help="worker processes for batch pairing/multiexp kernels "
-        "(default: $REPRO_JOBS or 1 = in-process; see docs/performance.md)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     keygen = sub.add_parser("keygen", help="generate pk + device shares")
@@ -577,13 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs is not None:
-        from repro.parallel import set_jobs
-
-        if args.jobs < 1:
-            print(f"--jobs {args.jobs}: must be >= 1", file=sys.stderr)
-            return 2
-        set_jobs(args.jobs)
     return args.fn(args)
 
 

@@ -611,7 +611,7 @@ class DLR:
             with device1.computing():
                 # One Miller schedule for A, reused across every f_i
                 # coordinate (kappa + 1 pairings per ciphertext), all
-                # evaluated in one batched (pool-dispatchable) leg.
+                # evaluated in one batched leg.
                 a_precomp = self.group.pairing_precomp(ciphertext.a)
                 transported = pair_ciphertexts(a_precomp, [*f_list, f_phi])
                 d_b = self.hpske_gt.encrypt(sk_comm, ciphertext.b, device1.rng)

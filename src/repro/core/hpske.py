@@ -94,7 +94,7 @@ def pair_ciphertexts(
     fixed point: ``[c.pair_with(point) for c in ciphertexts]``, but all
     ``len(ciphertexts) * (kappa + 1)`` coordinates go through a single
     :meth:`~repro.groups.bilinear.G1Precomp.pair_many` -- one cached
-    Miller schedule, one pool dispatch.  This is the decryption-batch
+    Miller schedule, one kernel call.  This is the decryption-batch
     hot leg (every ciphertext's ``f_i -> d_i`` reuse shares the same
     ``A``); values and counters match the per-ciphertext loop exactly.
     """

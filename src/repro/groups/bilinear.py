@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable, Sequence, TypeVar
 
 from repro.errors import GroupError
@@ -30,7 +29,6 @@ from repro.groups.sampling import (
     random_subgroup_points,
 )
 from repro.math.fields import Fq2
-from repro.parallel import parallel_map
 from repro.utils.bits import BitString
 from repro.utils.serialization import int_width
 
@@ -252,7 +250,7 @@ class G1Element:
         per-term ladder with the classic counter profile.  The result is
         bit-identical either way.  The kernel is
         :func:`repro.groups.fastops.batch_multiexp_points` on a batch of
-        one, run in-process.
+        one.
         """
         results, fast = _triage(
             [(bases, exponents)], BilinearGroup.g_identity, "g_multiexp"
@@ -277,15 +275,12 @@ class G1Element:
         reference-mode instances still degrade to the per-term ladder --
         but the fast instances of each modulus run as one lockstep
         affine vector, one shared inversion per round
-        (:func:`repro.groups.fastops.batch_multiexp_points`), and with
-        the process pool enabled the kernel fans out across workers
-        (:mod:`repro.parallel`).
+        (:func:`repro.groups.fastops.batch_multiexp_points`).
         """
         results, fast = _triage(instances, BilinearGroup.g_identity, "g_multiexp")
         for q, entries in _by_modulus(fast).items():
-            points = parallel_map(
-                partial(fastops.batch_multiexp_points_chunk, q),
-                [_g_kernel_instance(terms) for _, _, terms in entries],
+            points = fastops.batch_multiexp_points(
+                [_g_kernel_instance(terms) for _, _, terms in entries], q
             )
             for (idx, group, _), point in zip(entries, points):
                 results[idx] = G1Element(group, point)
@@ -382,9 +377,8 @@ class GTElement:
         :func:`repro.groups.fastops.batch_multiexp_fq2`)."""
         results, fast = _triage(instances, BilinearGroup.gt_identity, "gt_multiexp")
         for q, entries in _by_modulus(fast).items():
-            values = parallel_map(
-                partial(fastops.batch_multiexp_fq2_chunk, q),
-                [_gt_kernel_instance(terms) for _, _, terms in entries],
+            values = fastops.batch_multiexp_fq2(
+                [_gt_kernel_instance(terms) for _, _, terms in entries], q
             )
             for (idx, group, _), (a, b) in zip(entries, values):
                 results[idx] = GTElement(group, Fq2._from_reduced(a, b, q))
@@ -464,8 +458,7 @@ class G1Precomp:
         element still counts one ``pairings_precomp``; reference mode
         still degrades every element to a full pairing), but the
         schedule is built at most once and the evaluations go through
-        :meth:`~repro.groups.pairing.PairingPrecomp.evaluate_many` --
-        fanning out across the :mod:`repro.parallel` pool when enabled.
+        :meth:`~repro.groups.pairing.PairingPrecomp.evaluate_many`.
         """
         group = self.element.group
         for right in rights:

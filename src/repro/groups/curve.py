@@ -44,11 +44,6 @@ class Point:
             return self
         return Point(self.x, (-self.y) % q, False)
 
-    def __reduce__(self):
-        # Explicit recipe: frozen+slots dataclasses only gained default
-        # pickle support in 3.11 (the repro.parallel pool pickles points).
-        return (Point, (self.x, self.y, self.infinity))
-
 
 INFINITY = Point.at_infinity()
 

@@ -13,14 +13,11 @@ terms:
   (wNAF) digits: every doubling or addition round across the whole
   vector shares one inversion (Montgomery's trick).  A lone instance,
   whatever its term count, is a batch of one.
-* **``GT``: Straus (interleaved window)** -- per-base tables of
-  ``x_i ** d`` (``d < 2^w``), one shared chain of ``w`` squarings per
-  digit position; the right choice for the ``ell <= ~50`` term counts
-  the DLR combine steps produce.
-* **``GT``: Pippenger (bucket method)** -- no per-base tables; per
-  digit position the bases are dropped into ``2^w - 1`` buckets and
-  folded with a running suffix sum.  Selected by
-  :func:`batch_multiexp_fq2` at :data:`PIPPENGER_THRESHOLD` terms.
+* **``GT``: Straus (interleaved window), one path for every
+  instance** -- per-base tables of ``x_i ** d`` (``d < 2^w``), one
+  shared chain of ``w`` squarings per digit position.  The DLR combine
+  steps produce a few dozen terms at most; see docs/performance.md for
+  what larger instances pay on the Python kernels.
 
 All operate on raw representations (integer pairs for affine points
 and ``F_{q^2}`` values) -- no element-object allocation in the hot
@@ -55,14 +52,10 @@ from repro.groups.curve import (
     from_raw_affine,
     to_raw_affine,
 )
-from repro.groups.windows import bucket_window, straus_window, wnaf_window
+from repro.groups.windows import straus_window, wnaf_window
 from repro.math.modular import fq2_mul, fq2_square
 
 _RawFq2 = tuple[int, int]
-
-#: ``GT`` term count from which the bucket method beats the interleaved
-#: window (tables grow linearly with terms, buckets do not).
-PIPPENGER_THRESHOLD = 64
 
 #: Table entries the batch-affine multiexp sums per lockstep tree: wide
 #: enough that each round's one inversion is amortised, small enough
@@ -346,16 +339,6 @@ def batch_multiexp_points(
     return results
 
 
-def batch_multiexp_points_chunk(
-    q: int, instances: "list[tuple[list[Point], list[int]]]"
-) -> list[Point]:
-    """Pool worker: :func:`batch_multiexp_points` with the modulus bound
-    first (``functools.partial(…, q)`` pickles for
-    :func:`repro.parallel.parallel_map`).  Pure per-chunk form -- it must
-    never dispatch back through the pool itself."""
-    return batch_multiexp_points(instances, q)
-
-
 # ---------------------------------------------------------------------------
 # GT (F_{q^2} subgroup) kernels
 
@@ -402,69 +385,24 @@ def batch_multiexp_fq2(
     ``[1, order)``, identity terms dropped by the caller.  The
     ``F_{q^2}`` Straus path has no batched inversion to share, so the
     amortisation here is the window/cost-model decision: one
-    :func:`straus_window` call sized
-    by the widest exponent and largest term count serves every
-    Straus-sized instance.  Pippenger-sized and empty instances dispatch
-    individually.  A lone instance gets the window its own terms pick.
+    :func:`straus_window` call sized by the widest exponent and largest
+    term count serves every non-empty instance, and an empty instance is
+    the identity.  A lone instance gets the window its own terms pick.
     """
-    results: list[_RawFq2 | None] = [None] * len(instances)
-    straus_idx: list[int] = []
+    busy: list[int] = []
     for idx, (values, exponents) in enumerate(instances):
         if len(values) != len(exponents):
             raise GroupError("multiexp: bases and exponents differ in length")
-        if not values:
-            results[idx] = (1, 0)
-        elif len(values) >= PIPPENGER_THRESHOLD:
-            results[idx] = _pippenger_fq2(values, exponents, q)
-        else:
-            straus_idx.append(idx)
-    if not straus_idx:
-        return results  # type: ignore[return-value]
+        if values:
+            busy.append(idx)
+    results: list[_RawFq2] = [(1, 0)] * len(instances)
+    if not busy:
+        return results
 
-    bits = max(
-        e.bit_length() for idx in straus_idx for e in instances[idx][1]
-    )
-    w = straus_window(max(len(instances[idx][0]) for idx in straus_idx), bits)
+    bits = max(e.bit_length() for idx in busy for e in instances[idx][1])
+    w = straus_window(max(len(instances[idx][0]) for idx in busy), bits)
     digits = -(-bits // w)
-    for idx in straus_idx:
+    for idx in busy:
         values, exponents = instances[idx]
         results[idx] = _straus_fq2_shared(values, exponents, w, digits, q)
-    return results  # type: ignore[return-value]
-
-
-def batch_multiexp_fq2_chunk(
-    q: int, instances: "list[tuple[list[_RawFq2], list[int]]]"
-) -> list[_RawFq2]:
-    """Pool worker: :func:`batch_multiexp_fq2` with the modulus bound
-    first; see :func:`batch_multiexp_points_chunk`."""
-    return batch_multiexp_fq2(instances, q)
-
-
-def _pippenger_fq2(values: list[_RawFq2], exponents: list[int], q: int) -> _RawFq2:
-    bits = max(e.bit_length() for e in exponents)
-    w = bucket_window(len(values), bits)
-    mask = (1 << w) - 1
-    digits = -(-bits // w)
-
-    acc: _RawFq2 = (1, 0)
-    for position in range(digits - 1, -1, -1):
-        if acc != (1, 0):
-            for _ in range(w):
-                acc = fq2_square(acc, q)
-        shift = position * w
-        buckets: list[_RawFq2 | None] = [None] * (1 << w)
-        for value, exponent in zip(values, exponents):
-            digit = (exponent >> shift) & mask
-            if digit:
-                current = buckets[digit]
-                buckets[digit] = value if current is None else fq2_mul(current, value, q)
-        running: _RawFq2 = (1, 0)
-        window_sum: _RawFq2 = (1, 0)
-        for digit in range(mask, 0, -1):
-            bucket = buckets[digit]
-            if bucket is not None:
-                running = fq2_mul(running, bucket, q)
-            if running != (1, 0):
-                window_sum = fq2_mul(window_sum, running, q)
-        acc = fq2_mul(acc, window_sum, q)
-    return acc
+    return results

@@ -116,7 +116,7 @@ def _load():
     )
     module = importlib.util.module_from_spec(spec)
     loader.exec_module(module)
-    # A fork (the process pool's) may copy another thread's hold on the
+    # A fork from any thread may copy another thread's hold on the
     # kernels' scratch lock into the child.
     os.register_at_fork(after_in_child=module.reset_after_fork)
     return module

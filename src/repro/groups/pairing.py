@@ -43,8 +43,6 @@ multiplies ``f`` with two products (:func:`evaluate_schedule_chunk`).
 
 from __future__ import annotations
 
-from functools import partial
-
 from repro.groups import native
 from repro.groups.curve import (
     Point,
@@ -62,7 +60,6 @@ from repro.math.modular import (
     fq2_square,
     inv_mod,
 )
-from repro.parallel import parallel_map
 
 _RawFq2 = tuple[int, int]
 
@@ -261,17 +258,13 @@ class PairingPrecomp:
         """The full pairing ``e(P, Q)`` via the cached schedule."""
         return self.pair_with_many([q_point])[0]
 
-    def evaluate_many(
-        self, q_points: "list[Point]", jobs: int | None = None
-    ) -> list[_RawFq2]:
+    def evaluate_many(self, q_points: "list[Point]") -> list[_RawFq2]:
         """``e(P, Q_i)`` for a whole vector, as canonical raw pairs.
 
-        The cached schedule is built once and serves every ``Q_i``; with
-        the process pool enabled (``jobs > 1``, or the
-        :func:`repro.parallel.get_jobs` default) the evaluations fan out
-        across workers, with only canonical ints crossing the process
-        boundary.  Results are bit-identical to --
-        and ordered like -- mapping :meth:`pair_with` over the vector.
+        The cached schedule is built once and serves every ``Q_i`` in
+        one :func:`evaluate_schedule_chunk` call.  Results are
+        bit-identical to -- and ordered like -- mapping
+        :meth:`pair_with` over the vector.
         """
         xys = [
             None
@@ -279,20 +272,12 @@ class PairingPrecomp:
             else (pt.x, pt.y)
             for pt in q_points
         ]
-        worker = partial(
-            evaluate_schedule_chunk, self.steps, self.params.q, self.params.h
-        )
-        return parallel_map(worker, xys, jobs=jobs)
+        return evaluate_schedule_chunk(self.steps, self.params.q, self.params.h, xys)
 
-    def pair_with_many(
-        self, q_points: "list[Point]", jobs: int | None = None
-    ) -> list[Fq2]:
+    def pair_with_many(self, q_points: "list[Point]") -> list[Fq2]:
         """:meth:`evaluate_many`, as ``F_{q^2}`` elements."""
         q = self.params.q
-        return [
-            Fq2._from_reduced(a, b, q)
-            for a, b in self.evaluate_many(q_points, jobs=jobs)
-        ]
+        return [Fq2._from_reduced(a, b, q) for a, b in self.evaluate_many(q_points)]
 
 
 def evaluate_schedule_chunk(
@@ -302,7 +287,7 @@ def evaluate_schedule_chunk(
     xys: list[tuple[int, int] | None],
 ) -> list[_RawFq2]:
     """Evaluate one cached schedule at many ``Q``, final exponentiation
-    included; the pool worker of :meth:`PairingPrecomp.evaluate_many`.
+    included; the kernel of :meth:`PairingPrecomp.evaluate_many`.
 
     ``xys`` holds the affine ``(x, y)`` of each ``Q`` as canonical ints,
     or ``None`` for the point at infinity / a trivial schedule.
@@ -319,9 +304,7 @@ def evaluate_schedule_chunk(
 
     The ``y_Q`` inverses of the whole chunk share one batch inversion,
     and so do the norms that the final exponentiations invert
-    (``f^(q-1) = conj(f)^2 / N(f)``).  Every input is a plain int, so a
-    :func:`functools.partial` over this function pickles for the
-    :mod:`repro.parallel` pool.  Runs as one
+    (``f^(q-1) = conj(f)^2 / N(f)``).  Runs as one
     :mod:`native <repro.groups.native>` call when the compiled kernels
     are built.
     """

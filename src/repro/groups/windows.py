@@ -1,12 +1,12 @@
 """Shared window-selection cost models.
 
-Four exponentiation kernels pick a window width ``w`` from the same
+Three exponentiation kernels pick a window width ``w`` from the same
 family of cost trade-offs (table size vs. main-loop work):
 
 * the batch-affine signed-digit multiexp, which runs every ``G``
   instance (:func:`wnaf_window`),
-* ``GT`` Straus interleaved-window multiexp (:func:`straus_window`),
-* ``GT`` Pippenger bucket multiexp (:func:`bucket_window`),
+* ``GT`` Straus interleaved-window multiexp, which runs every ``GT``
+  instance (:func:`straus_window`),
 * fixed-base windowed exponentiation (:func:`fixed_base_window`,
   used by :class:`~repro.groups.precompute.FixedBaseExp`).
 
@@ -19,10 +19,6 @@ from __future__ import annotations
 #: Inclusive search bound for Straus windows: tables are per-base, so
 #: widths beyond 7 never amortise at the term counts the schemes produce.
 MAX_STRAUS_WINDOW = 7
-
-#: Inclusive search bound for Pippenger windows (buckets are shared
-#: across bases, so wider windows stay viable longer).
-MAX_BUCKET_WINDOW = 11
 
 #: Inclusive search bound for fixed-base windows (matches the
 #: ``FixedBaseExp`` validation range).
@@ -59,18 +55,6 @@ def wnaf_window(bits: int) -> int:
     for w in range(2, MAX_STRAUS_WINDOW + 1):
         table = 0 if w == 2 else 1 << (w - 2)  # 1 doubling + the additions
         cost = table + bits / (w + 1)
-        if best_cost is None or cost < best_cost:
-            best_w, best_cost = w, cost
-    return best_w
-
-
-def bucket_window(terms: int, bits: int) -> int:
-    """``GT`` Pippenger window width: per digit position the buckets cost
-    ``terms`` adds plus ``~2^{w+1}`` for the suffix-sum fold, across
-    ``bits / w`` positions."""
-    best_w, best_cost = 1, None
-    for w in range(1, MAX_BUCKET_WINDOW + 1):
-        cost = bits + (bits / w) * (terms + (1 << (w + 1)))
         if best_cost is None or cost < best_cost:
             best_w, best_cost = w, cost
     return best_w

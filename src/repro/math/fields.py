@@ -100,11 +100,6 @@ class Fq:
     def __int__(self) -> int:
         return self.value
 
-    def __reduce__(self):
-        # Frozen slotted dataclasses have no __dict__ for the default
-        # pickle protocol (the repro.parallel pool pickles elements).
-        return (Fq, (self.value, self.q))
-
 
 @dataclass(frozen=True, slots=True)
 class Fq2:
@@ -214,10 +209,6 @@ class Fq2:
 
     def to_tuple(self) -> tuple[int, int]:
         return (self.a, self.b)
-
-    def __reduce__(self):
-        # See Fq.__reduce__: slots + frozen needs an explicit recipe.
-        return (Fq2, (self.a, self.b, self.q))
 
     def __repr__(self) -> str:
         return f"Fq2({self.a} + {self.b}i mod {self.q})"

@@ -4,28 +4,24 @@
 lockstep affine coordinates (one Montgomery-trick inversion per round)
 and ``batch_multiexp_fq2`` shares one window decision; ``evaluate_many`` /
 ``pair_many`` serve a vector of right points from one cached Miller
-schedule, optionally fanned across the :mod:`repro.parallel` process
-pool.  All of them are *pure reorganizations*: every output must be
-bit-identical to the sequential loop they replace, on both kernel sets
-(Python and compiled), at sizes straddling the Pippenger threshold, and with
-the pool active.
+schedule.  All of them are *pure reorganizations*: every output must be
+bit-identical to the sequential loop they replace and to the naive
+per-term ladder, on both kernel sets (Python and compiled), from one
+term up to 67.
 """
 
-import os
 import random
 
 import pytest
 
 from repro.groups import fastops, preset_group
 from repro.groups.bilinear import G1Element, GTElement
-from repro.groups.fastops import PIPPENGER_THRESHOLD
 from repro.groups.pairing import PairingPrecomp
-from repro.parallel import parallel_map, set_jobs, shutdown_pool
 from tests.conftest import KERNEL_SETS, kernel_set
 
-#: Instance sizes the shared-window batch must triage correctly:
-#: single-term, small Straus, straddling the Pippenger threshold.
-SIZES = [1, 2, 5, PIPPENGER_THRESHOLD - 1, PIPPENGER_THRESHOLD, PIPPENGER_THRESHOLD + 3]
+#: Instance sizes one shared window must serve: single-term, small, and
+#: larger than any scheme period produces.
+SIZES = [1, 2, 5, 63, 64, 67]
 
 
 @pytest.fixture()
@@ -62,7 +58,11 @@ class TestMultiexpBatchEquivalence:
             sequential = [
                 G1Element.multiexp(bases, exponents) for bases, exponents in instances
             ]
-        assert batched == sequential
+        with fastops.reference_mode():
+            naive = [
+                G1Element.multiexp(bases, exponents) for bases, exponents in instances
+            ]
+        assert batched == sequential == naive
 
     @pytest.mark.parametrize("kernels", KERNEL_SETS)
     def test_gt_matches_sequential(self, small_group, rng, kernels):
@@ -72,7 +72,11 @@ class TestMultiexpBatchEquivalence:
             sequential = [
                 GTElement.multiexp(bases, exponents) for bases, exponents in instances
             ]
-        assert batched == sequential
+        with fastops.reference_mode():
+            naive = [
+                GTElement.multiexp(bases, exponents) for bases, exponents in instances
+            ]
+        assert batched == sequential == naive
 
     def test_empty_batch(self):
         assert G1Element.multiexp_batch([]) == []
@@ -100,7 +104,7 @@ class TestMultiexpBatchEquivalence:
     def test_counter_totals_match_sequential(self, small_group, rng):
         """The batch kernel must book the same folded-term totals as the
         per-instance loop, or the BENCH_ops baselines drift."""
-        instances = _g1_instances(small_group, rng, [2, 5, PIPPENGER_THRESHOLD])
+        instances = _g1_instances(small_group, rng, [2, 5, 64])
         small_group.counter.reset()
         G1Element.multiexp_batch(instances)
         batched = small_group.counter.as_dict()
@@ -110,21 +114,6 @@ class TestMultiexpBatchEquivalence:
         sequential = small_group.counter.as_dict()
         small_group.counter.reset()
         assert batched == sequential
-
-    @pytest.mark.parametrize("kernels", KERNEL_SETS)
-    def test_pooled_dispatch_matches(self, small_group, rng, kernels):
-        """jobs=2 fans the kernel instances across worker processes; the
-        returned results must be identical to the in-process run."""
-        with kernel_set(kernels):
-            instances = _g1_instances(small_group, rng, [3, 6, 9, 4, 8, 2, 5, 7, 11, 3])
-            in_process = G1Element.multiexp_batch(instances)
-            set_jobs(2)
-            try:
-                pooled = G1Element.multiexp_batch(instances)
-            finally:
-                set_jobs(1)
-                shutdown_pool()
-        assert pooled == in_process
 
 
 class TestEvaluateManyEquivalence:
@@ -159,16 +148,6 @@ class TestEvaluateManyEquivalence:
         many = precomp.pair_with_many(rights)
         assert many == [precomp.pair_with(right) for right in rights]
 
-    def test_pooled_matches_in_process(self, small_group, rng):
-        precomp = self._schedule(small_group, rng)
-        rights = [small_group.random_g(rng).point for _ in range(24)]
-        in_process = precomp.pair_with_many(rights, jobs=1)
-        try:
-            pooled = precomp.pair_with_many(rights, jobs=2)
-        finally:
-            shutdown_pool()
-        assert pooled == in_process
-
     def test_pair_many_handle_matches_and_counts(self, small_group, rng):
         left = small_group.random_g(rng)
         rights = [small_group.random_g(rng) for _ in range(6)]
@@ -189,47 +168,3 @@ class TestEvaluateManyEquivalence:
             reference = small_group.pairing_precomp(left).pair_many(rights)
         assert fast == reference
 
-
-def _add_hundred(chunk):
-    """Module-level so the pool can pickle it (locals cannot cross)."""
-    return [item + 100 for item in chunk]
-
-
-class TestParallelMap:
-    def test_small_batches_stay_in_process(self):
-        calls = []
-
-        def worker(chunk):
-            calls.append(list(chunk))
-            return [item * 2 for item in chunk]
-
-        assert parallel_map(worker, [1, 2, 3], jobs=4, min_batch=8) == [2, 4, 6]
-        # One call with the whole vector: no pool for a sub-threshold batch.
-        assert calls == [[1, 2, 3]]
-
-    def test_jobs_one_never_pools(self):
-        def worker(chunk):
-            return [os.getpid() for _ in chunk]
-
-        pids = set(parallel_map(worker, list(range(32)), jobs=1))
-        assert pids == {os.getpid()}
-
-    def test_order_preserved_across_chunks(self):
-        items = list(range(23))
-        try:
-            result = parallel_map(_add_hundred, items, jobs=2, min_batch=2)
-        finally:
-            shutdown_pool()
-        assert result == [item + 100 for item in items]
-
-    def test_env_default(self, monkeypatch):
-        from repro import parallel
-
-        monkeypatch.setenv("REPRO_JOBS", "3")
-        monkeypatch.setattr(parallel, "_jobs", None)
-        assert parallel.get_jobs() == 3
-        # get_jobs caches; a fresh resolution of a malformed value falls
-        # back to 1 (pool disabled) rather than crashing startup.
-        monkeypatch.setenv("REPRO_JOBS", "not-a-number")
-        monkeypatch.setattr(parallel, "_jobs", None)
-        assert parallel.get_jobs() == 1

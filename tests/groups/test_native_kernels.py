@@ -337,8 +337,8 @@ def test_scheme_periods_match_python_and_reference_mode(scheme_cls):
 @needs_native
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_children_run_kernels_while_a_parent_thread_is_in_one():
-    """The process pool forks; a child must not inherit another
-    thread's hold on the kernels' scratch."""
+    """A forked child must not inherit another thread's hold on the
+    kernels' scratch."""
     group = preset_group(128)
     busy = draw_instances(128, 1, 40)
     small = draw_instances(32, 2, 3)

@@ -1,10 +1,10 @@
 """The shared window-selection cost models (:mod:`repro.groups.windows`).
 
-The Straus and Pippenger models used to live inline in ``fastops``; the
-first two test classes pin the shared module to those historical
-formulas exactly (any drift would silently change which kernel variant
-every multiexp call site runs).  The rest covers the fixed-base model
-and its consumer :class:`~repro.groups.precompute.FixedBaseExp`.
+The Straus model used to live inline in ``fastops``; the first test
+class pins the shared module to that historical formula exactly (any
+drift would silently change the window every ``GT`` multiexp runs).
+The rest covers the fixed-base model and its consumer
+:class:`~repro.groups.precompute.FixedBaseExp`.
 """
 
 import random
@@ -15,10 +15,8 @@ from repro.errors import ParameterError
 from repro.groups import preset_group
 from repro.groups.precompute import FixedBaseExp, PrecomputedEncryptor
 from repro.groups.windows import (
-    MAX_BUCKET_WINDOW,
     MAX_FIXED_BASE_WINDOW,
     MAX_STRAUS_WINDOW,
-    bucket_window,
     fixed_base_window,
     straus_window,
 )
@@ -40,16 +38,6 @@ def historical_straus(terms: int, bits: int) -> int:
     return best_w
 
 
-def historical_bucket(terms: int, bits: int) -> int:
-    """The pre-refactor ``fastops._bucket_window_size`` formula, verbatim."""
-    best_w, best_cost = 1, None
-    for w in range(1, 12):
-        cost = bits + (bits / w) * (terms + (1 << (w + 1)))
-        if best_cost is None or cost < best_cost:
-            best_w, best_cost = w, cost
-    return best_w
-
-
 class TestStrausWindow:
     @pytest.mark.parametrize("terms,bits", SWEEP)
     def test_matches_historical_formula(self, terms, bits):
@@ -65,26 +53,6 @@ class TestStrausWindow:
     def test_bounds(self):
         for terms, bits in SWEEP:
             assert 1 <= straus_window(terms, bits) <= MAX_STRAUS_WINDOW
-
-
-class TestBucketWindow:
-    @pytest.mark.parametrize("terms,bits", SWEEP)
-    def test_matches_historical_formula(self, terms, bits):
-        assert bucket_window(terms, bits) == historical_bucket(terms, bits)
-
-    def test_pinned_values(self):
-        assert bucket_window(26, 64) == 3
-        assert bucket_window(130, 128) == 5
-        assert bucket_window(512, 256) == 6
-
-    def test_bounds(self):
-        for terms, bits in SWEEP:
-            assert 1 <= bucket_window(terms, bits) <= MAX_BUCKET_WINDOW
-
-    def test_wide_windows_need_many_terms(self):
-        # The bucket fold's 2^{w+1} term keeps windows narrow until the
-        # term count dominates it.
-        assert bucket_window(4, 256) < bucket_window(4096, 256)
 
 
 class TestFixedBaseWindow:

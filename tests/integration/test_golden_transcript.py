@@ -248,12 +248,10 @@ class TestBackendTransparency:
 
 
 class TestBatchTransparency:
-    """The amortized batch APIs and the process pool must be invisible
-    in the adversary's view too: ``encrypt_batch`` consumes the RNG
-    stream exactly like an ``encrypt`` loop, ``run_period_multi`` with
-    the shared pairing schedule pins the same transcript as before the
-    batch kernels, and fanning the kernels across worker processes
-    (``REPRO_JOBS=2``) changes nothing byte-for-byte."""
+    """The amortized batch APIs must be invisible in the adversary's
+    view too: ``encrypt_batch`` consumes the RNG stream exactly like an
+    ``encrypt`` loop, and ``run_period_multi`` with the shared pairing
+    schedule pins the same transcript as before the batch kernels."""
 
     PINNED_MULTI = (
         "fbc478ee956cda4ffefc4b9df58dd0ed9c0d6ec5660039af4d25e3974ce6d4a1"
@@ -290,36 +288,6 @@ class TestBatchTransparency:
         record = scheme.run_period_multi(p1, p2, channel, ciphertexts)
         assert list(record.plaintexts) == messages
         assert _digest(channel.transcript_bits()) == self.PINNED_MULTI
-
-    def test_pool_active_transcript_identical(self):
-        from repro.parallel import set_jobs, shutdown_pool
-
-        scheme, p1, p2, channel, messages, ciphertexts = self._multi_setup()
-        set_jobs(2)
-        try:
-            record = scheme.run_period_multi(p1, p2, channel, ciphertexts)
-        finally:
-            set_jobs(1)
-            shutdown_pool()
-        assert list(record.plaintexts) == messages
-        assert _digest(channel.transcript_bits()) == self.PINNED_MULTI
-
-    def test_pool_active_single_period_matches_pinned_digest(self):
-        from repro.parallel import set_jobs, shutdown_pool
-
-        scheme, rng, generation, p1, p2, channel, message, ciphertext = _setup(
-            DLR, 1234
-        )
-        set_jobs(2)
-        try:
-            record = scheme.run_period(p1, p2, channel, ciphertext)
-        finally:
-            set_jobs(1)
-            shutdown_pool()
-        assert record.plaintext == message
-        assert _digest(channel.transcript_bits(0)) == (
-            "9e5b8488f23b63d2597555c23ac7ad90c0306a1a886ac502fef10d8ede51f522"
-        )
 
     def test_optimal_batch_round_trips(self):
         scheme, p1, p2, channel, messages, ciphertexts = self._multi_setup(

@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -155,3 +160,27 @@ class TestInfo:
         assert info["lambda"] == 32
         assert info["kappa"] >= 2
         assert info["b2_bits_per_period"] == info["m2_bits"]
+
+
+class TestImportHygiene:
+    def test_serving_imports_no_process_machinery(self):
+        """Every kernel runs in the calling process, so importing the CLI
+        and the key service pulls in no process-pool machinery and not
+        the ``repro.parallel`` import target either."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        probe = (
+            "import sys, repro.cli, repro.service.server; "
+            "print(*(name for name in ('multiprocessing', "
+            "'concurrent.futures.process', 'repro.parallel') "
+            "if name in sys.modules))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        assert result.stdout.split() == []

@@ -9,17 +9,20 @@ Miller-schedule chunk (:func:`repro.groups.pairing.evaluate_schedule_chunk`)
 and the ``F_{q^2}`` Straus loop
 (:func:`repro.groups.fastops._straus_fq2_shared`) each have a C twin in
 ``_kernels.c``, shipped beside this module.  Every call runs a whole
-loop on GMP ``mpz_t`` values, so any modulus size takes the same path.
-The Python kernels stay the reference: the C versions return the same
-canonical residues.  The sampler takes a ``random.Random``'s raw
+loop.  The modulus it is passed picks the residues' representation: a
+``q`` below 2^63 computes on ``uint64_t`` words with 128-bit products,
+a larger one on GMP ``mpz_t``.  Both run one kernel body,
+``_kernels_body.h``, which ``_kernels.c`` includes once per
+representation.  The Python kernels stay the reference: the C versions
+return the same canonical residues.  The sampler takes a ``random.Random``'s raw
 32-bit output words, drawn ahead in Python, and consumes them exactly
 as ``randrange`` and ``getrandbits(1)`` would, so the RNG stream is
 the Python loop's.
 
 The first :func:`kernels` call compiles the source with a plain ``gcc``
 run against the interpreter's headers and ``-lgmp``, into a per-user
-cache directory keyed by a hash of the source, the Python ABI and the
-compiler.  The build goes to a temporary file that is renamed into
+cache directory keyed by a hash of both source files, the Python ABI
+and the compiler.  The build goes to a temporary file that is renamed into
 place, so servers starting together cannot load a half-written module.
 Any failure (no compiler, no ``gmp.h``, an unwritable cache, a module
 that does not load) leaves the Python kernels in charge, silently.
@@ -43,6 +46,9 @@ from contextlib import contextmanager, suppress
 from typing import Iterator
 
 _SOURCE = pathlib.Path(__file__).with_name("_kernels.c")
+#: Every file the build reads: the source and the kernel body it
+#: includes once per residue representation.
+_SOURCES = (_SOURCE, _SOURCE.with_name("_kernels_body.h"))
 _MODULE_NAME = "_repro_kernels"
 _COMPILER = "gcc"
 _BUILD_TIMEOUT_S = 120.0
@@ -59,9 +65,11 @@ def _cache_dir() -> pathlib.Path:
     return pathlib.Path.home() / ".cache" / "repro-dlr" / "kernels"
 
 
-def _build_key(source: bytes, compiler: str) -> str:
+def _build_key(sources: list[bytes], compiler: str) -> str:
     stat = os.stat(compiler)
-    digest = hashlib.sha256(source)
+    digest = hashlib.sha256()
+    for source in sources:
+        digest.update(hashlib.sha256(source).digest())
     for part in (
         sys.version,
         _SUFFIX,
@@ -104,9 +112,9 @@ def _load():
     if compiler is None:
         return None
     compiler = os.path.realpath(compiler)
-    source = _SOURCE.read_bytes()
+    sources = [path.read_bytes() for path in _SOURCES]
     cache = _cache_dir()
-    target = cache / f"{_MODULE_NAME}-{_build_key(source, compiler)}{_SUFFIX}"
+    target = cache / f"{_MODULE_NAME}-{_build_key(sources, compiler)}{_SUFFIX}"
     if not target.exists():
         cache.mkdir(parents=True, exist_ok=True)
         _build(target, compiler)

@@ -5,13 +5,16 @@ multiexp, the batched cofactor-clearing scalar multiplication, the
 subgroup sampler, the Miller-schedule chunk and the ``F_{q^2}`` Straus
 loop.  Each is pinned here against its Python kernel, run inside
 :func:`~repro.groups.native._python_kernels`, at every preset size from
-16 to 256 bits (multi-limb ``mpz_t`` from 128 up), with the special
-cases of a round drawn in: infinity operands, ``P + P`` and
-``P + (-P)`` inside one round, the 2-torsion point ``(0, 0)``,
-``y_Q = 0``, and empty and width-1 vectors.  Lone ``G`` instances of
+16 to 256 bits (word-sized residues below ``q = 2^63``, ``mpz_t`` from
+64 up, multi-limb from 128 up), with the special cases of a round
+drawn in: infinity operands, ``P + P`` and ``P + (-P)`` inside one
+round, the 2-torsion point ``(0, 0)``, ``y_Q = 0``, and empty and
+width-1 vectors.  Lone ``G`` instances of
 every term count, with duplicate and negated bases and the exponents 1
 and ``p - 1``, are pinned on both kernel sets against the
-``reference_mode()`` ladder.
+``reference_mode()`` ladder.  :class:`TestWordBoundary` runs all five
+on groups either side of the word bound, with residues at ``q - 1``,
+unreduced and negative operands, and singular slopes.
 
 The native legs skip where the extension cannot be built; the fallback
 tests run everywhere.
@@ -23,6 +26,7 @@ import functools
 import os
 import pathlib
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -37,11 +41,13 @@ from repro.core.dlr import DLR
 from repro.core.optimal import OptimalDLR
 from repro.core.params import DLRParams
 from repro.groups import fastops, native, preset_group, sampling
-from repro.groups.bilinear import G1Element
+from repro.groups.bilinear import BilinearGroup, G1Element
 from repro.groups.curve import INFINITY, Point, batch_scalar_mul
 from repro.groups.pairing import PairingPrecomp, evaluate_schedule_chunk
+from repro.groups.pairing_params import generate_params
 from repro.groups.windows import straus_window
 from repro.ibe.dlr_ibe import DLRIBE
+from repro.math.primes import is_prime
 from repro.protocol.device import Device
 from repro.protocol.transport import InMemoryTransport
 
@@ -435,6 +441,19 @@ def test_an_importable_gmpy2_keeps_the_native_kernels(tmp_path):
     assert kernels == "native"
 
 
+def test_the_build_key_covers_every_file_the_build_reads():
+    """Each local header the C source includes is hashed into the cache
+    key, so editing it rebuilds the module instead of loading a stale
+    one."""
+    included = set(re.findall(r'#include "([^"]+)"', native._SOURCE.read_text()))
+    assert included
+    assert {path.name for path in native._SOURCES} == {native._SOURCE.name, *included}
+    sources = [path.read_bytes() for path in native._SOURCES]
+    edited = [*sources[:-1], sources[-1] + b"\n"]
+    compiler = sys.executable  # any existing file stands in for the compiler
+    assert native._build_key(sources, compiler) != native._build_key(edited, compiler)
+
+
 @needs_native
 def test_build_lands_in_the_cache_and_is_reused(monkeypatch, tmp_path):
     monkeypatch.setattr(native, "_cache_dir", lambda: tmp_path / "cache")
@@ -448,3 +467,206 @@ def test_build_lands_in_the_cache_and_is_reused(monkeypatch, tmp_path):
 
     monkeypatch.setattr(native.subprocess, "run", no_compiler)
     assert native._load() is not None
+
+
+# ---------------------------------------------------------------------------
+# The word/mpz_t boundary: residues are uint64_t words for every q < 2^63
+# and mpz_t above.
+
+
+@functools.lru_cache(maxsize=None)
+def boundary_group(key) -> BilinearGroup:
+    """A preset group by its ``n``, or ``"q63"``: a pinned group whose
+    63-bit ``q`` sits just under 2^63, the largest the words take."""
+    if key == "q63":
+        group = BilinearGroup(generate_params(58, random.Random(4)))
+        assert 2**63 - 2**54 < group.q < 2**63
+        return group
+    return preset_group(key)
+
+
+#: Preset n=59 (a 61-bit q, words), the pinned 63-bit q (words), preset
+#: n=56 (a 64-bit q, mpz_t), and every preset size the suite uses.
+BOUNDARY = (59, "q63", 56) + SIZES
+
+
+def test_the_boundary_groups_straddle_two_to_the_63():
+    assert boundary_group(59).q.bit_length() == 61
+    assert boundary_group("q63").q.bit_length() == 63
+    assert boundary_group(56).q.bit_length() == 64
+
+
+def raw(points) -> list:
+    return [None if point.infinity else (point.x, point.y) for point in points]
+
+
+def unreduced(xy, q: int, rng: random.Random):
+    """``xy`` with each coordinate lifted by a multiple of ``q``: past
+    ``q``, past 2^64, or far past it."""
+    if xy is None:
+        return None
+    return tuple(c + q * rng.choice([1, 2**64 // q + 1, 2**80 + 3]) for c in xy)
+
+
+def boundary_operands(group) -> tuple[list, list]:
+    """Points (as raw pairs or None) whose rounds meet every special
+    case, and exponents at the edges of ``[0, p)``."""
+    q, p = group.q, group.p
+    rng = random.Random(q)
+    finite = [group.random_g(rng).point for _ in range(3)]
+    points = raw(finite) + [
+        raw([finite[0].negate(q)])[0],  # P + (-P) with finite[0]
+        (0, 0),  # 2-torsion
+        None,  # infinity
+        (q - 1, q - 1),  # off the curve: the largest residues
+        (q - 1, 1),
+    ]
+    exponents = [0, 1, 2, p - 1, p - 2, rng.randrange(1, p), rng.randrange(1, p)]
+    return points, exponents
+
+
+@needs_native
+class TestWordBoundary:
+    """All five entry points at the word/``mpz_t`` boundary, the native
+    result taking unreduced coordinates and the Python kernels reduced
+    ones."""
+
+    @pytest.mark.parametrize("key", BOUNDARY)
+    def test_affine_multiexp(self, key):
+        group = boundary_group(key)
+        q = group.q
+        points, exponents = boundary_operands(group)
+        rng = random.Random(1)
+        instances = [
+            ([points[0], points[0]], [exponents[5], exponents[5]]),  # P + P
+            ([points[0], points[3]], [exponents[6], exponents[6]]),  # P + (-P)
+            ([points[4], points[1]], [1, exponents[3]]),
+            ([points[5], points[2]], [exponents[4], 0]),
+            ([points[6], points[7]], [exponents[5], exponents[6]]),
+            (points, exponents + [1]),
+            ([points[0]], [0]),
+        ]
+        bits = max(e.bit_length() for _, exps in instances for e in exps)
+        lifted = [
+            ([unreduced(xy, q, rng) for xy in bases], exps) for bases, exps in instances
+        ]
+        got = native.kernels().affine_multiexp(
+            q, fastops.wnaf_window(bits), fastops._TREE_ENTRIES, lifted
+        )
+        with native._python_kernels():
+            want = fastops._batch_affine_multiexp(
+                [
+                    ([INFINITY if xy is None else Point(*xy, False) for xy in bases], exps)
+                    for bases, exps in instances
+                ],
+                q,
+            )
+        assert got == raw(want)
+        assert got[1] is None and got[-1] is None
+
+    @pytest.mark.parametrize("key", BOUNDARY)
+    def test_scalar_mul_vector(self, key):
+        group = boundary_group(key)
+        q, p = group.q, group.p
+        points, _ = boundary_operands(group)
+        rng = random.Random(2)
+        lifted = [unreduced(xy, q, rng) for xy in points]
+        vector = [INFINITY if xy is None else Point(*xy, False) for xy in points]
+        for scalar in (1, 2, 3, group.params.h, p - 1, p):
+            got = native.kernels().scalar_mul_vector(q, scalar, lifted)
+            with native._python_kernels():
+                want = batch_scalar_mul(vector, scalar, q)
+            assert got == raw(want), scalar
+        assert native.kernels().scalar_mul_vector(q, p, lifted[:3]) == [None] * 3
+
+    @pytest.mark.parametrize("key", BOUNDARY)
+    def test_sample_points(self, key):
+        params = boundary_group(key).params
+        native_rng, python_rng = random.Random(3), random.Random(3)
+        got = sampling.random_subgroup_points(params, native_rng, 24)
+        with native._python_kernels():
+            want = sampling.random_subgroup_points(params, python_rng, 24)
+        assert got == want
+        assert native_rng.getstate() == python_rng.getstate()
+
+    @pytest.mark.parametrize("key", BOUNDARY)
+    def test_schedule_chunk(self, key):
+        group = boundary_group(key)
+        q, h = group.q, group.params.h
+        points, _ = boundary_operands(group)
+        rng = random.Random(4)
+        steps = PairingPrecomp(Point(*points[0], False), group.params).steps
+        xys = points + [(q - 1, 0), (rng.randrange(q), q - 1)]
+        lifted_steps = [
+            tuple(unreduced(line, q, rng) for line in step) for step in steps
+        ]
+        lifted = [unreduced(xy, q, rng) for xy in xys]
+        got = native.kernels().schedule_chunk(lifted_steps, q, h, lifted)
+        with native._python_kernels():
+            want = evaluate_schedule_chunk(steps, q, h, xys)
+        assert got == want
+
+    @pytest.mark.parametrize("key", BOUNDARY)
+    def test_straus_fq2(self, key):
+        group = boundary_group(key)
+        self._check_straus(group.q, group.p, random.Random(5))
+
+    @pytest.mark.parametrize("bound", [2**63, 2**64])
+    def test_straus_fq2_at_the_primes_beside_the_bound(self, bound):
+        """The largest prime below 2^63 (words) and the smallest above
+        (mpz_t); likewise around 2^64."""
+        below = next(q for q in range(bound - 1, 0, -2) if is_prime(q))
+        above = next(q for q in range(bound + 1, 2 * bound, 2) if is_prime(q))
+        for q in (below, above):
+            self._check_straus(q, q - 1, random.Random(q))
+
+    @staticmethod
+    def _check_straus(q, p, rng):
+        values = [(1, 0), (0, 1), (q - 1, q - 1), (q - 1, 0), (0, q - 1)]
+        values += [(rng.randrange(q), rng.randrange(q)) for _ in range(3)]
+        exponents = [0, 1, p - 1, p - 2, 2, 1, p - 1, rng.randrange(p)]
+        w = straus_window(len(values), p.bit_length())
+        digits = -(-p.bit_length() // w)
+        lifted = [unreduced(value, q, rng) for value in values]
+        got = native.kernels().straus_fq2(lifted, exponents, w, digits, q)
+        with native._python_kernels():
+            want = fastops._straus_fq2_shared(values, exponents, w, digits, q)
+        assert got == want
+
+    @pytest.mark.parametrize("key", [59, "q63", 56, 128])
+    @pytest.mark.parametrize("negative", [-1, -(2**70)])
+    def test_negative_operands_raise_overflow(self, key, negative):
+        group = boundary_group(key)
+        q, h = group.q, group.params.h
+        kernel = native.kernels()
+        good = raw([group.random_g(random.Random(6)).point])[0]
+        bad = (good[0], negative)
+        w, entries = fastops.wnaf_window(8), fastops._TREE_ENTRIES
+        calls = [
+            lambda: kernel.affine_multiexp(q, w, entries, [([good, bad], [3, 5])]),
+            lambda: kernel.affine_multiexp(q, w, entries, [([good], [negative])]),
+            lambda: kernel.scalar_mul_vector(q, 3, [good, bad]),
+            lambda: kernel.schedule_chunk([], q, h, [good, bad]),
+            lambda: kernel.schedule_chunk([(bad, None)], q, h, [good]),
+            lambda: kernel.straus_fq2([good, bad], [1, 1], 2, 1, q),
+            lambda: kernel.straus_fq2([good], [negative], 2, 1, q),
+        ]
+        for call in calls:
+            with pytest.raises(OverflowError):
+                call()
+        # The scratch serves the next call as before.
+        assert kernel.scalar_mul_vector(q, 1, [good]) == [good]
+
+    @pytest.mark.parametrize("q, factor", [(15, 5), (2**64 + 1, 274177)])
+    def test_a_singular_slope_raises_zero_division(self, q, factor):
+        """Over a composite modulus (words below 2^63, mpz_t above) a
+        denominator sharing a factor with q has no inverse."""
+        kernel = native.kernels()
+        shared = (1, factor)  # doubling divides by 2 * factor
+        with pytest.raises(ZeroDivisionError):
+            kernel.scalar_mul_vector(q, 2, [shared])
+        with pytest.raises(ZeroDivisionError):
+            kernel.affine_multiexp(q, 2, 8, [([shared], [2])])
+        with pytest.raises(ZeroDivisionError):
+            kernel.schedule_chunk([], q, 4, [shared])
+        assert kernel.scalar_mul_vector(q, 1, [shared]) == [shared]

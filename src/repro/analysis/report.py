@@ -35,10 +35,6 @@ EXPERIMENT_TITLES = {
 _ID_PATTERN = re.compile(r"^(T\d+b?|A\d+)_")
 
 
-def results_directory() -> pathlib.Path:
-    return pathlib.Path(__file__).resolve().parents[3].parent / "results"
-
-
 def _locate_results() -> pathlib.Path:
     """Find results/ relative to the repository or the cwd."""
     candidates = [

@@ -5,12 +5,6 @@ class ReproError(Exception):
     """Base class for all library errors."""
 
 
-class ReproDeprecationWarning(DeprecationWarning):
-    """A repro API scheduled for removal.  Its own category lets the
-    test suite turn the library's deprecations into errors without
-    touching third-party ones."""
-
-
 class ParameterError(ReproError):
     """Invalid or inconsistent scheme parameters."""
 

@@ -16,6 +16,10 @@
  *                    words exactly as its randrange and getrandbits
  *                    would consume them, rooted by an exponentiation
  *                    and cleared by the cofactor on the same rounds;
+ *   miller_schedule  repro.groups.pairing.miller_schedule: the line
+ *                    coefficients of a point's Miller loop, walked in
+ *                    Jacobian coordinates and normalised with two
+ *                    batched inversions;
  *   schedule_chunk   repro.groups.pairing.evaluate_schedule_chunk: a
  *                    cached Miller schedule evaluated at many points,
  *                    batched y_Q and norm inversions and the final
@@ -25,8 +29,9 @@
  *
  * The Python kernels are the reference: every value returned here is
  * the canonical residue those kernels return.  Operands are converted
- * once per call; the arithmetic then runs with the interpreter lock
- * released, on scratch pools reused across calls.
+ * once per call; the arithmetic then runs on scratch pools reused
+ * across calls, with the interpreter lock released on the mpz_t field
+ * only (see BEGIN_COMPUTE below).
  *
  * Residues mod q come in two representations, picked per call from the
  * modulus.  Below 2^63 a residue is one uint64_t, products are
@@ -49,11 +54,14 @@
 
 /* ------------------------------------------------------------------ */
 /* Scratch: pools that only ever grow, reused across calls.  There is  */
-/* one, lent to one call at a time: a call holds it while it computes  */
-/* without the interpreter lock, so another thread's Python runs       */
-/* meanwhile, and a second kernel call waits for it.  Besides what is  */
-/* here, each residue representation keeps its own residue and point   */
-/* pools (_kernels_body.h), under the same lock.                       */
+/* one, lent to one call at a time.  An mpz_t kernel computes without  */
+/* the interpreter lock, so another thread may call a kernel then; a   */
+/* word kernel keeps the lock, but Python code run by its own          */
+/* allocations (a finalizer the garbage collector starts) may call     */
+/* one.  Either way the second call waits for the scratch instead of   */
+/* sharing it.  Besides what is here, each residue representation      */
+/* keeps its own residue and point pools (_kernels_body.h), under the  */
+/* same lock.                                                          */
 
 typedef struct {
     mpz_t *z;  /* the modulus, exponents, scalars, the cofactor */
@@ -664,17 +672,30 @@ static uint32_t next_word(word_stream *ws)
 /* ------------------------------------------------------------------ */
 /* The kernels, once per representation.                              */
 
+/* BEGIN_COMPUTE/END_COMPUTE bracket each kernel's arithmetic.  The
+ * word field keeps the interpreter lock: its calls are short (about
+ * 0.1-1 ms at q < 2^63), and handing the lock to another thread and
+ * taking it back costs more than the other thread gains.  The mpz_t
+ * field's calls are long enough that releasing it pays. */
 #define FE W_fe
 #define F(name) W_##name
+#define BEGIN_COMPUTE {
+#define END_COMPUTE }
 #include "_kernels_body.h"
 #undef FE
 #undef F
+#undef BEGIN_COMPUTE
+#undef END_COMPUTE
 
 #define FE Z_fe
 #define F(name) Z_##name
+#define BEGIN_COMPUTE Py_BEGIN_ALLOW_THREADS
+#define END_COMPUTE Py_END_ALLOW_THREADS
 #include "_kernels_body.h"
 #undef FE
 #undef F
+#undef BEGIN_COMPUTE
+#undef END_COMPUTE
 
 /* ------------------------------------------------------------------ */
 /* The entry points: parse the arguments, load the modulus and the     */
@@ -818,6 +839,27 @@ static PyObject *sample_points_on(scratch *s, PyObject *args)
     return (word_sized(z[0]) ? W_sample_points : Z_sample_points)(s, n, &ws);
 }
 
+/* miller_schedule(q, p, point)
+ *
+ * pairing.miller_schedule: the cached lines of the Miller loop of the
+ * (x, y) pair point over the bits of p, one (doubling, addition) pair
+ * per bit below the top one, each an affine (slope, offset) pair or
+ * None; [] for None.  Returns None where the Python build leaves the
+ * regular case (T doubled at y = 0, T = P at an addition, a value that
+ * is not a unit), so that build runs and reports it. */
+static PyObject *miller_schedule_on(scratch *s, PyObject *args)
+{
+    PyObject *qobj, *pobj, *point;
+    if (!PyArg_ParseTuple(args, "OOO", &qobj, &pobj, &point))
+        return NULL;
+    /* z pool: q, p */
+    if (reserve_z(s, 2) < 0)
+        return PyErr_NoMemory();
+    if (load_modulus(s->z[0], qobj, s) < 0 || load_mpz(s->z[1], pobj, s) < 0)
+        return NULL;
+    return (word_sized(s->z[0]) ? W_miller_schedule : Z_miller_schedule)(s, point);
+}
+
 /* schedule_chunk(steps, q, h, xys) */
 static PyObject *schedule_chunk_on(scratch *s, PyObject *args)
 {
@@ -875,6 +917,7 @@ static PyObject *reset_after_fork(PyObject *self, PyObject *unused)
 }
 
 LEND_SCRATCH(affine_multiexp)
+LEND_SCRATCH(miller_schedule)
 LEND_SCRATCH(sample_points)
 LEND_SCRATCH(scalar_mul_vector)
 LEND_SCRATCH(schedule_chunk)
@@ -883,6 +926,8 @@ LEND_SCRATCH(straus_fq2)
 static PyMethodDef methods[] = {
     {"affine_multiexp", affine_multiexp, METH_VARARGS,
      "affine_multiexp(q, w, tree_entries, instances) -> list of (x, y) or None"},
+    {"miller_schedule", miller_schedule, METH_VARARGS,
+     "miller_schedule(q, p, point) -> list of (line or None, line or None), or None"},
     {"sample_points", sample_points, METH_VARARGS,
      "sample_points(q, h, count, words) -> (list of (x, y) or None, used) or None"},
     {"scalar_mul_vector", scalar_mul_vector, METH_VARARGS,
@@ -899,8 +944,8 @@ static PyMethodDef methods[] = {
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT, "_repro_kernels",
     "Compiled kernels for the lockstep affine multiexp, subgroup sampling, "
-    "the Miller-schedule chunk and the F_{q^2} Straus loop, on word-sized "
-    "residues below 2^63 and on GMP mpz_t above.",
+    "the Miller schedule, its evaluation and the F_{q^2} Straus loop, on "
+    "word-sized residues below 2^63 and on GMP mpz_t above.",
     -1, methods, NULL, NULL, NULL, NULL,
 };
 

@@ -359,7 +359,7 @@ static void F(carve_rounds)(void *arg, carver *c)
 #define POOL_POINTS(m) (AT_ACC(m) + (m)->width)
 
 /* fastops._batch_affine_multiexp on the plan; the bases are already in
- * table slot 0 of each term.  Runs without the interpreter lock. */
+ * table slot 0 of each term. */
 static int F(run_multiexp)(F(plan) *r, F(rounds) *c, F(point) *pool,
                            size_t tree_entries)
 {
@@ -532,9 +532,9 @@ static PyObject *F(affine_multiexp)(scratch *s, const layout *m, size_t tree_ent
     }
     F(rounds) c = F(rounds_on)(&f, z, r.pending, inf);
     int status;
-    Py_BEGIN_ALLOW_THREADS
+    BEGIN_COMPUTE
     status = F(run_multiexp)(&r, &c, pool, tree_entries);
-    Py_END_ALLOW_THREADS
+    END_COMPUTE
     if (status != OK)
         return F(singular)();
     return F(store_points)(&f, s, r.acc, m->width);
@@ -577,9 +577,9 @@ static PyObject *F(scalar_mul_vector)(scratch *s, PyObject *points)
     }
     F(rounds) c = F(rounds_on)(&f, z, pending, inf);
     int status;
-    Py_BEGIN_ALLOW_THREADS
+    BEGIN_COMPUTE
     status = F(scalar_mul_rounds)(&c, acc, bases, dests, n, s->z[1]);
-    Py_END_ALLOW_THREADS
+    END_COMPUTE
     if (status != OK)
         F(singular)();
     else
@@ -662,12 +662,12 @@ static PyObject *F(sample_points)(scratch *s, size_t n, word_stream *ws)
     F(rounds) c = F(rounds_on)(&f, z, pending, inf);
     c.prefix = z + PREFIX;
     int status;
-    Py_BEGIN_ALLOW_THREADS
+    BEGIN_COMPUTE
     status = F(draw_candidates)(&f, pool, n, ws, s->z[0], s->z[2], z + RHS, z + T,
                                 digits);
     if (status == OK)
         status = F(scalar_mul_rounds)(&c, acc, bases, dests, n, s->z[1]);
-    Py_END_ALLOW_THREADS
+    END_COMPUTE
     if (status == RAN_OUT) {
         result = Py_NewRef(Py_None);
         goto done;
@@ -686,6 +686,235 @@ done:
     free(ptrs);
     free(pending);
     free(digits);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
+/* miller_schedule: q and p in s->z[0..2)                              */
+
+/* o = 2 j in Jacobian coordinates (curve._jacobian_double), for y and
+ * z nonzero; o is not j.  tmp holds 3 residues. */
+static void F(jacobian_double)(const F(field) *f, FE *o, const FE *j, FE *tmp)
+{
+    FE *ysq = &tmp[0], *s = &tmp[1], *m = &tmp[2];
+    F(mul)(f, ysq, &j[1], &j[1]);
+    F(mul)(f, s, &j[0], ysq);
+    F(ladd)(f, s, s, s);
+    F(ladd)(f, s, s, s);
+    F(reduce)(f, s, s);  /* 4 x y^2 */
+    F(mul)(f, &o[2], &j[2], &j[2]);
+    F(ladd)(f, m, &j[0], &j[0]);
+    F(ladd)(f, m, m, &j[0]);
+    F(dot)(f, m, m, &j[0], &o[2], &o[2]);  /* 3 x^2 + z^4 (a = 1) */
+    F(lmul)(f, &o[0], m, m);
+    F(lsub)(f, &o[0], &o[0], s);
+    F(lsub)(f, &o[0], &o[0], s);
+    F(reduce)(f, &o[0], &o[0]);
+    F(lsub)(f, s, s, &o[0]);
+    F(lmul)(f, s, s, m);
+    F(lmul)(f, m, ysq, ysq);
+    F(ladd)(f, m, m, m);
+    F(ladd)(f, m, m, m);
+    F(ladd)(f, m, m, m);
+    F(lsub)(f, s, s, m);
+    F(reduce)(f, &o[1], s);  /* m (s - x3) - 8 y^4 */
+    F(mul)(f, &o[2], &j[1], &j[2]);
+    F(ladd)(f, &o[2], &o[2], &o[2]);
+    F(reduce)(f, &o[2], &o[2]);
+}
+
+/* o = j + (px, py) in Jacobian coordinates (curve._jacobian_add_affine),
+ * given zz = z^2 and h = px z^2 - x, h nonzero; o is not j.  tmp holds
+ * 4 residues. */
+static void F(jacobian_add)(const F(field) *f, FE *o, const FE *j, const FE *py,
+                            const FE *zz, const FE *h, FE *tmp)
+{
+    FE *r = &tmp[0], *hh = &tmp[1], *hhh = &tmp[2], *v = &tmp[3];
+    F(mul)(f, r, zz, &j[2]);
+    F(mul)(f, r, r, py);
+    F(lsub)(f, r, r, &j[1]);
+    F(reduce)(f, r, r);  /* py z^3 - y */
+    F(mul)(f, hh, h, h);
+    F(mul)(f, hhh, h, hh);
+    F(mul)(f, v, &j[0], hh);
+    F(lmul)(f, &o[0], r, r);
+    F(lsub)(f, &o[0], &o[0], hhh);
+    F(lsub)(f, &o[0], &o[0], v);
+    F(lsub)(f, &o[0], &o[0], v);
+    F(reduce)(f, &o[0], &o[0]);
+    F(lsub)(f, v, v, &o[0]);
+    F(lmul)(f, v, v, r);
+    F(lmul)(f, hh, &j[1], hhh);
+    F(lsub)(f, v, v, hh);
+    F(reduce)(f, &o[1], v);  /* r (v - x3) - y hhh */
+    F(mul)(f, &o[2], &j[2], h);
+}
+
+/* The Miller loop of P = (pt[0], pt[1]) over the bits of p below the
+ * top one, as PairingPrecomp builds it: T walks in Jacobian form, each
+ * doubling and addition records the T it starts from (3 residues each
+ * in rec, its kind in kinds), and an addition that meets T = -P is
+ * eliminated, which ends the walk.  Returns the number of records, or
+ * -1 where the Python build leaves the regular case: a doubling of a T
+ * with y = 0 or z = 0, or an addition with T = P. */
+static long F(miller_walk)(const F(field) *f, mpz_srcptr p, const FE *pt, FE *jac,
+                           FE *rec, unsigned char *kinds, FE *tmp)
+{
+    size_t bits = mpz_sizeinbase(p, 2), n = 0;
+    F(set)(f, &jac[0], &pt[0]);
+    F(set)(f, &jac[1], &pt[1]);
+    F(set)(f, &jac[2], F(one)(f));
+    int eliminated = 0;
+    for (size_t bit = bits - 1, k = 0; bit-- > 0; k++) {
+        kinds[k] = 0;
+        if (eliminated)
+            continue;
+        if (F(is_zero)(&jac[1]) || F(is_zero)(&jac[2]))
+            return -1;
+        FE *from = &rec[3 * n++];
+        for (int c = 0; c < 3; c++)
+            F(set)(f, &from[c], &jac[c]);
+        F(jacobian_double)(f, jac, from, tmp);
+        kinds[k] = 1;
+        if (!mpz_tstbit(p, bit))
+            continue;
+        FE *zz = &tmp[4], *h = &tmp[5];
+        F(mul)(f, zz, &jac[2], &jac[2]);
+        F(mul)(f, h, &pt[0], zz);
+        F(lsub)(f, h, h, &jac[0]);
+        F(reduce)(f, h, h);
+        if (F(is_zero)(h)) {
+            /* T = -P: the chord is vertical, lies in F_q, eliminated. */
+            F(mul)(f, &tmp[0], zz, &jac[2]);
+            F(mul)(f, &tmp[0], &tmp[0], &pt[1]);
+            F(ladd)(f, &tmp[0], &tmp[0], &jac[1]);
+            F(reduce)(f, &tmp[0], &tmp[0]);
+            if (!F(is_zero)(&tmp[0]))
+                return -1;
+            eliminated = 1;
+            continue;
+        }
+        from = &rec[3 * n++];
+        for (int c = 0; c < 3; c++)
+            F(set)(f, &from[c], &jac[c]);
+        F(jacobian_add)(f, jac, from, &pt[1], zz, h, tmp);
+        kinds[k] |= 2;
+    }
+    return (long)n;
+}
+
+/* The records' line coefficients, in place: each (x, y, z) becomes
+ * (slope, offset, -) of the line through the affine T it holds, the
+ * tangent for a doubling and the chord to P for an addition.  Two
+ * batched inversions, the z values' and the slope denominators'; -1 if
+ * either meets a value that is not a unit. */
+static int F(schedule_lines)(const F(field) *f, const FE *pt, FE *rec, size_t n,
+                             const unsigned char *kinds, size_t nsteps, FE *prefix,
+                             FE *tmp)
+{
+    FE *den = prefix + n;  /* n more residues */
+    for (size_t i = 0; i < n; i++)
+        F(set)(f, &den[i], &rec[3 * i + 2]);
+    if (F(batch_invert)(f, den, den, n, prefix, &tmp[0], &tmp[1]) < 0)
+        return -1;
+    for (size_t i = 0, k = 0; k < nsteps; k++) {
+        for (int part = 0; part < 2; part++) {
+            if (!(kinds[k] >> part & 1))
+                continue;
+            FE *x = &rec[3 * i], *y = x + 1;
+            F(mul)(f, &tmp[0], &den[i], &den[i]);
+            F(mul)(f, x, x, &tmp[0]);
+            F(mul)(f, &tmp[0], &tmp[0], &den[i]);
+            F(mul)(f, y, y, &tmp[0]);
+            if (part == 0)
+                F(ladd)(f, &den[i], y, y);  /* 2 y */
+            else
+                F(lsub)(f, &den[i], &pt[0], x);  /* px - x */
+            F(reduce)(f, &den[i], &den[i]);
+            i++;
+        }
+    }
+    if (F(batch_invert)(f, den, den, n, prefix, &tmp[0], &tmp[1]) < 0)
+        return -1;
+    for (size_t i = 0, k = 0; k < nsteps; k++) {
+        for (int part = 0; part < 2; part++) {
+            if (!(kinds[k] >> part & 1))
+                continue;
+            FE *x = &rec[3 * i], *y = x + 1, *slope = x + 2;
+            if (part == 0)
+                F(tangent)(f, &tmp[0], &tmp[1], x);  /* 3 x^2 + 1 */
+            else
+                F(lsub)(f, &tmp[0], &pt[1], y);  /* py - y */
+            F(mul)(f, slope, &tmp[0], &den[i]);
+            F(lmul)(f, &tmp[0], slope, x);
+            F(lsub)(f, &tmp[0], y, &tmp[0]);
+            F(reduce)(f, y, &tmp[0]);  /* y - slope x */
+            F(set)(f, x, slope);
+            i++;
+        }
+    }
+    return 0;
+}
+
+/* The schedule as a list of (doubling line, addition line) pairs, each
+ * a (slope, offset) pair or None. */
+static PyObject *F(store_schedule)(const F(field) *f, scratch *s, const FE *rec,
+                                   const unsigned char *kinds, size_t nsteps)
+{
+    PyObject *result = PyList_New((Py_ssize_t)nsteps);
+    for (size_t i = 0, k = 0; result != NULL && k < nsteps; k++) {
+        PyObject *lines[2];
+        for (int part = 0; part < 2; part++) {
+            if (kinds[k] >> part & 1) {
+                lines[part] = F(store_pair)(f, s, &rec[3 * i], &rec[3 * i + 1]);
+                i++;
+            } else {
+                lines[part] = Py_NewRef(Py_None);
+            }
+        }
+        PyObject *step = lines[0] && lines[1] ? PyTuple_Pack(2, lines[0], lines[1]) : NULL;
+        Py_XDECREF(lines[0]);
+        Py_XDECREF(lines[1]);
+        if (step == NULL)
+            Py_CLEAR(result);
+        else
+            PyList_SET_ITEM(result, (Py_ssize_t)k, step);
+    }
+    return result;
+}
+
+static PyObject *F(miller_schedule)(scratch *s, PyObject *point)
+{
+    mpz_srcptr p = s->z[1];
+    size_t nsteps = mpz_sizeinbase(p, 2) - 1, nrec = 2 * nsteps;
+    /* z pool: field slots, 6 temporaries, P, T, then 3 per record, and
+     * 2 per record for the inversions */
+    enum { TMP = FIELD_SLOTS, PT = TMP + 6, JAC = PT + 2, REC = JAC + 3 };
+    if (F(reserve)(REC + 5 * nrec, 0) != OK)
+        return PyErr_NoMemory();
+    FE *z = F(pool).z, *rec = z + REC;
+    F(field) field;
+    const F(field) *f = &field;
+    F(open)(&field, z, s->z[0]);
+    int is_none;
+    if (F(load_pair)(f, s, &z[PT], &z[PT + 1], point, &is_none) < 0)
+        return NULL;
+    if (is_none)
+        return PyList_New(0);
+    unsigned char *kinds = malloc(nsteps + 1);  /* bit 0 doubling, 1 addition */
+    if (kinds == NULL)
+        return PyErr_NoMemory();
+    long n;
+    BEGIN_COMPUTE
+    n = F(miller_walk)(f, p, &z[PT], &z[JAC], rec, kinds, &z[TMP]);
+    if (n >= 0
+        && F(schedule_lines)(f, &z[PT], rec, (size_t)n, kinds, nsteps,
+                             rec + 3 * nrec, &z[TMP]) < 0)
+        n = -1;
+    END_COMPUTE
+    PyObject *result = n < 0 ? Py_NewRef(Py_None)
+                             : F(store_schedule)(f, s, rec, kinds, nsteps);
+    free(kinds);
     return result;
 }
 
@@ -745,7 +974,7 @@ static PyObject *F(schedule_chunk)(scratch *s, PyObject *steps, PyObject *xys)
     }
 
     int failed;
-    Py_BEGIN_ALLOW_THREADS
+    BEGIN_COMPUTE
     FE *a = z + T0, *b = a + 1, *s0 = a + 2, *s1 = a + 3, *c = a + 4;
     FE *t = a + 5, *u = a + 6, *v = a + 7;
     failed = F(batch_invert)(f, invs, ys, nlive, prefix, a, b);
@@ -825,7 +1054,7 @@ static PyObject *F(schedule_chunk)(scratch *s, PyObject *steps, PyObject *xys)
             }
         }
     }
-    Py_END_ALLOW_THREADS
+    END_COMPUTE
     if (failed) {
         PyErr_SetString(PyExc_ZeroDivisionError, "a value is not invertible");
         goto done;
@@ -896,7 +1125,7 @@ static PyObject *F(straus_fq2)(scratch *s, PyObject *values, PyObject *exponents
             return NULL;
         }
     }
-    Py_BEGIN_ALLOW_THREADS
+    BEGIN_COMPUTE
     /* Per-base tables of value^d for d in [1, 2^w). */
     for (size_t j = 0; j < n; j++) {
         FE *tab = tables + 2 * j * row;
@@ -929,6 +1158,6 @@ static PyObject *F(straus_fq2)(scratch *s, PyObject *values, PyObject *exponents
             }
         }
     }
-    Py_END_ALLOW_THREADS
+    END_COMPUTE
     return F(store_pair)(f, s, a0, a1);
 }

@@ -575,10 +575,6 @@ class BilinearGroup:
         self.counter.gt_samples += 1
         return GTElement(self, random_gt_value(self.params, rng))
 
-    def random_message(self, rng: random.Random) -> GTElement:
-        """A uniform plaintext for the DLR message space ``GT``."""
-        return self.random_gt(rng)
-
     # -- encodings ---------------------------------------------------------
 
     def g_element_bits(self) -> int:

@@ -5,19 +5,21 @@ The lockstep affine multiexp
 clearing that runs on the same rounds
 (:func:`repro.groups.curve.batch_scalar_mul`), the unknown-dlog
 sampler (:func:`repro.groups.sampling.random_subgroup_points`), the
-Miller-schedule chunk (:func:`repro.groups.pairing.evaluate_schedule_chunk`)
-and the ``F_{q^2}`` Straus loop
+Miller schedule (:func:`repro.groups.pairing.miller_schedule`), its
+evaluation (:func:`repro.groups.pairing.evaluate_schedule_chunk`) and
+the ``F_{q^2}`` Straus loop
 (:func:`repro.groups.fastops._straus_fq2_shared`) each have a C twin in
 ``_kernels.c``, shipped beside this module.  Every call runs a whole
 loop.  The modulus it is passed picks the residues' representation: a
 ``q`` below 2^63 computes on ``uint64_t`` words with 128-bit products,
 a larger one on GMP ``mpz_t``.  Both run one kernel body,
 ``_kernels_body.h``, which ``_kernels.c`` includes once per
-representation.  The Python kernels stay the reference: the C versions
-return the same canonical residues.  The sampler takes a ``random.Random``'s raw
-32-bit output words, drawn ahead in Python, and consumes them exactly
-as ``randrange`` and ``getrandbits(1)`` would, so the RNG stream is
-the Python loop's.
+representation; the word field computes holding the interpreter lock,
+the ``mpz_t`` field releases it.  The Python kernels stay the
+reference: the C versions return the same canonical residues.  The
+sampler takes a ``random.Random``'s raw 32-bit output words, drawn
+ahead in Python, and consumes them exactly as ``randrange`` and
+``getrandbits(1)`` would, so the RNG stream is the Python loop's.
 
 The first :func:`kernels` call compiles the source with a plain ``gcc``
 run against the interpreter's headers and ``-lgmp``, into a per-user

@@ -33,10 +33,10 @@ property-tested against.
 For the common "one fixed ``P`` against many ``Q``" pattern (the DLR
 decryption protocols pair one ciphertext component ``A`` against every
 share element) :class:`PairingPrecomp` runs the Miller doubling schedule
-once -- point arithmetic in Jacobian form, normalised to affine with a
-single batched inversion (:func:`~repro.math.modular.batch_inv`) --
-caches the affine line coefficients ``(lambda, ty - lambda*tx)`` per
-step, and then evaluates against each ``Q`` without touching the curve:
+once (:func:`miller_schedule`: point arithmetic in Jacobian form,
+normalised to affine with batched inversions), caches the affine line
+coefficients ``(lambda, ty - lambda*tx)`` per step, and then evaluates
+against each ``Q`` without touching the curve:
 each line, scaled by the ``F_q`` factor ``-1/y_Q``, is ``c + i`` and
 multiplies ``f`` with two products (:func:`evaluate_schedule_chunk`).
 """
@@ -173,17 +173,16 @@ def miller_loop(p_point: Point, q_point: Point, params: PairingParams) -> _RawFq
     return f
 
 
+_Line = tuple[int, int]
+_Schedule = list[tuple[_Line | None, _Line | None]]
+
+
 class PairingPrecomp:
     """The fixed-argument Miller schedule of one point ``P``.
 
-    Runs the doubling/addition schedule of ``f_{p, P}`` once, caching
-    per-step affine line coefficients ``(lambda, ty - lambda * tx)``;
-    :meth:`pair_with` then evaluates ``e(P, Q)`` for any ``Q`` without
-    touching the curve again.  Construction performs the whole schedule
-    with **two** modular inversions total: the step points are computed
-    in Jacobian form and normalised with one
-    :func:`~repro.math.modular.batch_inv`, and all slope denominators
-    are inverted with a second.
+    Holds the per-step affine line coefficients of ``f_{p, P}``
+    (:func:`miller_schedule`); :meth:`pair_with` then evaluates
+    ``e(P, Q)`` for any ``Q`` without touching the curve again.
 
     The cached schedule is ``O(log p)`` integer pairs; it pays for
     itself from the second ``Q`` onwards (see docs/performance.md).
@@ -197,62 +196,7 @@ class PairingPrecomp:
         #: Per loop iteration: (dbl_coeffs | None, add_coeffs | None);
         #: ``None`` means the step only squares ``f`` (T at infinity) /
         #: has no addition.  Coeffs are (lambda, ty - lambda * tx).
-        self.steps: list[tuple[tuple[int, int] | None, tuple[int, int] | None]] = []
-        if self._trivial:
-            return
-        q = params.q
-        px, py = p_point.x % q, p_point.y % q
-
-        # Pass 1: walk the schedule in Jacobian form, recording the point
-        # *before* each doubling / addition plus the step layout.
-        jac = (px, py, 1)
-        layout: list[tuple[bool, bool]] = []  # (has_double, has_add)
-        dbl_points = []
-        add_points = []
-        t_infinity = False
-        bits = bin(params.p)[3:]
-        for bit in bits:
-            has_double = not t_infinity
-            if has_double:
-                dbl_points.append(jac)
-                jac = _jacobian_double(jac, q)
-            has_add = False
-            if bit == "1" and not t_infinity:
-                zz = jac[2] * jac[2] % q
-                if (px * zz - jac[0]) % q == 0 and (jac[1] + py * zz * jac[2]) % q == 0:
-                    t_infinity = True  # T = -P: vertical chord, eliminated
-                else:
-                    has_add = True
-                    add_points.append(jac)
-                    jac = _jacobian_add_affine(jac, px, py, q)
-            layout.append((has_double, has_add))
-
-        # One batched normalisation for every step point ...
-        affine = batch_to_affine(dbl_points + add_points, q)
-        dbl_affine = affine[: len(dbl_points)]
-        add_affine = affine[len(dbl_points):]
-        # ... and one batched inversion for every slope denominator.
-        denominators = [2 * pt.y % q for pt in dbl_affine] + [
-            (px - pt.x) % q for pt in add_affine
-        ]
-        inverses = batch_inv(denominators, q)
-        dbl_inv = inverses[: len(dbl_affine)]
-        add_inv = inverses[len(dbl_affine):]
-
-        dbl_iter = iter(zip(dbl_affine, dbl_inv))
-        add_iter = iter(zip(add_affine, add_inv))
-        for has_double, has_add in layout:
-            dbl_coeffs = None
-            if has_double:
-                pt, d_inv = next(dbl_iter)
-                slope = (3 * pt.x * pt.x + 1) * d_inv % q
-                dbl_coeffs = (slope, (pt.y - slope * pt.x) % q)
-            add_coeffs = None
-            if has_add:
-                pt, d_inv = next(add_iter)
-                slope = (py - pt.y) * d_inv % q
-                add_coeffs = (slope, (pt.y - slope * pt.x) % q)
-            self.steps.append((dbl_coeffs, add_coeffs))
+        self.steps: _Schedule = miller_schedule(p_point, params)
 
     def pair_with(self, q_point: Point) -> Fq2:
         """The full pairing ``e(P, Q)`` via the cached schedule."""
@@ -280,8 +224,89 @@ class PairingPrecomp:
         return [Fq2._from_reduced(a, b, q) for a, b in self.evaluate_many(q_points)]
 
 
+def miller_schedule(p_point: Point, params: PairingParams) -> _Schedule:
+    """The Miller schedule of ``P``: per bit of ``p`` below the top one,
+    the affine line coefficients ``(lambda, ty - lambda * tx)`` of its
+    doubling and of its addition, each ``None`` where the step has none
+    (``[]`` for ``P`` at infinity).
+
+    The walk runs in Jacobian form, recording the point *before* each
+    doubling / addition; an addition that meets ``T = -P`` has a
+    vertical chord in ``F_q``, which the final exponentiation
+    eliminates, and ``T`` stays at infinity from there on.  The step
+    points are normalised with one :func:`~repro.math.modular.batch_inv`
+    and every slope denominator is inverted with a second.  Runs as one
+    :mod:`native <repro.groups.native>` call when the compiled kernels
+    are built; the kernel hands the walks it does not cover (``T``
+    doubled at ``y = 0``, ``T = P`` at an addition, a non-unit) back to
+    this build, which reports them.
+    """
+    if p_point.is_infinity():
+        return []
+    q = params.q
+    compiled = native.kernels()
+    if compiled is not None:
+        steps = compiled.miller_schedule(q, params.p, (p_point.x, p_point.y))
+        if steps is not None:
+            return steps
+    px, py = p_point.x % q, p_point.y % q
+
+    # Pass 1: walk the schedule in Jacobian form, recording the point
+    # *before* each doubling / addition plus the step layout.
+    jac = (px, py, 1)
+    layout: list[tuple[bool, bool]] = []  # (has_double, has_add)
+    dbl_points = []
+    add_points = []
+    t_infinity = False
+    bits = bin(params.p)[3:]
+    for bit in bits:
+        has_double = not t_infinity
+        if has_double:
+            dbl_points.append(jac)
+            jac = _jacobian_double(jac, q)
+        has_add = False
+        if bit == "1" and not t_infinity:
+            zz = jac[2] * jac[2] % q
+            if (px * zz - jac[0]) % q == 0 and (jac[1] + py * zz * jac[2]) % q == 0:
+                t_infinity = True  # T = -P: vertical chord, eliminated
+            else:
+                has_add = True
+                add_points.append(jac)
+                jac = _jacobian_add_affine(jac, px, py, q)
+        layout.append((has_double, has_add))
+
+    # One batched normalisation for every step point ...
+    affine = batch_to_affine(dbl_points + add_points, q)
+    dbl_affine = affine[: len(dbl_points)]
+    add_affine = affine[len(dbl_points):]
+    # ... and one batched inversion for every slope denominator.
+    denominators = [2 * pt.y % q for pt in dbl_affine] + [
+        (px - pt.x) % q for pt in add_affine
+    ]
+    inverses = batch_inv(denominators, q)
+    dbl_inv = inverses[: len(dbl_affine)]
+    add_inv = inverses[len(dbl_affine):]
+
+    steps: _Schedule = []
+    dbl_iter = iter(zip(dbl_affine, dbl_inv))
+    add_iter = iter(zip(add_affine, add_inv))
+    for has_double, has_add in layout:
+        dbl_coeffs = None
+        if has_double:
+            pt, d_inv = next(dbl_iter)
+            slope = (3 * pt.x * pt.x + 1) * d_inv % q
+            dbl_coeffs = (slope, (pt.y - slope * pt.x) % q)
+        add_coeffs = None
+        if has_add:
+            pt, d_inv = next(add_iter)
+            slope = (py - pt.y) * d_inv % q
+            add_coeffs = (slope, (pt.y - slope * pt.x) % q)
+        steps.append((dbl_coeffs, add_coeffs))
+    return steps
+
+
 def evaluate_schedule_chunk(
-    steps: list[tuple[tuple[int, int] | None, tuple[int, int] | None]],
+    steps: _Schedule,
     q: int,
     h: int,
     xys: list[tuple[int, int] | None],

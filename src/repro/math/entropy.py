@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 
 from repro.errors import ParameterError
 
@@ -116,11 +116,3 @@ class PairwiseIndependentHash:
         """Evaluate then keep the low ``output_bits`` bits (still close to
         uniform when ``2^output_bits`` divides into ``p`` nearly evenly)."""
         return self(x) & ((1 << output_bits) - 1)
-
-
-def conditional_min_entropy_of_samples(
-    pairs: Sequence[tuple[object, object]],
-) -> float:
-    """Empirical ``H~_inf(X | Y)`` from joint samples ``(x, y)``."""
-    joint = empirical_distribution(pairs)
-    return average_min_entropy(joint)  # type: ignore[arg-type]

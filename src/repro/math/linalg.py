@@ -122,13 +122,6 @@ def rank(a: Matrix, p: int) -> int:
     return len(pivots)
 
 
-def is_full_rank(a: Matrix, p: int) -> bool:
-    """Return True iff ``a`` has full (row or column, whichever smaller) rank."""
-    if not a:
-        return True
-    return rank(a, p) == min(len(a), len(a[0]))
-
-
 def invert(a: Matrix, p: int) -> Matrix:
     """Return the inverse of a square matrix over ``Z_p``.
 

@@ -18,16 +18,6 @@ from repro.core.params import DLRParams
 from repro.groups import native, preset_group
 
 
-def pytest_configure(config):
-    # The library's own deprecations must not be exercised silently: a
-    # test that still calls a deprecated repro API fails unless it
-    # asserts the warning with pytest.warns.  Scoped to this suite (the
-    # category lives in repro, which this suite imports anyway).
-    config.addinivalue_line(
-        "filterwarnings", "error::repro.errors.ReproDeprecationWarning"
-    )
-
-
 @pytest.fixture(scope="session")
 def toy_group():
     return preset_group(16)

@@ -1,9 +1,10 @@
 """The compiled GMP kernels against the Python kernels they mirror.
 
-:mod:`repro.groups.native` runs five loops in C: the lockstep affine
+:mod:`repro.groups.native` runs six loops in C: the lockstep affine
 multiexp, the batched cofactor-clearing scalar multiplication, the
-subgroup sampler, the Miller-schedule chunk and the ``F_{q^2}`` Straus
-loop.  Each is pinned here against its Python kernel, run inside
+subgroup sampler, the Miller schedule, its evaluation (the schedule
+chunk) and the ``F_{q^2}`` Straus loop.  Each is pinned here against
+its Python kernel, run inside
 :func:`~repro.groups.native._python_kernels`, at every preset size from
 16 to 256 bits (word-sized residues below ``q = 2^63``, ``mpz_t`` from
 64 up, multi-limb from 128 up), with the special cases of a round
@@ -12,9 +13,11 @@ round, the 2-torsion point ``(0, 0)``, ``y_Q = 0``, and empty and
 width-1 vectors.  Lone ``G`` instances of
 every term count, with duplicate and negated bases and the exponents 1
 and ``p - 1``, are pinned on both kernel sets against the
-``reference_mode()`` ladder.  :class:`TestWordBoundary` runs all five
+``reference_mode()`` ladder.  :class:`TestWordBoundary` runs all six
 on groups either side of the word bound, with residues at ``q - 1``,
-unreduced and negative operands, and singular slopes.
+unreduced and negative operands, and singular slopes, and
+:func:`test_threads_share_the_kernels` calls them from four threads on
+both field layers at once.
 
 The native legs skip where the extension cannot be built; the fallback
 tests run everywhere.
@@ -32,6 +35,7 @@ import subprocess
 import sys
 import threading
 import time
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -40,10 +44,15 @@ from hypothesis import strategies as st
 from repro.core.dlr import DLR
 from repro.core.optimal import OptimalDLR
 from repro.core.params import DLRParams
+from repro.errors import ParameterError
 from repro.groups import fastops, native, preset_group, sampling
 from repro.groups.bilinear import BilinearGroup, G1Element
 from repro.groups.curve import INFINITY, Point, batch_scalar_mul
-from repro.groups.pairing import PairingPrecomp, evaluate_schedule_chunk
+from repro.groups.pairing import (
+    PairingPrecomp,
+    evaluate_schedule_chunk,
+    miller_schedule,
+)
 from repro.groups.pairing_params import generate_params
 from repro.groups.windows import straus_window
 from repro.ibe.dlr_ibe import DLRIBE
@@ -344,7 +353,10 @@ def test_scheme_periods_match_python_and_reference_mode(scheme_cls):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 def test_forked_children_run_kernels_while_a_parent_thread_is_in_one():
     """A forked child must not inherit another thread's hold on the
-    kernels' scratch."""
+    kernels' scratch.  The parent's thread runs an ``mpz_t`` group
+    (n=128), whose kernels compute without the interpreter lock, so a
+    fork can land while it holds the scratch; a word kernel keeps the
+    lock for its whole call, so no fork lands inside one."""
     group = preset_group(128)
     busy = draw_instances(128, 1, 40)
     small = draw_instances(32, 2, 3)
@@ -371,6 +383,73 @@ def test_forked_children_run_kernels_while_a_parent_thread_is_in_one():
         spinner.join(timeout=30.0)
     assert not spinner.is_alive()
     assert statuses == [0] * 5
+
+
+@needs_native
+def test_threads_share_the_kernels():
+    """Four threads call every entry point at once, on word groups
+    (n=32, and n=59 just under the bound) and on an ``mpz_t`` group
+    (n=128): the word kernels keep the interpreter lock and the
+    ``mpz_t`` ones release it, and every call still returns the Python
+    kernels' value, without deadlock."""
+
+    def calls(n):
+        group = preset_group(n)
+        q, h = group.q, group.params.h
+        rng = random.Random(n)
+        left, *rights = point_pool(n)[:6]
+        instances = draw_instances(n, n, 6)
+        xys = [(pt.x, pt.y) for pt in rights] + [None, (0, 0)]
+        steps = PairingPrecomp(left, group.params).steps
+        values = [(rng.randrange(q), rng.randrange(q)) for _ in range(4)]
+        exponents = [rng.randrange(1, group.p) for _ in values]
+        w = straus_window(len(values), group.p.bit_length())
+        digits = -(-group.p.bit_length() // w)
+        return [
+            lambda: fastops._batch_affine_multiexp(instances, q),
+            lambda: batch_scalar_mul(list(rights), h, q),
+            lambda: sampling.random_subgroup_points(group.params, random.Random(n), 8),
+            lambda: miller_schedule(left, group.params),
+            lambda: evaluate_schedule_chunk(steps, q, h, xys),
+            lambda: fastops._straus_fq2_shared(values, exponents, w, digits, q),
+        ]
+
+    work = [call for n in (32, 59, 128) for call in calls(n)]
+    with native._python_kernels():
+        want = [call() for call in work]
+    failures = []
+
+    def run(offset):
+        try:
+            for round_ in range(16):
+                for k in range(len(work)):
+                    k = (k + offset * 5 + round_) % len(work)
+                    if work[k]() != want[k]:
+                        failures.append(k)
+        except BaseException as error:  # noqa: BLE001 - reported below
+            failures.append(error)
+
+    def timed_out(signum, frame):
+        raise TimeoutError("a kernel call deadlocked")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads as often as possible
+    signal.alarm(120)
+    try:
+        threads = [
+            threading.Thread(target=run, args=(i,), daemon=True) for i in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=110)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
 
 
 class TestFallback:
@@ -527,7 +606,7 @@ def boundary_operands(group) -> tuple[list, list]:
 
 @needs_native
 class TestWordBoundary:
-    """All five entry points at the word/``mpz_t`` boundary, the native
+    """All six entry points at the word/``mpz_t`` boundary, the native
     result taking unreduced coordinates and the Python kernels reduced
     ones."""
 
@@ -607,6 +686,60 @@ class TestWordBoundary:
         assert got == want
 
     @pytest.mark.parametrize("key", BOUNDARY)
+    def test_miller_schedule(self, key):
+        group = boundary_group(key)
+        q, p = group.q, group.p
+        points, _ = boundary_operands(group)
+        rng = random.Random(7)
+        # Three subgroup points, the negation of the first, and two points
+        # off the curve with the largest residues.
+        for xy in points[:4] + points[6:]:
+            got = native.kernels().miller_schedule(q, p, unreduced(xy, q, rng))
+            with native._python_kernels():
+                want = miller_schedule(Point(*xy, False), group.params)
+            assert got is not None and len(got) == p.bit_length() - 1
+            assert got == want, xy
+
+    @pytest.mark.parametrize("key", BOUNDARY)
+    def test_miller_schedule_eliminates_t_equal_to_minus_p(self, key):
+        """Every subgroup point meets ``T = -P`` at the last addition of
+        its own order; an order with bits appended meets it mid-chain,
+        and each step after it only squares."""
+        group = boundary_group(key)
+        q, p = group.q, group.p
+        xy = boundary_operands(group)[0][0]
+        for order in (p, p << 3 | 5):
+            params = SimpleNamespace(p=order, q=q)
+            got = native.kernels().miller_schedule(q, order, xy)
+            with native._python_kernels():
+                want = miller_schedule(Point(*xy, False), params)
+            assert got == want
+            last = p.bit_length() - 2  # the step of p's lowest bit
+            assert got[last][0] is not None and got[last][1] is None
+            assert got[last + 1:] == [(None, None)] * (order.bit_length() - p.bit_length())
+
+    @pytest.mark.parametrize("key", BOUNDARY)
+    def test_miller_schedule_hands_irregular_walks_back(self, key):
+        """``P`` at infinity has no steps.  A 2-torsion ``P`` doubles at
+        ``y = 0`` and an order of ``p + 2`` adds ``T = P``: the kernel
+        returns None for both, and the Python build reports them with
+        the same error on either kernel set."""
+        group = boundary_group(key)
+        q, p = group.q, group.p
+        xy = boundary_operands(group)[0][0]
+        kernel = native.kernels().miller_schedule
+        assert kernel(q, p, None) == []
+        assert PairingPrecomp(INFINITY, group.params).steps == []
+        for point, order in ((TWO_TORSION, p), (Point(*xy, False), p + 2)):
+            assert kernel(q, order, (point.x, point.y)) is None
+            params = SimpleNamespace(p=order, q=q)
+            with pytest.raises(ParameterError) as on_native:
+                miller_schedule(point, params)
+            with native._python_kernels(), pytest.raises(ParameterError) as on_python:
+                miller_schedule(point, params)
+            assert str(on_native.value) == str(on_python.value)
+
+    @pytest.mark.parametrize("key", BOUNDARY)
     def test_straus_fq2(self, key):
         group = boundary_group(key)
         self._check_straus(group.q, group.p, random.Random(5))
@@ -648,6 +781,8 @@ class TestWordBoundary:
             lambda: kernel.scalar_mul_vector(q, 3, [good, bad]),
             lambda: kernel.schedule_chunk([], q, h, [good, bad]),
             lambda: kernel.schedule_chunk([(bad, None)], q, h, [good]),
+            lambda: kernel.miller_schedule(q, group.p, bad),
+            lambda: kernel.miller_schedule(q, negative, good),
             lambda: kernel.straus_fq2([good, bad], [1, 1], 2, 1, q),
             lambda: kernel.straus_fq2([good], [negative], 2, 1, q),
         ]
@@ -669,4 +804,6 @@ class TestWordBoundary:
             kernel.affine_multiexp(q, 2, 8, [([shared], [2])])
         with pytest.raises(ZeroDivisionError):
             kernel.schedule_chunk([], q, 4, [shared])
+        # The schedule hands a non-unit back to the Python build.
+        assert kernel.miller_schedule(q, 5, shared) is None
         assert kernel.scalar_mul_vector(q, 1, [shared]) == [shared]

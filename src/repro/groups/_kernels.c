@@ -30,8 +30,8 @@
  * The Python kernels are the reference: every value returned here is
  * the canonical residue those kernels return.  Operands are converted
  * once per call; the arithmetic then runs on scratch pools reused
- * across calls, with the interpreter lock released on the mpz_t field
- * only (see BEGIN_COMPUTE below).
+ * across calls, releasing the interpreter lock when the call is long
+ * enough for that to pay (see BEGIN_COMPUTE below).
  *
  * Residues mod q come in two representations, picked per call from the
  * modulus.  Below 2^63 a residue is one uint64_t, products are
@@ -54,14 +54,15 @@
 
 /* ------------------------------------------------------------------ */
 /* Scratch: pools that only ever grow, reused across calls.  There is  */
-/* one, lent to one call at a time.  An mpz_t kernel computes without  */
-/* the interpreter lock, so another thread may call a kernel then; a   */
-/* word kernel keeps the lock, but Python code run by its own          */
-/* allocations (a finalizer the garbage collector starts) may call     */
-/* one.  Either way the second call waits for the scratch instead of   */
-/* sharing it.  Besides what is here, each residue representation      */
-/* keeps its own residue and point pools (_kernels_body.h), under the  */
-/* same lock.                                                          */
+/* one, lent to one call at a time.  A kernel that computes without    */
+/* the interpreter lock lets another thread call a kernel meanwhile,   */
+/* and Python code run by a kernel's own allocations (a finalizer the  */
+/* garbage collector starts) may pass the lock to another thread that  */
+/* calls one; that second call waits for the scratch instead of        */
+/* sharing it.  A kernel re-entered on its own thread, by a finalizer  */
+/* that calls a kernel, is not supported: it would wait for itself.    */
+/* Besides what is here, each residue representation keeps its own     */
+/* residue and point pools (_kernels_body.h), under the same lock.     */
 
 typedef struct {
     mpz_t *z;  /* the modulus, exponents, scalars, the cofactor */
@@ -672,30 +673,41 @@ static uint32_t next_word(word_stream *ws)
 /* ------------------------------------------------------------------ */
 /* The kernels, once per representation.                              */
 
-/* BEGIN_COMPUTE/END_COMPUTE bracket each kernel's arithmetic.  The
- * word field keeps the interpreter lock: its calls are short (about
- * 0.1-1 ms at q < 2^63), and handing the lock to another thread and
- * taking it back costs more than the other thread gains.  The mpz_t
- * field's calls are long enough that releasing it pays. */
+/* BEGIN_COMPUTE(work)/END_COMPUTE bracket each kernel's arithmetic,
+ * work being the call's estimated count of field multiplications.  The
+ * call releases the interpreter lock while it computes when work
+ * reaches the field's RELEASE_WORK.  Handing the lock to a thread that
+ * waits for it and taking it back costs tens of microseconds, so a
+ * word call keeps the lock below 12288 multiplications (about 0.2 ms
+ * at q < 2^63): most word calls are shorter.  The longer ones release
+ * it, which bounds how long a call of any batch size holds the lock
+ * and lets a thread that waits for it (a server's loop thread reading
+ * the next request) in during a period.  An mpz_t call always releases
+ * it. */
+#define BEGIN_COMPUTE(work)                                               \
+    {                                                                     \
+        PyThreadState *computing_ =                                      \
+            (size_t)(work) >= RELEASE_WORK ? PyEval_SaveThread() : NULL;
+#define END_COMPUTE                                                       \
+        if (computing_ != NULL)                                           \
+            PyEval_RestoreThread(computing_);                             \
+    }
+
 #define FE W_fe
 #define F(name) W_##name
-#define BEGIN_COMPUTE {
-#define END_COMPUTE }
+#define RELEASE_WORK 12288
 #include "_kernels_body.h"
 #undef FE
 #undef F
-#undef BEGIN_COMPUTE
-#undef END_COMPUTE
+#undef RELEASE_WORK
 
 #define FE Z_fe
 #define F(name) Z_##name
-#define BEGIN_COMPUTE Py_BEGIN_ALLOW_THREADS
-#define END_COMPUTE Py_END_ALLOW_THREADS
+#define RELEASE_WORK 0
 #include "_kernels_body.h"
 #undef FE
 #undef F
-#undef BEGIN_COMPUTE
-#undef END_COMPUTE
+#undef RELEASE_WORK
 
 /* ------------------------------------------------------------------ */
 /* The entry points: parse the arguments, load the modulus and the     */

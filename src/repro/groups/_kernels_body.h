@@ -20,6 +20,10 @@
  * lazy operations and F(reduce); everything else takes canonical
  * residues, so equal values compare equal, and every returned value is
  * the canonical residue the Python kernels return.
+ *
+ * Each kernel brackets its arithmetic with _kernels.c's
+ * BEGIN_COMPUTE(work) and END_COMPUTE, work being a rough count of the
+ * field multiplications the call will make, from its sizes alone.
  */
 
 typedef struct {
@@ -532,7 +536,7 @@ static PyObject *F(affine_multiexp)(scratch *s, const layout *m, size_t tree_ent
     }
     F(rounds) c = F(rounds_on)(&f, z, r.pending, inf);
     int status;
-    BEGIN_COMPUTE
+    BEGIN_COMPUTE(10 * m->bits * (m->width + m->terms / (m->w + 1)))
     status = F(run_multiexp)(&r, &c, pool, tree_entries);
     END_COMPUTE
     if (status != OK)
@@ -577,7 +581,7 @@ static PyObject *F(scalar_mul_vector)(scratch *s, PyObject *points)
     }
     F(rounds) c = F(rounds_on)(&f, z, pending, inf);
     int status;
-    BEGIN_COMPUTE
+    BEGIN_COMPUTE(15 * n * mpz_sizeinbase(s->z[1], 2))
     status = F(scalar_mul_rounds)(&c, acc, bases, dests, n, s->z[1]);
     END_COMPUTE
     if (status != OK)
@@ -662,7 +666,7 @@ static PyObject *F(sample_points)(scratch *s, size_t n, word_stream *ws)
     F(rounds) c = F(rounds_on)(&f, z, pending, inf);
     c.prefix = z + PREFIX;
     int status;
-    BEGIN_COMPUTE
+    BEGIN_COMPUTE(n * (2 * mpz_sizeinbase(s->z[0], 2) + mpz_sizeinbase(s->z[1], 2)))
     status = F(draw_candidates)(&f, pool, n, ws, s->z[0], s->z[2], z + RHS, z + T,
                                 digits);
     if (status == OK)
@@ -905,7 +909,7 @@ static PyObject *F(miller_schedule)(scratch *s, PyObject *point)
     if (kinds == NULL)
         return PyErr_NoMemory();
     long n;
-    BEGIN_COMPUTE
+    BEGIN_COMPUTE(20 * nsteps)
     n = F(miller_walk)(f, p, &z[PT], &z[JAC], rec, kinds, &z[TMP]);
     if (n >= 0
         && F(schedule_lines)(f, &z[PT], rec, (size_t)n, kinds, nsteps,
@@ -974,7 +978,7 @@ static PyObject *F(schedule_chunk)(scratch *s, PyObject *steps, PyObject *xys)
     }
 
     int failed;
-    BEGIN_COMPUTE
+    BEGIN_COMPUTE(3 * nlive * nsteps)
     FE *a = z + T0, *b = a + 1, *s0 = a + 2, *s1 = a + 3, *c = a + 4;
     FE *t = a + 5, *u = a + 6, *v = a + 7;
     failed = F(batch_invert)(f, invs, ys, nlive, prefix, a, b);
@@ -1125,7 +1129,7 @@ static PyObject *F(straus_fq2)(scratch *s, PyObject *values, PyObject *exponents
             return NULL;
         }
     }
-    BEGIN_COMPUTE
+    BEGIN_COMPUTE(2 * (n * row + (size_t)digits * (w + n)))
     /* Per-base tables of value^d for d in [1, 2^w). */
     for (size_t j = 0; j < n; j++) {
         FE *tab = tables + 2 * j * row;

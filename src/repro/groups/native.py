@@ -14,8 +14,9 @@ loop.  The modulus it is passed picks the residues' representation: a
 ``q`` below 2^63 computes on ``uint64_t`` words with 128-bit products,
 a larger one on GMP ``mpz_t``.  Both run one kernel body,
 ``_kernels_body.h``, which ``_kernels.c`` includes once per
-representation; the word field computes holding the interpreter lock,
-the ``mpz_t`` field releases it.  The Python kernels stay the
+representation.  A word-field call releases the interpreter lock only
+when its estimated work is long enough for that to pay; an ``mpz_t``
+call always releases it.  The Python kernels stay the
 reference: the C versions return the same canonical residues.  The
 sampler takes a ``random.Random``'s raw 32-bit output words, drawn
 ahead in Python, and consumes them exactly as ``randrange`` and

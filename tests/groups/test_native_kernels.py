@@ -354,9 +354,9 @@ def test_scheme_periods_match_python_and_reference_mode(scheme_cls):
 def test_forked_children_run_kernels_while_a_parent_thread_is_in_one():
     """A forked child must not inherit another thread's hold on the
     kernels' scratch.  The parent's thread runs an ``mpz_t`` group
-    (n=128), whose kernels compute without the interpreter lock, so a
-    fork can land while it holds the scratch; a word kernel keeps the
-    lock for its whole call, so no fork lands inside one."""
+    (n=128), whose every call computes without the interpreter lock, so
+    a fork can land while it holds the scratch; a word call releases
+    the lock only when it is long, and most are not."""
     group = preset_group(128)
     busy = draw_instances(128, 1, 40)
     small = draw_instances(32, 2, 3)
@@ -389,9 +389,9 @@ def test_forked_children_run_kernels_while_a_parent_thread_is_in_one():
 def test_threads_share_the_kernels():
     """Four threads call every entry point at once, on word groups
     (n=32, and n=59 just under the bound) and on an ``mpz_t`` group
-    (n=128): the word kernels keep the interpreter lock and the
-    ``mpz_t`` ones release it, and every call still returns the Python
-    kernels' value, without deadlock."""
+    (n=128): short word calls keep the interpreter lock, long word calls
+    (the wide multiexp) and every ``mpz_t`` call release it, and every
+    call still returns the Python kernels' value, without deadlock."""
 
     def calls(n):
         group = preset_group(n)
@@ -399,6 +399,7 @@ def test_threads_share_the_kernels():
         rng = random.Random(n)
         left, *rights = point_pool(n)[:6]
         instances = draw_instances(n, n, 6)
+        wide = draw_instances(n, n + 1, 40)
         xys = [(pt.x, pt.y) for pt in rights] + [None, (0, 0)]
         steps = PairingPrecomp(left, group.params).steps
         values = [(rng.randrange(q), rng.randrange(q)) for _ in range(4)]
@@ -407,6 +408,7 @@ def test_threads_share_the_kernels():
         digits = -(-group.p.bit_length() // w)
         return [
             lambda: fastops._batch_affine_multiexp(instances, q),
+            lambda: fastops._batch_affine_multiexp(wide, q),
             lambda: batch_scalar_mul(list(rights), h, q),
             lambda: sampling.random_subgroup_points(group.params, random.Random(n), 8),
             lambda: miller_schedule(left, group.params),
@@ -450,6 +452,62 @@ def test_threads_share_the_kernels():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
+
+
+@needs_native
+def test_only_long_word_calls_release_the_interpreter_lock():
+    """A second thread counts while it holds the interpreter lock, so
+    its count moves during a call only if that call released the lock:
+    a short word call keeps it, a long word call and an ``mpz_t`` call
+    release it."""
+    word, wide = preset_group(32), preset_group(128)
+    left = point_pool(32)[0]
+    short = draw_instances(32, 5, 2)
+    long_word = draw_instances(32, 7, 200)
+    long_wide = draw_instances(128, 7, 40)
+    count = [0]
+    stop = threading.Event()
+
+    def spin():
+        while not stop.is_set():
+            count[0] += 1
+
+    def moved(call):
+        before = count[0]
+        call()
+        return count[0] - before
+
+    interval = sys.getswitchinterval()
+    # The spinner takes the lock only when a call releases it, or after
+    # this interval, which these calls never reach.
+    sys.setswitchinterval(0.2)
+    spinner = threading.Thread(target=spin, daemon=True)
+    try:
+        spinner.start()
+        while count[0] == 0:
+            time.sleep(0.001)
+        short_moves = [
+            moved(call)
+            for call in (
+                lambda: miller_schedule(left, word.params),
+                lambda: fastops._batch_affine_multiexp(short, word.q),
+            )
+            for _ in range(3)
+        ]
+        # A released lock reaches the spinner only once it is scheduled.
+        long_moves = [
+            max(moved(call) for _ in range(3))
+            for call in (
+                lambda: fastops._batch_affine_multiexp(long_word, word.q),
+                lambda: fastops._batch_affine_multiexp(long_wide, wide.q),
+            )
+        ]
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        spinner.join(timeout=10.0)
+    assert short_moves == [0] * 6
+    assert all(moves > 0 for moves in long_moves)
 
 
 class TestFallback:

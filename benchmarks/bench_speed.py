@@ -1,11 +1,10 @@
 """Wall-clock benchmarks of the fast group-arithmetic kernels.
 
 Measures each kernel (simultaneous multi-exponentiation, fixed-argument
-pairing precomputation, batch modular inversion, the inversion-free
-projective Miller loop) and each scheme-level hot path (P2's
-decrypt/refresh combines, P1's d_i derivation, the full two-party
-decryption protocol) twice on identical inputs: once with the fast
-kernels active and once inside
+pairing precomputation, batch modular inversion) and each scheme-level
+hot path (P2's decrypt/refresh combines, P1's d_i derivation, the full
+two-party decryption protocol) twice on identical inputs: once with the
+fast kernels active and once inside
 :func:`repro.groups.fastops.reference_mode`, which restores the naive
 per-term / per-pairing code paths.  Reports trimmed-median timings and
 the speedup ratio per entry (the median of per-repeat ratios, the two
@@ -120,13 +119,7 @@ def _paired_entry(fast, naive, warmup: int, repeats: int, fast_items: int = 1) -
 def bench_kernels(group, params, rng, warmup: int, repeats: int) -> dict:
     from repro.groups import fastops
     from repro.groups.bilinear import G1Element, GTElement
-    from repro.groups.pairing import (
-        PairingPrecomp,
-        final_exponentiation,
-        miller_loop,
-        miller_loop_affine,
-        tate_pairing,
-    )
+    from repro.groups.pairing import PairingPrecomp, tate_pairing
     from repro.math.modular import batch_inv, inv_mod
 
     p = group.p
@@ -157,7 +150,8 @@ def bench_kernels(group, params, rng, warmup: int, repeats: int) -> dict:
     report["gt_multiexp"] = _paired_entry(gt_fast, gt_naive, warmup, repeats)
 
     # Fixed-argument pairing: one left point against `terms` right points,
-    # schedule construction included in the fast timing.
+    # schedule construction included in the fast timing, against the
+    # affine reference loop.
     left = group.random_g(rng).point
     rights = [group.random_g(rng).point for _ in range(terms)]
 
@@ -169,16 +163,6 @@ def bench_kernels(group, params, rng, warmup: int, repeats: int) -> dict:
         return [tate_pairing(left, right, group.params) for right in rights]
 
     report["pairing_precomp"] = _paired_entry(precomp_fast, precomp_naive, warmup, repeats)
-
-    def miller_projective():
-        return final_exponentiation(miller_loop(left, rights[0], group.params), group.params)
-
-    def miller_affine():
-        return final_exponentiation(
-            miller_loop_affine(left, rights[0], group.params), group.params
-        )
-
-    report["miller_projective"] = _paired_entry(miller_projective, miller_affine, warmup, repeats)
 
     values = [rng.randrange(1, q) for _ in range(256)]
 
@@ -362,12 +346,13 @@ def calibrate_weights(group, rng, warmup: int, repeats: int) -> dict:
     amortizes the schedule construction over the ``ell + 1`` evaluations
     a decryption shares it across.  ``g_samples`` is priced per draw of
     a ``random_g_batch`` the size of a period's largest vector
-    (``SAMPLE_VECTOR`` points), ``gt_samples`` per ``random_gt`` draw.
+    (``SAMPLE_VECTOR`` points), ``gt_samples`` per ``random_gt`` draw,
+    and ``pairings`` per lone ``group.pair``, the path the schemes run.
     These weights are reported only: ``--check`` compares speedups, and
     :data:`~repro.groups.bilinear.DEFAULT_COST_WEIGHTS` stays fixed.
     """
     from repro.groups.bilinear import G1Element, GTElement
-    from repro.groups.pairing import PairingPrecomp, tate_pairing
+    from repro.groups.pairing import PairingPrecomp
 
     p = group.p
     u, v = group.random_g(rng), group.random_g(rng)
@@ -391,9 +376,7 @@ def calibrate_weights(group, rng, warmup: int, repeats: int) -> dict:
             lambda: GTElement.multiexp(gt_bases, exps), warmup, repeats
         )
         / terms,
-        "pairings": trimmed_median(
-            lambda: tate_pairing(left, rights[0], group.params), warmup, repeats
-        ),
+        "pairings": trimmed_median(lambda: group.pair(u, v), warmup, repeats),
     }
 
     def precomp_batch():

@@ -87,7 +87,7 @@ def weighted_product(
 
 
 def pair_ciphertexts(
-    point: "G1Element | G1Precomp",
+    point: G1Precomp,
     ciphertexts: "Sequence[HPSKECiphertext]",
 ) -> "list[HPSKECiphertext]":
     """Pairing-transport a whole vector of ``G``-ciphertexts against one
@@ -100,8 +100,6 @@ def pair_ciphertexts(
     """
     if not ciphertexts:
         return []
-    if not isinstance(point, G1Precomp):
-        return [ciphertext.pair_with(point) for ciphertext in ciphertexts]
     flat: list[Element] = []
     for ciphertext in ciphertexts:
         flat.extend(ciphertext.elements())
@@ -175,22 +173,18 @@ class HPSKECiphertext:
             tuple(c ** exponent for c in self.coins), self.body ** exponent
         )
 
-    def pair_with(self, point: "G1Element | G1Precomp") -> "HPSKECiphertext":
+    def pair_with(self, point: G1Precomp) -> "HPSKECiphertext":
         """Transport a ``G``-ciphertext of ``m`` to a ``GT``-ciphertext of
         ``e(point, m)`` under the same key (the f_i -> d_i reuse).
 
-        Accepts a :class:`~repro.groups.bilinear.G1Precomp` handle so a
-        caller pairing *many* ciphertexts against the same point (the
-        run-period ``d_i`` derivation) runs the Miller schedule once.
+        ``point`` is a :class:`~repro.groups.bilinear.G1Precomp` handle
+        (:meth:`~repro.groups.bilinear.BilinearGroup.pairing_precomp`),
+        so a caller pairing *many* ciphertexts against the same point
+        (the run-period ``d_i`` derivation) runs the Miller schedule
+        once.
         """
-        if isinstance(point, G1Precomp):
-            values = point.pair_many(self.elements())  # type: ignore[arg-type]
-            return HPSKECiphertext(tuple(values[:-1]), values[-1])
-        group = point.group
-        return HPSKECiphertext(
-            tuple(group.pair(point, c) for c in self.coins),  # type: ignore[arg-type]
-            group.pair(point, self.body),  # type: ignore[arg-type]
-        )
+        values = point.pair_many(self.elements())  # type: ignore[arg-type]
+        return HPSKECiphertext(tuple(values[:-1]), values[-1])
 
     def elements(self) -> tuple[Element, ...]:
         return self.coins + (self.body,)

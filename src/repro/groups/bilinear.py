@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
 from repro.errors import GroupError
-from repro.groups import curve, fastops
+from repro.groups import curve, fastops, native
 from repro.groups.curve import Point
 from repro.groups.pairing import PairingPrecomp, tate_pairing
 from repro.groups.pairing_params import PairingParams
@@ -440,16 +440,9 @@ class G1Precomp:
         return self.element.group
 
     def pair(self, right: G1Element) -> GTElement:
-        """``e(P, right)`` via the cached schedule."""
-        group = self.element.group
-        if right.group.params is not group.params:
-            raise GroupError("pairing elements from a different group")
-        if not fastops.enabled():
-            return group.pair(self.element, right)
-        if self._schedule is None:
-            self._schedule = PairingPrecomp(self.element.point, group.params)
-        group.counter.pairings_precomp += 1
-        return GTElement(group, self._schedule.pair_with(right.point))
+        """``e(P, right)`` via the cached schedule: :meth:`pair_many` of
+        one."""
+        return self.pair_many([right])[0]
 
     def pair_many(self, rights: "Sequence[G1Element]") -> "list[GTElement]":
         """``e(P, right_i)`` for a whole vector off one cached schedule.
@@ -517,11 +510,24 @@ class BilinearGroup:
     # -- the pairing -----------------------------------------------------
 
     def pair(self, left: G1Element, right: G1Element) -> GTElement:
-        """The admissible bilinear map ``e : G x G -> GT``."""
+        """The admissible bilinear map ``e : G x G -> GT``.
+
+        With the compiled kernels it runs a Miller schedule of one
+        (:class:`~repro.groups.pairing.PairingPrecomp`, built and
+        evaluated by two kernel calls); on the Python kernels and inside
+        :func:`~repro.groups.fastops.reference_mode` it runs the affine
+        reference loop (:func:`~repro.groups.pairing.tate_pairing`),
+        which a Python schedule of one is slower than.  The value is
+        the same either way, and it counts one ``pairings``.
+        """
         if left.group.params is not self.params or right.group.params is not self.params:
             raise GroupError("pairing elements from a different group")
         self.counter.pairings += 1
-        return GTElement(self, tate_pairing(left.point, right.point, self.params))
+        if fastops.enabled() and native.kernels() is not None:
+            value = PairingPrecomp(left.point, self.params).pair_with(right.point)
+        else:
+            value = tate_pairing(left.point, right.point, self.params)
+        return GTElement(self, value)
 
     def pairing_precomp(self, left: G1Element) -> G1Precomp:
         """A fixed-argument handle for ``e(left, .)`` -- run the Miller

@@ -21,24 +21,22 @@ lying in ``F_q`` is annihilated by the final exponentiation
 ``z -> z^q`` is plain conjugation in ``F_{q^2}``, so the final
 exponentiation is ``(conj(z) / z)^h``.
 
-The production Miller loop (:func:`miller_loop`) is **inversion-free**:
-the running point ``T`` is tracked in Jacobian coordinates and each line
-function is evaluated *scaled by its F_q denominator* (``2YZ^3`` for the
-tangent, ``Z^3 (x_P Z^2 - X)`` for the chord), which the final
-exponentiation eliminates along with the vertical lines.  The affine
-loop with one :func:`~repro.math.modular.inv_mod` per step is kept as
-:func:`miller_loop_affine` -- the reference the projective path is
-property-tested against.
-
-For the common "one fixed ``P`` against many ``Q``" pattern (the DLR
-decryption protocols pair one ciphertext component ``A`` against every
-share element) :class:`PairingPrecomp` runs the Miller doubling schedule
-once (:func:`miller_schedule`: point arithmetic in Jacobian form,
-normalised to affine with batched inversions), caches the affine line
-coefficients ``(lambda, ty - lambda*tx)`` per step, and then evaluates
-against each ``Q`` without touching the curve:
-each line, scaled by the ``F_q`` factor ``-1/y_Q``, is ``c + i`` and
-multiplies ``f`` with two products (:func:`evaluate_schedule_chunk`).
+There are two Miller loops.  :class:`PairingPrecomp` is the fast one:
+it runs the Miller doubling schedule of ``P`` once
+(:func:`miller_schedule`: point arithmetic in Jacobian form, normalised
+to affine with batched inversions), caches the affine line coefficients
+``(lambda, ty - lambda*tx)`` per step, and then evaluates against each
+``Q`` without touching the curve: each line, scaled by the ``F_q``
+factor ``-1/y_Q``, is ``c + i`` and multiplies ``f`` with two products
+(:func:`evaluate_schedule_chunk`).  It serves the "one fixed ``P``
+against many ``Q``" pattern (the DLR decryption protocols pair one
+ciphertext component ``A`` against every share element), and with the
+compiled kernels a lone pairing
+(:meth:`~repro.groups.bilinear.BilinearGroup.pair`) is a schedule of
+one.  :func:`miller_loop_affine`, with one
+:func:`~repro.math.modular.inv_mod` per step, is the reference:
+:func:`tate_pairing` runs it, and the tests pin the schedule to it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -67,8 +65,8 @@ _RawFq2 = tuple[int, int]
 def miller_loop_affine(p_point: Point, q_point: Point, params: PairingParams) -> _RawFq2:
     """The affine Miller loop: one modular inversion per doubling/add step.
 
-    Reference implementation -- :func:`miller_loop` must agree with it up
-    to an ``F_q`` scalar (i.e. exactly, after final exponentiation).
+    The reference implementation: :class:`PairingPrecomp` must agree with
+    it exactly after final exponentiation.
     """
     order = params.p
     if p_point.is_infinity() or q_point.is_infinity():
@@ -108,68 +106,6 @@ def miller_loop_affine(p_point: Point, q_point: Point, params: PairingParams) ->
                 x3 = (slope * slope - tx - px) % q
                 ty = (slope * (tx - x3) - ty) % q
                 tx = x3
-    return f
-
-
-def miller_loop(p_point: Point, q_point: Point, params: PairingParams) -> _RawFq2:
-    """Evaluate the Miller function ``f_{p, P}`` at ``phi(Q)``,
-    inversion-free.
-
-    ``T`` is tracked in Jacobian coordinates ``(X, Y, Z)`` with
-    ``tx = X/Z^2``, ``ty = Y/Z^3``; each line function is multiplied
-    through by its ``F_q`` denominator (tangent: ``2YZ^3``, chord:
-    ``Z^3 (x_P Z^2 - X)``), so the result differs from
-    :func:`miller_loop_affine` only by an ``F_q`` factor -- annihilated
-    by :func:`final_exponentiation` exactly like the vertical lines.
-    Returns a raw ``F_{q^2}`` pair, *before* final exponentiation.
-    """
-    order = params.p
-    if p_point.is_infinity() or q_point.is_infinity():
-        return (1, 0)
-    q = params.q
-    phi_x = -q_point.x % q
-    phi_y = q_point.y % q
-    neg_phi_y = (-phi_y) % q
-
-    f: _RawFq2 = (1, 0)
-    px, py = p_point.x % q, p_point.y % q
-    tx_, ty_, tz_ = px, py, 1  # T = P, Jacobian with Z = 1
-    t_infinity = False
-
-    bits = bin(order)[3:]
-    for bit in bits:
-        f = fq2_square(f, q)
-        if not t_infinity:
-            # Tangent line at T, scaled by 2YZ^3 in F_q:
-            #   real = (3X^2 + Z^4)(phi_x Z^2 - X) + 2Y^2
-            #   imag = -phi_y * 2YZ^3
-            zz = tz_ * tz_ % q
-            m = (3 * tx_ * tx_ + zz * zz) % q  # a = 1 for y^2 = x^3 + x
-            scale = 2 * ty_ * tz_ * zz % q
-            line = (
-                (m * (phi_x * zz - tx_) + 2 * ty_ * ty_) % q,
-                neg_phi_y * scale % q,
-            )
-            f = fq2_mul(f, line, q)
-            tx_, ty_, tz_ = _jacobian_double((tx_, ty_, tz_), q)
-        if bit == "1" and not t_infinity:
-            zz = tz_ * tz_ % q
-            zzz = zz * tz_ % q
-            h = (px * zz - tx_) % q
-            if h == 0 and (ty_ + py * zzz) % q == 0:
-                # T = -P: the chord is vertical, lies in F_q, eliminated.
-                t_infinity = True
-            else:
-                # Chord through T and P, scaled by Z^3 (px Z^2 - X):
-                #   real = (py Z^3 - Y)(phi_x Z^2 - X) + Y (px Z^2 - X)
-                #   imag = -phi_y * Z^3 (px Z^2 - X)
-                r = (py * zzz - ty_) % q
-                line = (
-                    (r * (phi_x * zz - tx_) + ty_ * h) % q,
-                    neg_phi_y * zzz * h % q,
-                )
-                f = fq2_mul(f, line, q)
-                tx_, ty_, tz_ = _jacobian_add_affine((tx_, ty_, tz_), px, py, q)
     return f
 
 
@@ -383,6 +319,7 @@ def final_exponentiation(value: _RawFq2, params: PairingParams) -> _RawFq2:
 
 
 def tate_pairing(p_point: Point, q_point: Point, params: PairingParams) -> Fq2:
-    """The full modified Tate pairing ``e(P, Q)`` as an ``F_{q^2}`` element."""
-    raw = final_exponentiation(miller_loop(p_point, q_point, params), params)
+    """The full modified Tate pairing ``e(P, Q)`` as an ``F_{q^2}``
+    element, on the affine reference loop."""
+    raw = final_exponentiation(miller_loop_affine(p_point, q_point, params), params)
     return Fq2._from_reduced(raw[0], raw[1], params.q)

@@ -1,11 +1,12 @@
 """Unit tests for the BilinearGroup element API and operation counters."""
 
+import contextlib
 import random
 
 import pytest
 
 from repro.errors import GroupError
-from repro.groups import preset_group
+from repro.groups import bilinear, fastops, native, preset_group
 
 
 class TestG1Element:
@@ -83,6 +84,7 @@ class TestCounters:
         small_group.pair(small_group.g, small_group.g)
         delta = small_group.counter.diff(before)
         assert delta.pairings == 1
+        assert delta.pairings_precomp == 0
 
     def test_exponentiation_counted(self, small_group, rng):
         before = small_group.counter.snapshot()
@@ -127,3 +129,31 @@ class TestDeterminism:
     def test_random_scalar_in_range(self, small_group, rng):
         for _ in range(10):
             assert 0 <= small_group.random_scalar(rng) < small_group.p
+
+
+class TestLonePairingPath:
+    @pytest.mark.parametrize(
+        "path, context",
+        [
+            ("native", contextlib.nullcontext),
+            ("python", native._python_kernels),
+            ("reference", fastops.reference_mode),
+        ],
+    )
+    def test_reference_loop_runs_only_without_the_kernels(
+        self, small_group, monkeypatch, path, context
+    ):
+        """``group.pair`` runs a schedule of one on the compiled kernels
+        and the affine reference loop on the Python kernels or inside
+        ``reference_mode()``; the value is the same on every path."""
+        if path == "native" and native.kernels() is None:
+            pytest.skip("the native kernels cannot be built here")
+        expected = small_group.pair(small_group.g, small_group.g)
+        calls = []
+        reference = bilinear.tate_pairing
+        monkeypatch.setattr(
+            bilinear, "tate_pairing", lambda *args: calls.append(args) or reference(*args)
+        )
+        with context():
+            assert small_group.pair(small_group.g, small_group.g) == expected
+        assert len(calls) == (0 if path == "native" else 1)

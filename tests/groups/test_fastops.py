@@ -3,9 +3,9 @@
 Every kernel is pinned against the naive reference it replaces:
 ``multiexp`` against the per-term product of powers, the precomputed
 pairing schedule against :func:`~repro.groups.pairing.tate_pairing`, the
-projective Miller loop against the affine one.  The kernels must be
-*invisible* -- bit-identical values, and the only observable difference
-the operation-counter profile.
+affine reference.  The kernels must be *invisible* -- bit-identical
+values, and the only observable difference the operation-counter
+profile.
 """
 
 import random
@@ -15,13 +15,7 @@ import pytest
 from repro.errors import GroupError
 from repro.groups import fastops, preset_group
 from repro.groups.bilinear import G1Element, GTElement
-from repro.groups.pairing import (
-    PairingPrecomp,
-    final_exponentiation,
-    miller_loop,
-    miller_loop_affine,
-    tate_pairing,
-)
+from repro.groups.pairing import PairingPrecomp, tate_pairing
 
 
 def naive_product(bases, exponents):
@@ -183,21 +177,6 @@ class TestPairingPrecomp:
         a, b = rng.randrange(1, small_group.p), rng.randrange(1, small_group.p)
         handle = small_group.pairing_precomp(u)
         assert handle.pair(v ** a * w ** b) == handle.pair(v) ** a * handle.pair(w) ** b
-
-
-class TestMillerLoop:
-    def test_projective_matches_affine(self, small_group, rng):
-        """The inversion-free loop differs from the affine one only by
-        F_q factors, which the final exponentiation kills."""
-        params = small_group.params
-        for _ in range(8):
-            left = small_group.random_g(rng).point
-            right = small_group.random_g(rng).point
-            projective = final_exponentiation(miller_loop(left, right, params), params)
-            affine = final_exponentiation(
-                miller_loop_affine(left, right, params), params
-            )
-            assert projective == affine
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ Three layers of assurance:
    kernels and on the compiled ones (:mod:`repro.groups.native`), so
    stored and serialized forms never depend on which kernels ran.
 2. **Cross-kernel equivalence** -- seeded algebra laws (fields, curve,
-   multiexp, Miller loops, batch inversion) on each kernel set, each
+   multiexp, pairings, batch inversion) on each kernel set, each
    pinned bit-for-bit to the Python kernels.
 3. **The contract of the plain functions** in :mod:`repro.math.modular`
    -- zero inverses raise, unitary ``F_{q^2}`` elements invert by
@@ -19,13 +19,12 @@ import random
 import pytest
 
 from repro.errors import GroupError, ParameterError
-from repro.groups import native
+from repro.groups import native, preset_group
 from repro.groups.bilinear import G1Element, GTElement, OperationCounter
 from repro.groups.curve import batch_to_affine, scalar_mul, scalar_mul_affine
 from repro.groups.pairing import (
     PairingPrecomp,
     final_exponentiation,
-    miller_loop,
     miller_loop_affine,
     tate_pairing,
 )
@@ -103,9 +102,8 @@ class TestUnliftDiscipline:
         for name in built_kernel_sets():
             with kernel_set(name):
                 for raw in (
-                    miller_loop(left, right, params),
                     miller_loop_affine(left, right, params),
-                    final_exponentiation(miller_loop(left, right, params), params),
+                    final_exponentiation(miller_loop_affine(left, right, params), params),
                 ):
                     assert exact_int(raw[0]) and exact_int(raw[1]), (name, raw)
                 paired = tate_pairing(left, right, params)
@@ -118,6 +116,10 @@ class TestUnliftDiscipline:
                 via_precomp = precomp.pair_with(right)
                 assert exact_int(via_precomp.a) and exact_int(via_precomp.b)
                 assert via_precomp == paired
+                lone = small_group.pair(
+                    G1Element(small_group, left), G1Element(small_group, right)
+                ).value
+                assert exact_int(lone.a) and exact_int(lone.b)
 
 
 # ---------------------------------------------------------------------------
@@ -185,28 +187,33 @@ class TestCrossBackendEquivalence:
             assert G1Element.multiexp(g_bases, exponents) == g_expected
             assert GTElement.multiexp(gt_bases, exponents) == gt_expected
 
-    def test_pairing_agrees_and_is_bilinear(self, small_group, rng, kernels):
-        a = rng.randrange(2, small_group.p)
-        b = rng.randrange(2, small_group.p)
-        g = small_group.g
-        expected = _with_python(lambda: small_group.pair(g ** a, g ** b))
-        with kernel_set(kernels):
-            paired = small_group.pair(g ** a, g ** b)
-            assert paired == expected
-            assert paired == small_group.pair(g, g) ** (a * b)
-            left = (g ** a).point
-            right = (g ** b).point
-            params = small_group.params
-            projective = final_exponentiation(
-                miller_loop(left, right, params), params
-            )
-            affine = final_exponentiation(
-                miller_loop_affine(left, right, params), params
-            )
-            assert projective == affine
-            assert PairingPrecomp(left, params).pair_with(right) == tate_pairing(
-                left, right, params
-            )
+    def test_pairing_agrees_and_is_bilinear(self, rng, kernels):
+        """``group.pair`` -- a schedule of one on the compiled kernels,
+        the affine loop on the Python ones -- equals the affine
+        reference bit for bit, on the toy group, the word field (n=32)
+        and ``mpz_t`` (n=64), with either argument at infinity, and
+        counts one ``pairings`` and no ``pairings_precomp``."""
+        for bits in (16, 32, 64):
+            group = preset_group(bits)
+            params = group.params
+            a = rng.randrange(2, group.p)
+            b = rng.randrange(2, group.p)
+            g, identity = group.g, group.g_identity()
+            expected = _with_python(lambda: group.pair(g ** a, g ** b))
+            pairs = [(g ** a, g ** b), (g, g), (identity, g), (g, identity)]
+            pairs += [(group.random_g(rng), group.random_g(rng)) for _ in range(3)]
+            with kernel_set(kernels):
+                paired = group.pair(g ** a, g ** b)
+                assert paired == expected
+                assert paired == group.pair(g, g) ** (a * b)
+                for left, right in pairs:
+                    before = group.counter.snapshot()
+                    value = group.pair(left, right).value
+                    moved = group.counter.diff(before)
+                    assert (moved.pairings, moved.pairings_precomp) == (1, 0)
+                    assert value == tate_pairing(left.point, right.point, params)
+                    precomp = PairingPrecomp(left.point, params)
+                    assert precomp.pair_with(right.point) == value, bits
 
     def test_batch_inv_agrees_and_reports_zero_index(
         self, small_group, rng, kernels

@@ -408,19 +408,17 @@ class DLR:
                 device1.secret.store("dec.sk_comm", sk_comm)
                 # Every pairing shares the left argument A = c.a, so run
                 # its Miller schedule once.
-                a_precomp = self.group.pairing_precomp(ciphertext.a)
+                paired = self.group.pairing_precomp(ciphertext.a).pair_many(
+                    (*share1.a, share1.phi)
+                )
                 # The coins inside each ciphertext are *public* randomness --
                 # they are transmitted verbatim -- and are sampled with unknown
                 # discrete logs (section 5.2 remark), so nothing about them
-                # enters secret memory.
-                d_list = [
-                    self.hpske_gt.encrypt(sk_comm, a_precomp.pair(a_i), device1.rng)
-                    for a_i in share1.a
-                ]
-                d_phi = self.hpske_gt.encrypt(
-                    sk_comm, a_precomp.pair(share1.phi), device1.rng
+                # enters secret memory.  Coins are drawn in the order of a
+                # loop of single encryptions.
+                *d_list, d_phi, d_b = self.hpske_gt.encrypt_batch(
+                    sk_comm, (*paired, ciphertext.b), device1.rng
                 )
-                d_b = self.hpske_gt.encrypt(sk_comm, ciphertext.b, device1.rng)
             yield Send("dec.d", (tuple(d_list), d_phi, d_b))
 
             # Step 3 (P1): decrypt the response.

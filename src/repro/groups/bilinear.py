@@ -248,20 +248,9 @@ class G1Element:
         ``g_multiexp`` instead of individual ``g_exp``; inside
         :func:`repro.groups.fastops.reference_mode` it degrades to the
         per-term ladder with the classic counter profile.  The result is
-        bit-identical either way.  The kernel is
-        :func:`repro.groups.fastops.batch_multiexp_points` on a batch of
-        one.
+        bit-identical either way.  It is :meth:`multiexp_batch` of one.
         """
-        results, fast = _triage(
-            [(bases, exponents)], BilinearGroup.g_identity, "g_multiexp"
-        )
-        if not fast:
-            return results[0]
-        [(_, group, terms)] = fast
-        [point] = fastops.batch_multiexp_points(
-            [_g_kernel_instance(terms)], group.params.q
-        )
-        return G1Element(group, point)
+        return cls.multiexp_batch([(bases, exponents)])[0]
 
     @classmethod
     def multiexp_batch(
@@ -353,19 +342,9 @@ class GTElement:
     ) -> "GTElement":
         """``prod_i bases[i] ** exponents[i]`` in ``GT`` on the
         shared-squaring kernel; see :meth:`G1Element.multiexp` for the
-        counting contract (here ``gt_multiexp`` / ``gt_exp``) and the
-        batch of one (here
-        :func:`repro.groups.fastops.batch_multiexp_fq2`)."""
-        results, fast = _triage(
-            [(bases, exponents)], BilinearGroup.gt_identity, "gt_multiexp"
-        )
-        if not fast:
-            return results[0]
-        [(_, group, terms)] = fast
-        q = group.params.q
-        [(a, b)] = fastops.batch_multiexp_fq2([_gt_kernel_instance(terms)], q)
-        # The kernel returns canonical reduced ints -- skip re-reduction.
-        return GTElement(group, Fq2._from_reduced(a, b, q))
+        counting contract (here ``gt_multiexp`` / ``gt_exp``); it is
+        :meth:`multiexp_batch` of one."""
+        return cls.multiexp_batch([(bases, exponents)])[0]
 
     @classmethod
     def multiexp_batch(
@@ -380,6 +359,7 @@ class GTElement:
             values = fastops.batch_multiexp_fq2(
                 [_gt_kernel_instance(terms) for _, _, terms in entries], q
             )
+            # The kernel returns canonical reduced ints -- skip re-reduction.
             for (idx, group, _), (a, b) in zip(entries, values):
                 results[idx] = GTElement(group, Fq2._from_reduced(a, b, q))
         return results

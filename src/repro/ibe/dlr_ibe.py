@@ -22,6 +22,9 @@ from the master ones only in P1's local computation and the labels):
   P2 samples ``s'`` and returns the blinded combination, which decrypts
   to ``Psi``.  Per Remark 4.1 the leakage bound during extraction is the
   normal ``(b1, b2)`` -- only *master* key generation needs ``b0``.
+  There is one extraction path: a lone identity
+  (:meth:`DLRIBE.extract_protocol`) is an :meth:`DLRIBE.extract_batch`
+  of one, and a batch shares one ``sk_comm`` and one ``Enc'(a_i)`` set.
 * **Identity decryption** mirrors DLR decryption after P1 folds
   ``prod_j e(C_j, g^{r_j})`` into ``B``.
 * **Identity refresh** additionally re-randomizes the BB exponents:
@@ -165,87 +168,10 @@ class DLRIBE(DLR):
         A mid-protocol failure erases any partially installed identity
         share on either device (the ``abort_erase`` entries of the spec;
         the master shares are never touched), so extraction can simply
-        be retried.
+        be retried.  This is :meth:`extract_batch` of one, without the
+        cache skip (labels ``ext.*``).
         """
-        msk1 = self.share1_of(device1)
-        ell = self.params.ell
-        u_sel = pp.u_for(hash_identity(identity, self.n_id))
-
-        def p1():
-            with device1.computing():
-                # BB randomness r_j: secret while the blinded M is formed.
-                r = [self.group.random_scalar(device1.rng) for _ in range(self.n_id)]
-                device1.secret.store("ext.r", Share2(tuple(r), self.group.p))
-                r_pub = tuple(self.group.g ** r_j for r_j in r)
-                # Phi * prod_j u_j^{r_j} as one multiexp (Phi rides along
-                # with exponent 1).
-                blinding = G1Element.multiexp((msk1.phi, *u_sel), (1, *r))
-
-                sk_comm = self.hpske_g.keygen(device1.rng)
-                device1.secret.store("ext.sk_comm", sk_comm)
-                fresh_a = tuple(self.group.random_g_batch(device1.rng, ell))
-                device1.secret.store("ext.a_next", list(fresh_a), derived=True)
-                f_pairs = tuple(
-                    (
-                        self.hpske_g.encrypt(sk_comm, msk1.a[i], device1.rng),
-                        self.hpske_g.encrypt(sk_comm, fresh_a[i], device1.rng),
-                    )
-                    for i in range(ell)
-                )
-                f_m = self.hpske_g.encrypt(sk_comm, blinding, device1.rng)
-            yield Send("ext.f", (f_pairs, f_m))
-
-            message = yield Recv("ext.f_combined")
-            with device1.computing():
-                psi = self.hpske_g.decrypt(sk_comm, message.payload)
-            assert isinstance(psi, G1Element)
-            device1.secret.store(
-                _id_slot(1, identity), IdentityShare1(r_pub=r_pub, a=fresh_a, psi=psi)
-            )
-
-        def p2():
-            # Identical shape to the refresh step, but the fresh scalars
-            # become the *identity* share, leaving the master share in place.
-            message = yield Recv("ext.f")
-            f_pairs, f_m = message.payload
-            msk2 = self.share2_of(device2)
-            with device2.computing():
-                id_share2 = Share2(
-                    tuple(self.group.random_scalar(device2.rng) for _ in range(ell)),
-                    self.group.p,
-                )
-                combined = combine_refresh(msk2, id_share2, f_pairs, f_m)
-            device2.secret.store(_id_slot(2, identity), id_share2)
-            yield Send("ext.f_combined", combined)
-
-        spec = ProtocolSpec(
-            "dlribe.extract",
-            device1,
-            device2,
-            p1,
-            p2,
-            secrets1=("ext.r", "ext.sk_comm", "ext.a_next"),
-            # A half-installed identity key must not linger on either side.
-            abort_erase=((1, _id_slot(1, identity)), (2, _id_slot(2, identity))),
-        )
-        try:
-            self._run_engine(spec, channel)
-        except Exception:
-            self.extract_cache.invalidate(identity)
-            raise
-        self._record_extraction(device1, device2, identity)
-
-    def _record_extraction(
-        self, device1: Device, device2: Device, identity: str
-    ) -> None:
-        """Stamp ``identity`` fresh in the extract cache; if the LRU
-        bound pushed another identity out, erase its share slots on both
-        devices (the cache bounds secret-memory residency, so eviction
-        must actually free the slots)."""
-        evicted = self.extract_cache.record(identity)
-        if evicted is not None and evicted != identity:
-            device1.secret.erase_if_present(_id_slot(1, evicted))
-            device2.secret.erase_if_present(_id_slot(2, evicted))
+        self._extract(pp, device1, device2, channel, [("ext", identity)], "extract")
 
     @traced("extract_batch")
     def extract_batch(
@@ -287,94 +213,126 @@ class DLRIBE(DLR):
                 self.extract_cache.touch(identity)
                 continue
             todo.append(identity)
-        if not todo:
-            return []
+        if todo:
+            self._extract(
+                pp,
+                device1,
+                device2,
+                channel,
+                [(f"ext.{index}", identity) for index, identity in enumerate(todo)],
+                "extract_batch",
+            )
+        return todo
 
+    def _extract(
+        self,
+        pp: IBEPublicParams,
+        device1: Device,
+        device2: Device,
+        channel: Transport,
+        extractions: "list[tuple[str, str]]",
+        kind: str,
+    ) -> None:
+        """The one extraction path: extract each ``(label prefix,
+        identity)`` pair in order under one ``sk_comm`` (spec
+        ``dlribe.<kind>``).
+
+        The first identity draws the shared leg -- ``sk_comm`` and the
+        old-share encryptions ``Enc'(a_i)`` -- right after its BB
+        randomness ``r``; later identities reuse ``Enc'(a_i)`` and
+        encrypt only their fresh ``a'`` and blinded ``M``.
+        """
         msk1 = self.share1_of(device1)
         ell = self.params.ell
+        identities = [identity for _, identity in extractions]
 
         def p1():
-            with device1.computing():
-                sk_comm = self.hpske_g.keygen(device1.rng)
-                device1.secret.store("ext.sk_comm", sk_comm)
-                # The shared leg: Enc'(a_i) of the *old* master share is
-                # identity-independent, so one set serves the batch.
-                f_old = tuple(
-                    self.hpske_g.encrypt(sk_comm, msk1.a[i], device1.rng)
-                    for i in range(ell)
-                )
-            for index, identity in enumerate(todo):
+            sk_comm = None
+            f_old: list = []
+            for index, (prefix, identity) in enumerate(extractions):
                 u_sel = pp.u_for(hash_identity(identity, self.n_id))
                 with device1.computing():
-                    r = [
-                        self.group.random_scalar(device1.rng)
-                        for _ in range(self.n_id)
-                    ]
-                    # Overwritten per identity: one identity's BB
-                    # randomness in the clear at a time.
+                    # BB randomness r_j: secret while the blinded M is
+                    # formed, and overwritten per identity.
+                    r = [self.group.random_scalar(device1.rng) for _ in range(self.n_id)]
                     device1.secret.store("ext.r", Share2(tuple(r), self.group.p))
                     r_pub = tuple(self.group.g ** r_j for r_j in r)
+                    # Phi * prod_j u_j^{r_j} as one multiexp (Phi rides
+                    # along with exponent 1).
                     blinding = G1Element.multiexp((msk1.phi, *u_sel), (1, *r))
+                    if index == 0:
+                        sk_comm = self.hpske_g.keygen(device1.rng)
+                        device1.secret.store("ext.sk_comm", sk_comm)
                     fresh_a = tuple(self.group.random_g_batch(device1.rng, ell))
                     device1.secret.store("ext.a_next", list(fresh_a), derived=True)
-                    f_pairs = tuple(
-                        (
-                            f_old[i],
-                            self.hpske_g.encrypt(sk_comm, fresh_a[i], device1.rng),
+                    if index == 0:
+                        # Enc'(a_0), Enc'(a'_0), Enc'(a_1), ..., Enc'(M): the
+                        # order a loop of single encryptions draws its
+                        # coins in.  Enc'(a_i) of the *old* master share is
+                        # identity-independent, so later identities reuse it.
+                        *f_flat, f_m = self.hpske_g.encrypt_batch(
+                            sk_comm,
+                            (*(x for pair in zip(msk1.a, fresh_a) for x in pair), blinding),
+                            device1.rng,
                         )
-                        for i in range(ell)
-                    )
-                    f_m = self.hpske_g.encrypt(sk_comm, blinding, device1.rng)
-                yield Send(f"ext.{index}.f", (f_pairs, f_m))
+                        f_old, f_new = f_flat[0::2], f_flat[1::2]
+                    else:
+                        *f_new, f_m = self.hpske_g.encrypt_batch(
+                            sk_comm, (*fresh_a, blinding), device1.rng
+                        )
+                yield Send(f"{prefix}.f", (tuple(zip(f_old, f_new)), f_m))
 
-                message = yield Recv(f"ext.{index}.f_combined")
+                message = yield Recv(f"{prefix}.f_combined")
                 with device1.computing():
                     psi = self.hpske_g.decrypt(sk_comm, message.payload)
                 assert isinstance(psi, G1Element)
                 device1.secret.store(
-                    _id_slot(1, identity),
-                    IdentityShare1(r_pub=r_pub, a=fresh_a, psi=psi),
+                    _id_slot(1, identity), IdentityShare1(r_pub=r_pub, a=fresh_a, psi=psi)
                 )
 
         def p2():
+            # Identical shape to the refresh step, but the fresh scalars
+            # become the *identity* share, leaving the master share in place.
             msk2 = self.share2_of(device2)
-            for index, identity in enumerate(todo):
-                message = yield Recv(f"ext.{index}.f")
+            for prefix, identity in extractions:
+                message = yield Recv(f"{prefix}.f")
                 f_pairs, f_m = message.payload
                 with device2.computing():
                     id_share2 = Share2(
-                        tuple(
-                            self.group.random_scalar(device2.rng)
-                            for _ in range(ell)
-                        ),
+                        tuple(self.group.random_scalar(device2.rng) for _ in range(ell)),
                         self.group.p,
                     )
                     combined = combine_refresh(msk2, id_share2, f_pairs, f_m)
                 device2.secret.store(_id_slot(2, identity), id_share2)
-                yield Send(f"ext.{index}.f_combined", combined)
+                yield Send(f"{prefix}.f_combined", combined)
 
         spec = ProtocolSpec(
-            "dlribe.extract_batch",
+            f"dlribe.{kind}",
             device1,
             device2,
             p1,
             p2,
             secrets1=("ext.r", "ext.sk_comm", "ext.a_next"),
+            # A half-installed identity key must not linger on either side.
             abort_erase=tuple(
                 (device_index, _id_slot(device_index, identity))
-                for identity in todo
+                for identity in identities
                 for device_index in (1, 2)
             ),
         )
         try:
             self._run_engine(spec, channel)
         except Exception:
-            for identity in todo:
+            for identity in identities:
                 self.extract_cache.invalidate(identity)
             raise
-        for identity in todo:
-            self._record_extraction(device1, device2, identity)
-        return todo
+        for identity in identities:
+            # The cache bounds secret-memory residency: an identity the
+            # LRU bound pushed out loses its share slots on both devices.
+            evicted = self.extract_cache.record(identity)
+            if evicted is not None and evicted != identity:
+                device1.secret.erase_if_present(_id_slot(1, evicted))
+                device2.secret.erase_if_present(_id_slot(2, evicted))
 
     # ------------------------------------------------------------------
     # 2-party identity decryption
@@ -402,16 +360,13 @@ class DLRIBE(DLR):
                 device1.secret.store("iddec.sk_comm", sk_comm)
                 # One Miller schedule for A = c.a, reused over every a_i
                 # and Psi.
-                a_precomp = self.group.pairing_precomp(ciphertext.a)
-                d_list = tuple(
-                    self.hpske_gt.encrypt(sk_comm, a_precomp.pair(a_i), device1.rng)
-                    for a_i in share1.a
+                paired = self.group.pairing_precomp(ciphertext.a).pair_many(
+                    (*share1.a, share1.psi)
                 )
-                d_psi = self.hpske_gt.encrypt(
-                    sk_comm, a_precomp.pair(share1.psi), device1.rng
+                *d_list, d_psi, d_b = self.hpske_gt.encrypt_batch(
+                    sk_comm, (*paired, b_star), device1.rng
                 )
-                d_b = self.hpske_gt.encrypt(sk_comm, b_star, device1.rng)
-            yield Send("iddec.d", (d_list, d_psi, d_b))
+            yield Send("iddec.d", (tuple(d_list), d_psi, d_b))
 
             message = yield Recv("iddec.c_prime")
             with device1.computing():
@@ -476,15 +431,14 @@ class DLRIBE(DLR):
                 device1.secret.store("idref.sk_comm", sk_comm)
                 fresh_a = tuple(self.group.random_g_batch(device1.rng, ell))
                 device1.secret.store("idref.a_next", list(fresh_a), derived=True)
-                f_pairs = tuple(
-                    (
-                        self.hpske_g.encrypt(sk_comm, share1.a[i], device1.rng),
-                        self.hpske_g.encrypt(sk_comm, fresh_a[i], device1.rng),
-                    )
-                    for i in range(ell)
+                # Enc'(a_0), Enc'(a'_0), Enc'(a_1), ..., Enc'(shift): the
+                # order a loop of single encryptions draws its coins in.
+                *f_flat, f_psi = self.hpske_g.encrypt_batch(
+                    sk_comm,
+                    (*(x for pair in zip(share1.a, fresh_a) for x in pair), shift),
+                    device1.rng,
                 )
-                f_psi = self.hpske_g.encrypt(sk_comm, shift, device1.rng)
-            yield Send("idref.f", (f_pairs, f_psi))
+            yield Send("idref.f", (tuple(zip(f_flat[0::2], f_flat[1::2])), f_psi))
 
             message = yield Recv("idref.f_combined")
             with device1.computing():

@@ -200,6 +200,15 @@ class FaultyTransport(Transport):
         return self.inner.messages
 
     @property
+    def step_hook(self):  # type: ignore[override]
+        # The inner transport records every frame, so the hook lives there.
+        return self.inner.step_hook
+
+    @step_hook.setter
+    def step_hook(self, hook) -> None:
+        self.inner.step_hook = hook
+
+    @property
     def current_period(self) -> int:
         return self.inner.current_period
 

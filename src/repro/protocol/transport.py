@@ -268,9 +268,9 @@ class Transport:
         (golden tests, leakage analyses) simply never prune.  Returns
         the number of messages dropped.
         """
-        kept = [m for m in self._messages if m.period >= before_period]
-        dropped = len(self._messages) - len(kept)
-        self._messages[:] = kept
+        kept = [m for m in self.messages if m.period >= before_period]
+        dropped = len(self.messages) - len(kept)
+        self.messages[:] = kept
         return dropped
 
     # -- sending / receiving ----------------------------------------------

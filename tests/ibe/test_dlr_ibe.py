@@ -85,6 +85,31 @@ class TestExtraction:
         )
         assert via_protocol == via_reference == message
 
+    def test_lone_extraction_is_a_batch_of_one(self, dibe, setup):
+        pp = setup.public_params
+
+        def run(extract):
+            p1, p2, channel = fresh_devices(dibe, setup)
+            before = dibe.group.counter.as_dict()
+            extract(p1, p2, channel)
+            after = dibe.group.counter.as_dict()
+            return (
+                channel.transcript_bits(),
+                {name: after[name] - before[name] for name in after},
+                p1.rng.getstate(),
+                p2.rng.getstate(),
+                dibe.identity_share1_of(p1, "alice"),
+                dibe.identity_share2_of(p2, "alice"),
+            )
+
+        lone = run(lambda p1, p2, ch: dibe.extract_protocol(pp, p1, p2, ch, "alice"))
+        batch = run(
+            lambda p1, p2, ch: dibe.extract_batch(
+                pp, p1, p2, ch, ["alice"], skip_cached=False
+            )
+        )
+        assert lone == batch
+
     def test_missing_identity_share_detected(self, dibe, setup):
         p1, p2, channel = fresh_devices(dibe, setup)
         with pytest.raises(ProtocolError):

@@ -326,3 +326,33 @@ class TestIBEGolden:
         assert _digest(bits) == (
             "e2e7720edc01a04439ba801ccdb9ad1dd971538343b5e03e4fe5b62a6d1f1992"
         )
+
+    def test_two_identity_extract_batch(self):
+        # Pins the shared leg's order: sk_comm and Enc'(a_i) are drawn
+        # after the first identity's BB randomness.
+        group = preset_group(32)
+        params = DLRParams(group=group, lam=32)
+        scheme = DLRIBE(params, n_id=8)
+        rng = random.Random(2025)
+        setup = scheme.setup(rng)
+        pp = setup.public_params
+        p1 = Device("P1", group, rng)
+        p2 = Device("P2", group, rng)
+        scheme.install(p1, p2, setup.share1, setup.share2)
+        channel = InMemoryTransport()
+        assert scheme.extract_batch(pp, p1, p2, channel, ["alice", "bob"]) == [
+            "alice",
+            "bob",
+        ]
+        bits = channel.transcript_bits()
+        assert len(bits) == 17160
+        assert _digest(bits) == (
+            "38186167c68244acc063269a264a6860bc10855f566e64f8f5a0e02dd0ce1d0f"
+        )
+        for identity in ("alice", "bob"):
+            message = group.random_gt(rng)
+            ciphertext = scheme.encrypt_to(pp, identity, message, rng)
+            assert (
+                scheme.decrypt_protocol_id(p1, p2, channel, identity, ciphertext)
+                == message
+            )

@@ -252,6 +252,27 @@ class TestChannelDelegation:
         assert channel.transcript_bits(1) == BitString(1, 1)
         assert channel.messages is inner.messages
 
+    def test_prune_drops_old_periods_of_the_inner_transcript(self):
+        inner = InMemoryTransport()
+        channel = FaultyTransport(inner=inner)
+        channel.send("P1", "P2", "a", BitString(0b10, 2))
+        channel.advance_period()
+        channel.send("P2", "P1", "b", BitString(1, 1))
+        assert channel.prune(1) == 1
+        assert [m.label for m in inner.messages] == ["b"]
+
+    def test_step_hook_runs_before_each_recorded_send(self):
+        inner = InMemoryTransport()
+        channel = FaultyTransport(inner=inner)
+        seen = []
+        channel.step_hook = seen.append
+        channel.send("P1", "P2", "a", BitString(0b10, 2))
+        assert seen == ["a"]
+        assert inner.step_hook is channel.step_hook
+        channel.step_hook = None
+        channel.send("P1", "P2", "b", BitString(1, 1))
+        assert seen == ["a"] and inner.step_hook is None
+
     def test_clear_rules_disarms(self):
         channel = FaultyTransport.dropping("x")
         channel.clear_rules()

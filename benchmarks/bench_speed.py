@@ -11,10 +11,12 @@ the speedup ratio per entry (the median of per-repeat ratios, the two
 legs timed back to back), and calibrates the
 :meth:`~repro.groups.bilinear.OperationCounter.total_cost` weights from
 the measured per-operation costs.  ``schemes.channel_handoff`` pairs
-the in-memory channel's structural handoff against a wire-codec round
-trip (the socket path, subgroup checks included) over every payload of
-one recorded period; the round trip always runs on the Python kernels,
-so the reference leg does not get faster when the compiled ones do.
+the in-memory channel's per-send walk (the receiver's copy and the
+transcript bits in one pass) against a wire-codec round trip (the
+socket path, subgroup checks included) plus ``encode_any`` over every
+payload of one recorded period; the round trip always runs on the
+Python kernels, so the reference leg does not get faster when the
+compiled ones do.
 
 Usage::
 
@@ -185,8 +187,8 @@ def bench_schemes(scheme, generated, rng, warmup: int, repeats: int) -> dict:
     from repro.core.keys import Share2
     from repro.groups import fastops, native
     from repro.protocol.device import Device
-    from repro.protocol.transport import InMemoryTransport, _handoff
-    from repro.utils.serialization import WireCodec
+    from repro.protocol.transport import InMemoryTransport, _walk
+    from repro.utils.serialization import WireCodec, encode_any
 
     group = scheme.group
     report = {}
@@ -265,21 +267,25 @@ def bench_schemes(scheme, generated, rng, warmup: int, repeats: int) -> dict:
         full_decrypt_fast, full_decrypt_naive, warmup, repeats
     )
 
-    # The in-memory channel's structural handoff against a wire-codec
-    # round trip, over every payload of one recorded period.  The round
-    # trip's subgroup checks run on the Python kernels on either kernel
-    # set, so a kernel speedup does not lower the ratio.
+    # The in-memory channel's walk of each send (copy and transcript
+    # bits) against a wire-codec round trip plus the transcript encoding,
+    # over every payload of one recorded period.  The round trip's
+    # subgroup checks run on the Python kernels on either kernel set, so
+    # a kernel speedup does not lower the ratio.
     p1, p2, channel = installed()
     scheme.run_period(p1, p2, channel, ciphertext)
     payloads = [message.payload for message in channel.transcript()]
     codec = WireCodec(group)
 
     def handoff():
-        return [_handoff(payload) for payload in payloads]
+        return [_walk(payload) for payload in payloads]
 
     def codec_round_trip():
         with native._python_kernels():
-            return [codec.decode(codec.encode(payload)) for payload in payloads]
+            return [
+                (encode_any(payload), codec.decode(codec.encode(payload)))
+                for payload in payloads
+            ]
 
     report["channel_handoff"] = _paired_entry(handoff, codec_round_trip, warmup, repeats)
     return report

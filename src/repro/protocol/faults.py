@@ -45,7 +45,6 @@ from dataclasses import dataclass
 from repro.errors import FaultInjected, ParameterError
 from repro.protocol.transport import InMemoryTransport, Message, Transport
 from repro.utils.bits import BitString
-from repro.utils.serialization import encode_any
 
 DROP = "drop"
 TRUNCATE = "truncate"
@@ -262,7 +261,7 @@ class FaultyTransport(Transport):
                 time.sleep(rule.delay_seconds)
             return self.inner.send(sender, recipient, label, payload)
         if rule.mode == TRUNCATE:
-            bits = encode_any(payload)
+            bits = self.inner.payload_bits(payload)  # the engine sized it already
             keep = bits[: min(rule.keep_bits, len(bits))]
             # The partial frame is public: it goes on the transcript (but
             # is never delivered to the peer -- the protocol dies here).

@@ -8,10 +8,11 @@ exactly once on :class:`Transport`.
 
 Three implementations:
 
-* :class:`InMemoryTransport` -- the classic single-process channel.  The
-  receiver gets a structural copy of the sender's payload: every
-  container, ciphertext, scalar, bit string and element wrapper is
-  rebuilt, and only frozen leaves (points, ``F_{q^2}`` values, ints,
+* :class:`InMemoryTransport` -- the classic single-process channel.  One
+  walk over each sent payload (:func:`_walk`) packs its transcript
+  encoding into one int and builds the receiver's structural copy:
+  every container, ciphertext, scalar, bit string and element wrapper
+  is rebuilt, and only frozen leaves (points, ``F_{q^2}`` values, ints,
   strings, bytes) are shared, so no mutable object is ever aliased
   between the two devices' memories.  The copy equals what the wire
   codec would decode, and each element gets the checks that decode
@@ -34,13 +35,19 @@ import socket
 import threading
 from dataclasses import dataclass, field
 
+from repro.core.hpske import HPSKECiphertext
 from repro.errors import GroupError, PeerDisconnected, TransportTimeout, WireFormatError
+from repro.groups.bilinear import G1Element, GTElement
+from repro.groups.curve import INFINITY
+from repro.math.fields import Fq2
+from repro.protocol.device import _ScalarInMemory
 from repro.utils.bits import BitString, concat_all
 from repro.utils.serialization import (
     WireCodec,
     _ciphertext,
     _nest,
     encode_any,
+    int_width,
     sniff_group,
 )
 
@@ -240,13 +247,25 @@ class Transport:
         """Encode ``payload`` for the transcript, once per send.
 
         The engine sizes each send step before it hands the payload to
-        :meth:`send`; the :class:`Message` that :meth:`record` then makes
-        for the same object (on the same thread) reuses this encoding
-        instead of computing it again.
+        :meth:`send`; sizing the same object again, and the :meth:`send`
+        and :class:`Message` that follow on the same thread, reuse this
+        pass instead of making another.
         """
-        bits = encode_any(payload)
-        self._sized.last = (payload, bits)
-        return bits
+        sized = self._pass(payload)
+        if sized[1] is None:
+            sized = self._sized.last = (payload, encode_any(payload), *sized[2:])
+        return sized[1]
+
+    def _pass(self, payload: object) -> tuple:
+        """This thread's pass over ``payload``, ``(payload, bits,
+        delivered, error)``, made now unless the last one was of it.  An
+        in-process transport walks the payload (:func:`_walk`); a
+        threaded one delivers what its peer decodes."""
+        sized = getattr(self._sized, "last", None)
+        if sized is None or sized[0] is not payload:
+            walked = (None, payload, None) if self.threaded else _walk(payload)
+            sized = self._sized.last = (payload, *walked)
+        return sized
 
     def record(self, sender: str, recipient: str, label: str, payload: object) -> Message:
         """Append a frame to the public transcript (sender-side payload)."""
@@ -321,101 +340,141 @@ class _NotWireable(Exception):
     """The payload holds a value the wire format has no encoding for."""
 
 
-def _handoff(payload: object) -> object:
-    """The receiver's copy of ``payload``, built without the wire codec.
+#: The protocol's payload types, whose ``encode_any`` bits the walk packs
+#: itself; it leaves a payload holding any other value to ``encode_any``.
+_ENCODED = frozenset({tuple, list, HPSKECiphertext, G1Element, GTElement, bool})
+
+
+def _walk(payload: object) -> tuple[BitString | None, object, Exception | None]:
+    """One pass over a sent payload: its transcript bits (``encode_any``'s,
+    or ``None`` outside ``_ENCODED``), what the receiver gets, and the
+    error the send raises once the message is recorded.
 
     The copy is type- and value-equal to ``WireCodec(group).decode(
-    WireCodec(group).encode(payload))``: it dispatches on the types
-    :meth:`~repro.utils.serialization.WireCodec._encode_into` does, in
-    the same order, and returns what ``decode`` returns (a plain
-    ``tuple``/``list``/``int``/``str``/``bytes`` even for subclasses).
-    Containers, HPSKE ciphertexts, scalars, bit strings and element
-    wrappers are rebuilt; only frozen leaves are shared.
-
-    Each element gets the checks the codec's decode makes short of the
-    subgroup check, at field-multiply cost: ``G`` coordinates in
-    ``[0, q)``, no 2-torsion, ``y^2 = x^3 + x``; ``GT`` coordinates in
-    range and a nonzero value.  Raises :class:`_NotWireable` where
-    ``encode`` would reject the payload.
+    WireCodec(group).encode(payload))``.  Containers, HPSKE ciphertexts,
+    scalars, bit strings and element wrappers (whose slots are
+    assignable) are rebuilt; only frozen leaves are shared.  Each element
+    gets the decode's checks short of the subgroup check: ``G``
+    coordinates in ``[0, q)``, no 2-torsion, ``y^2 = x^3 + x``; ``GT``
+    coordinates in range and a nonzero value.  A payload ``encode`` would
+    reject is delivered by reference; the error is the codec's for a
+    mixed-carrier ciphertext, a scalar modulus below 2 or nesting deeper
+    than ``_MAX_DEPTH``, or a failed element check.
     """
-    from repro.core.hpske import HPSKECiphertext
-    from repro.groups.bilinear import G1Element, GTElement
-    from repro.groups.curve import INFINITY
-    from repro.math.fields import Fq2
-    from repro.protocol.device import _ScalarInMemory
+    acc = nbits = 0
+    exact = True
+    field = (0, 0)  # (q, int_width(q)) of the last element's group
 
-    def copy(value: object, depth: int) -> object:
-        if value is None or isinstance(value, bool):
+    def elements(values, carrier: type) -> list:
+        """Check, copy and encode a run of ``carrier`` elements."""
+        nonlocal acc, nbits, field
+        copies, chunk, size, group = [], 0, 0, None
+        for value in values:
+            if value.group is not group:
+                group = value.group
+                q = group.params.q
+                if q != field[0]:
+                    field = (q, int_width(q))
+                width = field[1]
+            if carrier is G1Element:
+                point = value.point
+                chunk <<= width + 2
+                size += width + 2
+                if point.infinity:
+                    point = INFINITY
+                else:
+                    x, y = point.x, point.y
+                    if not (0 <= x < q and 0 <= y < q):
+                        raise GroupError("G coordinate out of field range")
+                    if y == 0:
+                        raise GroupError("point is 2-torsion, not in G")
+                    if (y * y - x * x * x - x) % q:
+                        raise GroupError("point is not on the curve")
+                    chunk |= (((1 << width) | x) << 1) | (y & 1)
+                copies.append(G1Element(group, point))
+            else:
+                element = value.value
+                a, b = element.a, element.b
+                if not (0 <= a < q and 0 <= b < q):
+                    raise GroupError("GT coordinate out of field range")
+                if not (a or b):
+                    raise GroupError("zero is not a GT element")
+                if element.q != q:
+                    element = Fq2._from_reduced(a, b, q)
+                chunk = (((chunk << width) | a) << width) | b
+                size += 2 * width
+                copies.append(GTElement(group, element))
+        acc = (acc << size) | chunk
+        nbits += size
+        return copies
+
+    def walk(value: object, depth: int) -> object:
+        nonlocal acc, nbits, exact
+        kind = type(value)
+        if kind not in _ENCODED:
+            exact = False
+        if isinstance(value, (tuple, list)):
+            inner = _nest(depth)
+            items = [walk(item, inner) for item in value]
+            return tuple(items) if isinstance(value, tuple) else items
+        if isinstance(value, HPSKECiphertext):
+            inner = _nest(depth)
+            values = value.elements()
+            carrier = type(value.body)
+            if carrier in (G1Element, GTElement) and set(map(type, values)) == {carrier}:
+                items = elements(values, carrier)
+                return HPSKECiphertext(tuple(items[:-1]), items[-1])
+            return _ciphertext([walk(item, inner) for item in values])
+        if isinstance(value, (G1Element, GTElement)):
+            return elements((value,), G1Element if isinstance(value, G1Element) else GTElement)[0]
+        if kind is bool:
+            acc = (acc << 1) | value
+            nbits += 1
             return value
         if isinstance(value, int):
             if value < 0:
                 raise _NotWireable
-            return value if type(value) is int else int(value)
-        if isinstance(value, str):
-            return value if type(value) is str else str.__str__(value)
-        if isinstance(value, bytes):
-            return value if type(value) is bytes else bytes(value)
-        if isinstance(value, BitString):
-            return BitString(int(value.value), len(value))
-        if isinstance(value, G1Element):
-            group = value.group
-            point = value.point
-            if point.infinity:
-                return G1Element(group, INFINITY)
-            q = group.params.q
-            x, y = point.x, point.y
-            if not (0 <= x < q and 0 <= y < q):
-                raise GroupError("G coordinate out of field range")
-            if y == 0:
-                raise GroupError("point is 2-torsion, not in G")
-            if (y * y - x * x * x - x) % q:
-                raise GroupError("point is not on the curve")
-            return G1Element(group, point)
-        if isinstance(value, GTElement):
-            group = value.group
-            q = group.params.q
-            element = value.value
-            a, b = element.a, element.b
-            if not (0 <= a < q and 0 <= b < q):
-                raise GroupError("GT coordinate out of field range")
-            if not (a or b):
-                raise GroupError("zero is not a GT element")
-            if element.q != q:
-                element = Fq2._from_reduced(a, b, q)
-            return GTElement(group, element)
-        if isinstance(value, HPSKECiphertext):
-            inner = _nest(depth)
-            return _ciphertext([copy(element, inner) for element in value.elements()])
+            return int(value)
         if isinstance(value, _ScalarInMemory):
             if value.p < 2:
                 raise WireFormatError("scalar modulus must be >= 2")
             return _ScalarInMemory(int(value.value), int(value.p))
-        if isinstance(value, (tuple, list)):
-            inner = _nest(depth)
-            items = [copy(item, inner) for item in value]
-            return tuple(items) if isinstance(value, tuple) else items
+        if isinstance(value, BitString):
+            return BitString(int(value.value), len(value))
+        if isinstance(value, (str, bytes)):
+            return str.__str__(value) if isinstance(value, str) else bytes(value)
+        if value is None:
+            return None
         raise _NotWireable
 
-    return copy(payload, 0)
+    try:
+        copy = walk(payload, 0)
+    except _NotWireable:
+        return None, payload, None
+    except (GroupError, WireFormatError) as exc:  # raised once the message is recorded
+        return None, None, exc
+    return BitString(acc, nbits) if exact else None, copy, None
 
 
 class InMemoryTransport(Transport):
     """Reliable, authenticated, in-process transport with a full transcript.
 
-    ``send`` returns a structural copy of the payload (see
-    :func:`_handoff`) -- the receiver never holds a mutable object of the
-    sender's memory, and gets the same value the wire codec would have
-    decoded, with no byte round trip.  A payload the wire format rejects
-    (only possible for ad-hoc test traffic, never for protocol messages)
-    passes through by reference.
+    ``send`` returns a structural copy of the payload, made by the pass
+    that encodes it for the transcript (:func:`_walk`): the receiver
+    never holds a mutable object of the sender's memory, and gets the
+    same value the wire codec would have decoded, with no byte round
+    trip.  A payload the wire format rejects (only possible for ad-hoc
+    test traffic, never for protocol messages) passes through by
+    reference; an element that fails a check is recorded before ``send``
+    raises.
     """
 
     def send(self, sender: str, recipient: str, label: str, payload: object) -> object:
+        _, _, delivered, error = self._pass(payload)
         self.record(sender, recipient, label, payload)
-        try:
-            return _handoff(payload)
-        except _NotWireable:
-            return payload
+        if error is not None:
+            raise error
+        return delivered
 
 
 class SocketTransport(Transport):

@@ -1,7 +1,7 @@
 """Canonical bit encoding of the values the schemes hold in memory.
 
 The leakage model applies functions to *the contents of secret memory*,
-so that content needs a well-defined bit representation.  ``encode``
+so that content needs a well-defined bit representation.  ``encode_any``
 dispatches on type and produces a :class:`~repro.utils.bits.BitString`:
 
 * ``Z_p`` scalars -> fixed width ``ceil(log2 p)`` bits;
@@ -13,6 +13,11 @@ dispatches on type and produces a :class:`~repro.utils.bits.BitString`:
 Fixed widths mean the size of a device's secret memory is a *function of
 the scheme parameters only*, not of the particular values -- matching how
 the paper counts ``m_1 = |sk_comm|`` etc.
+
+``encode_any`` is also the transcript encoding of a sent message.  The
+in-process channel packs the same bits in the walk that copies a sent
+payload for the receiver (``repro.protocol.transport._walk``); a socket
+carries the tagged bytes of :class:`WireCodec` below.
 """
 
 from __future__ import annotations

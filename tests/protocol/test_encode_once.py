@@ -19,7 +19,8 @@ from repro.core.optimal import OptimalDLR
 from repro.errors import FaultInjected
 from repro.protocol.device import Device
 from repro.protocol.engine import ProtocolEngine
-from repro.protocol.faults import DROP, FaultRule, FaultyTransport
+from repro.protocol import transport as transport_module
+from repro.protocol.faults import DROP, TRUNCATE, FaultRule, FaultyTransport
 from repro.protocol.transport import InMemoryTransport, Message, SocketTransport
 from repro.runtime import RetryPolicy, SessionSupervisor
 from repro.utils.serialization import encode_any
@@ -32,25 +33,31 @@ TRANSPORTS = {
 
 @pytest.fixture()
 def encodings(monkeypatch):
-    """Record the payload of every top-level ``encode_any`` call made by
-    any loaded ``repro`` module (nested calls for the members of a tuple
-    or list are not counted)."""
+    """Record the payload of every top-level transcript encoding: a call
+    of the in-process walk (``transport._walk``, which encodes as it
+    copies) or of ``encode_any`` by any loaded ``repro`` module.  Nested
+    calls (``encode_any`` on the members of a tuple or list) are not
+    counted."""
     calls = []
     depth = threading.local()
 
-    def counting(value):
-        level = getattr(depth, "level", 0)
-        if level == 0:
-            calls.append(value)
-        depth.level = level + 1
-        try:
-            return encode_any(value)
-        finally:
-            depth.level = level
+    def counting(encoder):
+        def encode(value):
+            level = getattr(depth, "level", 0)
+            if level == 0:
+                calls.append(value)
+            depth.level = level + 1
+            try:
+                return encoder(value)
+            finally:
+                depth.level = level
+
+        return encode
 
     for name, module in list(sys.modules.items()):
         if name.startswith("repro") and getattr(module, "encode_any", None) is encode_any:
-            monkeypatch.setattr(module, "encode_any", counting)
+            monkeypatch.setattr(module, "encode_any", counting(encode_any))
+    monkeypatch.setattr(transport_module, "_walk", counting(transport_module._walk))
     return calls
 
 
@@ -180,3 +187,26 @@ def test_dropped_send_is_sized_once_and_not_recorded(small_params, encodings):
     assert len(encodings) == len(sent) + 1
     assert "dec.c_prime" in [s.label for s in steps]
     assert "dec.c_prime" not in [m.label for m in sent]
+
+
+def test_truncated_send_is_encoded_once(small_params, encodings):
+    """A truncated frame is cut from the encoding the engine sized: the
+    faulty transport does not encode the payload a second time."""
+    scheme = DLR(small_params)
+    rng = random.Random(3)
+    generation = scheme.generate(rng)
+    p1 = Device("P1", scheme.group, random.Random(4))
+    p2 = Device("P2", scheme.group, random.Random(5))
+    scheme.install(p1, p2, generation.share1, generation.share2)
+    rule = FaultRule(mode=TRUNCATE, label="dec.c_prime", keep_bits=40)
+    transport = FaultyTransport(rules=[rule])
+    ciphertext = scheme.encrypt(generation.public_key, scheme.group.random_gt(rng), rng)
+    encodings.clear()
+    with pytest.raises(FaultInjected):
+        scheme.run_period(p1, p2, transport, ciphertext)
+    sent = transport.transcript()
+    assert [m.label for m in sent][-1] == "dec.c_prime.truncated"
+    # Each full send sized once, the truncated one sized once and cut.
+    assert len(encodings) == len(sent)
+    (sized,) = [value for value in encodings if id(value) not in {id(m.payload) for m in sent}]
+    assert sent[-1].to_bits() == encode_any(sized)[:40]

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from repro.core.dlr import DLR
 from repro.core.hpske import HPSKECiphertext
 from repro.core.optimal import OptimalDLR
-from repro.errors import GroupError, WireFormatError
+from repro.errors import GroupError, ParameterError, WireFormatError
 from repro.groups import preset_group
 from repro.groups.bilinear import G1Element, GTElement
 from repro.groups.curve import Point
@@ -26,7 +26,7 @@ from repro.math.fields import Fq2
 from repro.protocol.device import Device, _ScalarInMemory
 from repro.protocol.transport import InMemoryTransport
 from repro.utils.bits import BitString
-from repro.utils.serialization import WireCodec
+from repro.utils.serialization import WireCodec, encode_any
 from tests.conftest import KERNEL_SETS, kernel_set
 
 #: Wrappers and containers the handoff must rebuild.
@@ -214,13 +214,34 @@ class TestEqualsCodecRoundTrip:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     def test_payload_trees(self, kernels, data):
+        """The copy equals the codec's decode, and the recorded bits equal
+        ``encode_any``'s, whether the send was sized first (as the engine
+        does) or not."""
         with kernel_set(kernels):
             payload = data.draw(payloads)
             codec = WireCodec(GROUP)
             expected = codec.decode(codec.encode(payload))
-            delivered = InMemoryTransport().send("P1", "P2", "m", payload)
-        assert_same(delivered, expected)
-        assert_disjoint(payload, delivered)
+            try:
+                bits = encode_any(payload)
+            except ParameterError:
+                bits = None  # None or a str: no transcript encoding
+            bare, sized = InMemoryTransport(), InMemoryTransport()
+            delivered = [bare.send("P1", "P2", "m", payload)]
+            if bits is None:
+                with pytest.raises(ParameterError):
+                    sized.payload_bits(payload)
+            else:
+                assert sized.payload_bits(payload) == bits
+            delivered.append(sized.send("P1", "P2", "m", payload))
+        for transport, copy in zip((bare, sized), delivered):
+            assert_same(copy, expected)
+            assert_disjoint(payload, copy)
+            (message,) = transport.transcript()
+            if bits is None:
+                with pytest.raises(ParameterError):
+                    message.to_bits()
+            else:
+                assert message.to_bits() == bits
 
     def test_every_protocol_message(self, small_params):
         """Each message of a DLR and an OptimalDLR period."""
@@ -240,13 +261,34 @@ class TestEqualsCodecRoundTrip:
         payload = [1, object()]
         assert InMemoryTransport().send("P1", "P2", "m", payload) is payload
 
+    def test_payload_without_transcript_encoding_hands_off(self):
+        """``None`` and ``str`` cross the wire but have no transcript
+        encoding: the copy is made, and the bits raise only when read."""
+        payload = (None, "label", [GROUP.g])
+        transport = InMemoryTransport()
+        delivered = transport.send("P1", "P2", "m", payload)
+        codec = WireCodec(GROUP)
+        assert_same(delivered, codec.decode(codec.encode(payload)))
+        (message,) = transport.transcript()
+        with pytest.raises(ParameterError, match="NoneType"):
+            message.to_bits()
+        with pytest.raises(ParameterError, match="NoneType"):
+            InMemoryTransport().payload_bits(payload)
+
 
 # ---------------------------------------------------------------------------
 # Malformed elements are refused
 
 
 def send(payload):
-    return InMemoryTransport().send("P1", "P2", "m", payload)
+    """Send ``payload``; whatever the send raises, the message must be on
+    the transcript first (the adversary sees every attempted frame)."""
+    transport = InMemoryTransport()
+    try:
+        return transport.send("P1", "P2", "m", payload)
+    finally:
+        (message,) = transport.transcript()
+        assert message.payload is payload
 
 
 class TestRejections:
@@ -293,6 +335,18 @@ class TestRejections:
             send(HPSKECiphertext((GROUP.g,), GROUP.gt_identity()))
         with pytest.raises(WireFormatError, match="only G or only GT"):
             send(HPSKECiphertext((3,), 5))
+
+    def test_sized_bad_element_is_recorded_before_the_error(self):
+        """In engine order the bad element is sized without a check, and
+        ``send`` records it before it raises."""
+        payload = (self._g(0, 0),)
+        transport = InMemoryTransport()
+        bits = transport.payload_bits(payload)
+        assert bits == encode_any(payload)
+        with pytest.raises(GroupError, match="2-torsion"):
+            transport.send("P1", "P2", "m", payload)
+        (message,) = transport.transcript()
+        assert message.payload is payload and message.to_bits() is bits
 
     def test_scalar_modulus_below_two(self):
         with pytest.raises(WireFormatError, match="modulus"):

@@ -350,9 +350,9 @@ def calibrate_weights(group, rng, warmup: int, repeats: int) -> dict:
 
     Multiexp weights are per folded term; the precomp-pairing weight
     amortizes the schedule construction over the ``ell + 1`` evaluations
-    a decryption shares it across.  ``g_samples`` is priced per draw of
-    a ``random_g_batch`` the size of a period's largest vector
-    (``SAMPLE_VECTOR`` points), ``gt_samples`` per ``random_gt`` draw,
+    a decryption shares it across.  ``g_samples`` and ``gt_samples``
+    are priced per draw of a ``random_g_batch`` / ``random_gt_batch``
+    the size of a period's largest vector (``SAMPLE_VECTOR`` draws),
     and ``pairings`` per lone ``group.pair``, the path the schemes run.
     These weights are reported only: ``--check`` compares speedups, and
     :data:`~repro.groups.bilinear.DEFAULT_COST_WEIGHTS` stays fixed.
@@ -394,7 +394,10 @@ def calibrate_weights(group, rng, warmup: int, repeats: int) -> dict:
         trimmed_median(lambda: group.random_g_batch(rng, SAMPLE_VECTOR), warmup, repeats)
         / SAMPLE_VECTOR
     )
-    timings["gt_samples"] = trimmed_median(lambda: group.random_gt(rng), warmup, repeats)
+    timings["gt_samples"] = (
+        trimmed_median(lambda: group.random_gt_batch(rng, SAMPLE_VECTOR), warmup, repeats)
+        / SAMPLE_VECTOR
+    )
 
     unit = timings["g_mul"]
     weights = {

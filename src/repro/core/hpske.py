@@ -215,6 +215,7 @@ class HPSKE:
         self.group = group
         self.kappa = kappa
         self.space = space
+        self._sample = group.random_g_batch if space == "G" else group.random_gt_batch
 
     def keygen(self, rng: random.Random) -> HPSKEKey:
         """``Gen'(1^n)``: a uniform key in ``Z_p^kappa``."""
@@ -224,9 +225,7 @@ class HPSKE:
     def sample_coins(self, rng: random.Random) -> tuple[Element, ...]:
         """Fresh encryption randomness: kappa uniform carrier-group
         elements with unknown discrete logs."""
-        if self.space == "G":
-            return tuple(self.group.random_g_batch(rng, self.kappa))
-        return tuple(self.group.random_gt(rng) for _ in range(self.kappa))
+        return tuple(self._sample(rng, self.kappa))
 
     def encrypt(
         self,
@@ -259,8 +258,10 @@ class HPSKE:
 
         Coins come from ``rng`` in exactly the loop's order (all of the
         first message's coins, then the second's, ...), so the
-        ciphertexts and the RNG state afterwards are identical.  ``G``
-        coins are drawn by one :meth:`~repro.groups.bilinear.BilinearGroup.random_g_batch`
+        ciphertexts and the RNG state afterwards are identical.  The
+        coins are drawn by one batch sampler of the carrier
+        (:meth:`~repro.groups.bilinear.BilinearGroup.random_g_batch` or
+        :meth:`~repro.groups.bilinear.BilinearGroup.random_gt_batch`),
         and every mask shares the exponent vector ``(1, sigma)``, so
         all masks go through one ``multiexp_batch`` call.  Operation
         counts equal the loop's.
@@ -269,11 +270,7 @@ class HPSKE:
             raise ParameterError("key width does not match scheme kappa")
         if not messages:
             return []
-        count = self.kappa * len(messages)
-        if self.space == "G":
-            coins: list[Element] = list(self.group.random_g_batch(rng, count))
-        else:
-            coins = [self.group.random_gt(rng) for _ in range(count)]
+        coins = self._sample(rng, self.kappa * len(messages))
         grouped = [
             tuple(coins[i * self.kappa : (i + 1) * self.kappa])
             for i in range(len(messages))

@@ -25,6 +25,7 @@ from repro.groups.pairing import PairingPrecomp, tate_pairing
 from repro.groups.pairing_params import PairingParams
 from repro.groups.sampling import (
     random_gt_value,
+    random_gt_values,
     random_subgroup_point,
     random_subgroup_points,
 )
@@ -560,6 +561,19 @@ class BilinearGroup:
         """A uniform non-identity ``GT`` element with unknown discrete log."""
         self.counter.gt_samples += 1
         return GTElement(self, random_gt_value(self.params, rng))
+
+    def random_gt_batch(self, rng: random.Random, count: int) -> list[GTElement]:
+        """``count`` calls of :meth:`random_gt` in one vector: the same
+        elements, the same RNG stream and the same ``gt_samples`` count,
+        with one final exponentiation shared by every candidate
+        (:func:`~repro.groups.sampling.random_gt_values`).  Inside
+        :func:`~repro.groups.fastops.reference_mode` it is the plain
+        loop."""
+        if not fastops.enabled():
+            return [self.random_gt(rng) for _ in range(count)]
+        values = random_gt_values(self.params, rng, count)
+        self.counter.gt_samples += len(values)
+        return [GTElement(self, value) for value in values]
 
     # -- encodings ---------------------------------------------------------
 

@@ -264,8 +264,8 @@ def evaluate_schedule_chunk(
     ``F_q``, so the pairing is 1.
 
     The ``y_Q`` inverses of the whole chunk share one batch inversion,
-    and so do the norms that the final exponentiations invert
-    (``f^(q-1) = conj(f)^2 / N(f)``).  Runs as one
+    and the final exponentiations run as one
+    :func:`final_exponentiation_many`.  Runs as one
     :mod:`native <repro.groups.native>` call when the compiled kernels
     are built.
     """
@@ -293,19 +293,37 @@ def evaluate_schedule_chunk(
                 c = add_coeffs[0] * u + add_coeffs[1] * v
                 a, b = (a * c - b) % q, (a + b * c) % q
         values.append((a, b))
-    # Final exponentiation (q - 1) * h, Frobenius = conjugation:
-    # f^(q-1) = conj(f) / f = conj(f)^2 / (a^2 + b^2).
-    # The result is unitary (norm 1), so raising it to h squares as
-    # (a + bi)^2 = (2a^2 - 1) + 2ab i.
+    for k, value in zip(live, final_exponentiation_many(values, q, h)):
+        results[k] = value
+    return results
+
+
+def final_exponentiation_many(
+    values: list[_RawFq2], q: int, h: int
+) -> list[_RawFq2]:
+    """Raise every nonzero ``f`` in ``values`` to ``(q^2 - 1)/p = (q - 1) * h``:
+    the final exponentiation of :func:`evaluate_schedule_chunk`, and the
+    map that sends a random ``F_{q^2}^*`` element into ``GT``
+    (:func:`~repro.groups.sampling.random_gt_values`).
+
+    Frobenius is conjugation, so ``f^(q-1) = conj(f) / f = conj(f)^2 /
+    N(f)`` with ``N(f) = a^2 + b^2``; the norms of the whole vector
+    share one :func:`~repro.math.modular.batch_inv`.  ``f^(q-1)`` is
+    unitary (norm 1), so raising it to ``h`` squares as ``(a + bi)^2 =
+    (2a^2 - 1) + 2ab i``.  Equal to :func:`final_exponentiation` on
+    every entry, as canonical raw pairs.
+    """
     inv_norms = batch_inv([a * a + b * b for a, b in values], q)
-    for k, (a, b), inv_norm in zip(live, values, inv_norms):
+    bits = bin(h)[3:]
+    results = []
+    for (a, b), inv_norm in zip(values, inv_norms):
         x0, x1 = (a - b) * (a + b) * inv_norm % q, -2 * a * b * inv_norm % q
         r0, r1 = x0, x1
-        for bit in bin(h)[3:]:
+        for bit in bits:
             r0, r1 = (2 * r0 * r0 - 1) % q, 2 * r0 * r1 % q
             if bit == "1":
                 r0, r1 = (r0 * x0 - r1 * x1) % q, (r0 * x1 + r1 * x0) % q
-        results[k] = (r0, r1)
+        results.append((r0, r1))
     return results
 
 

@@ -11,17 +11,29 @@ scheme":
   a curve point, and clear the cofactor ``h`` -- nobody learns a discrete
   log;
 * in ``GT`` we pick a random ``F_{q^2}^*`` element and raise it to
-  ``(q^2 - 1)/p``.
+  ``(q^2 - 1)/p = (q - 1) * h``.  That is the pairing's final
+  exponentiation (:func:`~repro.groups.pairing.final_exponentiation_many`):
+  Frobenius is conjugation, so the power is ``(conj(x) / x)^h``, and a
+  vector of candidates shares one batched inversion of their norms.
 
 Both are retried on the (probability ``~1/p``) identity outcome.
 
-A vector of ``G`` draws (:func:`random_subgroup_points`) runs as one
-compiled call (:mod:`repro.groups.native`) when the kernels are built
-and the generator is an exact :class:`random.Random`;
-it returns the same points and leaves the generator in the same state
-as the Python loop here, which stays the reference.  A lone draw stays
-in Python: saving and restoring the generator state costs about what
-the Python draw does.
+**Vectors and the refill rule.**  The sequential sampler returns, for
+each output, the next candidate in the RNG stream that does not map to
+the identity.  A vector draws one candidate per missing output, maps
+them together, drops any identity result and draws again for the
+outputs still missing.  Every candidate it draws is one the sequential
+sampler would draw, in the same order, so the vector returns the same
+elements and leaves the generator in the same state, with no saving or
+restoring of its state.  :func:`random_subgroup_points` and
+:func:`random_gt_values` both work this way; a lone draw is a vector
+of one for ``GT``, while :func:`random_subgroup_point` stays the
+per-point ``G`` reference.
+
+A vector of ``G`` draws runs as one compiled call
+(:mod:`repro.groups.native`) when the kernels are built and the
+generator is an exact :class:`random.Random`; it returns the same points
+and leaves the generator in the same state as the Python vector.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ import random
 
 from repro.groups import curve, native
 from repro.groups.curve import Point
+from repro.groups.pairing import final_exponentiation_many
 from repro.groups.pairing_params import PairingParams
 from repro.math.fields import Fq2
 from repro.math.modular import sqrt_mod_or_none
@@ -67,33 +80,32 @@ def random_subgroup_points(
 ) -> list[Point]:
     """``count`` draws of :func:`random_subgroup_point`: the same points
     from the same RNG stream, with the cofactors cleared as one lockstep
-    vector (:func:`~repro.groups.curve.batch_scalar_mul`).
+    vector (:func:`~repro.groups.curve.batch_scalar_mul`).  A candidate
+    whose cofactor multiple is the identity (probability about ``h / q``
+    per draw) is dropped and the vector refilled from the stream, which
+    is the order the sequential sampler draws in.
 
     When the compiled kernels are built and ``rng`` is an exact
     :class:`random.Random`, the whole vector is one native call
-    (:func:`_native_subgroup_points`); RNG subclasses keep the Python
-    loop, which stays the reference.
-
-    The sequential sampler redraws right after a candidate whose
-    cofactor multiple is the identity (probability about ``h / q`` per
-    draw).  A vector that hits one would consume the stream in a
-    different order, so the RNG state is restored and the whole vector
-    is drawn sequentially instead.
+    (:func:`_native_subgroup_points`); if that call meets the identity
+    outcome the vector is drawn sequentially from the untouched
+    generator.  RNG subclasses keep the Python vector.
     """
     if count <= 0:
         return []
     compiled = native.kernels()
     if compiled is not None and type(rng) is random.Random:
         points = _native_subgroup_points(compiled, params, rng, count)
-    else:
-        state = rng.getstate()
-        candidates = [_random_curve_point(params, rng) for _ in range(count)]
-        points = curve.batch_scalar_mul(candidates, params.h, params.q)
-        if any(point.is_infinity() for point in points):
-            rng.setstate(state)
-            points = None
-    if points is None:
-        return [random_subgroup_point(params, rng) for _ in range(count)]
+        if points is None:
+            return [random_subgroup_point(params, rng) for _ in range(count)]
+        return points
+    points = []
+    while len(points) < count:
+        candidates = [
+            _random_curve_point(params, rng) for _ in range(count - len(points))
+        ]
+        cleared = curve.batch_scalar_mul(candidates, params.h, params.q)
+        points.extend(point for point in cleared if not point.is_infinity())
     return points
 
 
@@ -129,15 +141,39 @@ def _native_subgroup_points(
     return curve.from_raw_affine(raws)
 
 
+def random_gt_values(
+    params: PairingParams, rng: random.Random, count: int
+) -> list[Fq2]:
+    """``count`` uniformly random non-identity elements of the order-``p``
+    subgroup of ``F_{q^2}^*``, with unknown discrete logs.
+
+    Each candidate is a random ``(a, b)``, redrawn in place while it is
+    zero; the candidates go through one shared final exponentiation
+    (:func:`~repro.groups.pairing.final_exponentiation_many`), and an
+    identity result is dropped and refilled from the stream.  Output
+    ``k`` is therefore the ``k``-th candidate of the stream that is
+    neither zero nor mapped to the identity, exactly as ``count`` calls
+    of :func:`random_gt_value` draw it.
+    """
+    q, h = params.q, params.h
+    values: list[Fq2] = []
+    while len(values) < count:
+        candidates = []
+        while len(values) + len(candidates) < count:
+            a, b = rng.randrange(q), rng.randrange(q)
+            if a or b:
+                candidates.append((a, b))
+        values.extend(
+            Fq2._from_reduced(a, b, q)
+            for a, b in final_exponentiation_many(candidates, q, h)
+            if b or a != 1
+        )
+    return values
+
+
 def random_gt_value(params: PairingParams, rng: random.Random) -> Fq2:
-    """Return a uniformly random non-identity element of the order-``p``
-    subgroup of ``F_{q^2}^*`` with unknown discrete log."""
-    q = params.q
-    exponent = params.gt_exponent()
-    while True:
-        candidate = Fq2(rng.randrange(q), rng.randrange(q), params.q)
-        if candidate.is_zero():
-            continue
-        value = candidate ** exponent
-        if not value.is_one():
-            return value
+    """One uniformly random non-identity element of the order-``p``
+    subgroup of ``F_{q^2}^*`` with unknown discrete log: a random
+    nonzero ``F_{q^2}`` element through the final exponentiation,
+    redrawn on the identity outcome (:func:`random_gt_values` of one)."""
+    return random_gt_values(params, rng, 1)[0]

@@ -1,14 +1,15 @@
 """RNG-stream identity of the batched samplers.
 
-``BilinearGroup.random_g_batch`` and ``HPSKE.encrypt_batch`` replace
-loops of ``random_g`` / ``encrypt`` inside a period.  The period's
+``BilinearGroup.random_g_batch``, ``BilinearGroup.random_gt_batch`` and
+``HPSKE.encrypt_batch`` replace loops of ``random_g`` / ``random_gt`` /
+``encrypt`` inside a period.  The period's
 transcript, and every later draw from the device RNG, depend on them
 consuming the stream exactly like the loops, so each test compares the
 values *and* the RNG state afterwards against the sequential loop on an
-identically seeded generator.  The identity-fallback branch (a
-candidate whose cofactor multiple is the identity) is driven
-deterministically with a scripted RNG on the Python path, and with a
-searched seed of an exact ``random.Random`` on the native path.
+identically seeded generator.  The identity outcome (a candidate that
+maps to the identity) is driven deterministically with a scripted RNG
+on the Python path, and with a searched seed of an exact
+``random.Random`` on the native ``G`` path.
 
 With the compiled kernels, an exact ``random.Random`` samples a whole
 vector in one native call that consumes the generator's pre-drawn
@@ -98,10 +99,11 @@ class TestRandomGBatch:
         assert batched == [SMALL.random_g(loop_rng) for _ in range(6)]
         assert batch_rng.getstate() == loop_rng.getstate()
 
-    def test_identity_outcome_falls_back_to_the_loop(self, monkeypatch):
+    def test_identity_outcome_is_refilled_from_the_stream(self, monkeypatch):
         """A candidate of order 3 clears to the identity: the sequential
-        sampler redraws right after it, so the batch must restore the
-        stream and draw sequentially to stay identical."""
+        sampler redraws right after it, and the batch drops it and
+        refills the vector from the stream, which draws the same
+        candidates in the same order without a sequential redraw."""
         params = SMALL.params
         x = small_order_abscissa(params)
         script = {2: x}  # the third abscissa drawn
@@ -118,11 +120,47 @@ class TestRandomGBatch:
             batched = SMALL.random_g_batch(batch_rng, 5)
         loop_rng = ScriptedRandom(7, script)
         looped = [SMALL.random_g(loop_rng) for _ in range(5)]
-        assert len(fallbacks) == 5
+        assert fallbacks == []
         assert batched == looped
         assert batch_rng.getstate() == loop_rng.getstate()
         assert all(not element.is_identity() for element in batched)
         assert x not in {element.point.x for element in batched}
+
+
+class TestRandomGTBatch:
+    @given(seed=st.integers(0, 2**30), count=st.integers(0, 40))
+    @settings(max_examples=25, deadline=None)
+    def test_matches_sequential_loop(self, seed, count):
+        batch_rng, loop_rng = random.Random(seed), random.Random(seed)
+        before = SMALL.counter.gt_samples
+        batched = SMALL.random_gt_batch(batch_rng, count)
+        middle = SMALL.counter.gt_samples
+        looped = [SMALL.random_gt(loop_rng) for _ in range(count)]
+        assert batched == looped
+        assert batch_rng.getstate() == loop_rng.getstate()
+        assert middle - before == SMALL.counter.gt_samples - middle == count
+
+    def test_reference_mode_is_the_loop(self):
+        batch_rng, loop_rng = random.Random(5), random.Random(5)
+        with fastops.reference_mode():
+            batched = SMALL.random_gt_batch(batch_rng, 6)
+        assert batched == [SMALL.random_gt(loop_rng) for _ in range(6)]
+        assert batch_rng.getstate() == loop_rng.getstate()
+
+    def test_zero_and_identity_candidates_mid_vector(self):
+        """The second candidate is zero (redrawn in place) and the third
+        is ``(5, 0)``, which lies in ``F_q^*`` and so maps to the
+        identity (dropped, and the vector refilled from the stream)."""
+        script = {2: 0, 3: 0, 6: 5, 7: 0}
+        batch_rng = ScriptedRandom(7, script)
+        batched = SMALL.random_gt_batch(batch_rng, 5)
+        loop_rng = ScriptedRandom(7, script)
+        looped = [SMALL.random_gt(loop_rng) for _ in range(5)]
+        assert batched == looped
+        assert batch_rng.getstate() == loop_rng.getstate()
+        # Five outputs, one zero redraw and one identity refill.
+        assert batch_rng.calls == 2 * (5 + 2)
+        assert all(not element.is_identity() for element in batched)
 
 
 def python_sample(params, seed: int, count: int):
@@ -229,6 +267,18 @@ class TestSampleCoins:
         assert coins == tuple(SMALL.random_g(loop_rng) for _ in range(4))
         assert coin_rng.getstate() == loop_rng.getstate()
         assert middle - before == SMALL.counter.g_samples - middle == 4
+
+    @given(seed=st.integers(0, 2**30))
+    @settings(max_examples=15, deadline=None)
+    def test_gt_coins_are_the_kappa_loop(self, seed):
+        scheme = HPSKE(SMALL, kappa=4, space="GT")
+        coin_rng, loop_rng = random.Random(seed), random.Random(seed)
+        before = SMALL.counter.gt_samples
+        coins = scheme.sample_coins(coin_rng)
+        middle = SMALL.counter.gt_samples
+        assert coins == tuple(SMALL.random_gt(loop_rng) for _ in range(4))
+        assert coin_rng.getstate() == loop_rng.getstate()
+        assert middle - before == SMALL.counter.gt_samples - middle == 4
 
 
 class TestEncryptBatch:

@@ -3,8 +3,15 @@
 import random
 from collections import Counter
 
-from repro.groups import curve
-from repro.groups.sampling import random_gt_value, random_subgroup_point
+import pytest
+
+from repro.groups import curve, preset_group
+from repro.groups.sampling import (
+    random_gt_value,
+    random_gt_values,
+    random_subgroup_point,
+)
+from repro.math.fields import Fq2
 
 
 class TestSubgroupPointSampling:
@@ -57,6 +64,57 @@ class TestGTSampling:
         z = small_group.pair(small_group.g, small_group.g)
         combined = z.value * value
         assert (combined ** params.p).is_one()
+
+
+def power_gt_value(params, rng: random.Random) -> Fq2:
+    """The generic-power sampler: a random nonzero ``F_{q^2}`` element
+    raised to ``(q^2 - 1)/p`` by square-and-multiply, redrawn on the
+    identity.  Kept as the value and RNG-stream oracle for
+    :func:`random_gt_values`."""
+    q = params.q
+    exponent = params.gt_exponent()
+    while True:
+        candidate = Fq2(rng.randrange(q), rng.randrange(q), q)
+        if candidate.is_zero():
+            continue
+        value = candidate ** exponent
+        if not value.is_one():
+            return value
+
+
+class TestGTSamplingOracle:
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_vectors_equal_the_generic_power(self, n):
+        group = preset_group(n)
+        params = group.params
+        for seed in range(200):
+            for count in (1, 4, 64):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                values = random_gt_values(params, ours, count)
+                assert values == [power_gt_value(params, theirs) for _ in range(count)]
+                assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_group_batches_equal_the_generic_power(self, n):
+        group = preset_group(n)
+        params = group.params
+        for seed in range(100):
+            for count in (1, 4, 64):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                before = group.counter.gt_samples
+                elements = group.random_gt_batch(ours, count)
+                assert group.counter.gt_samples - before == count
+                assert [e.value for e in elements] == [
+                    power_gt_value(params, theirs) for _ in range(count)
+                ]
+                assert ours.getstate() == theirs.getstate()
+
+    def test_lone_draws_equal_the_generic_power(self, small_group):
+        params = small_group.params
+        ours, theirs = random.Random(3), random.Random(3)
+        for _ in range(50):
+            assert random_gt_value(params, ours) == power_gt_value(params, theirs)
+        assert ours.getstate() == theirs.getstate()
 
 
 def legendre_then_sqrt_point(params, rng: random.Random):

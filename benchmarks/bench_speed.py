@@ -55,8 +55,9 @@ import time
 #: Fraction of a baseline speedup a fresh run must retain to pass --check.
 REGRESSION_TOLERANCE = 0.75
 
-#: Points in the ``random_g_batch`` that prices ``g_samples``: the
-#: largest sampling vector of a DLR period at n=32, lam=32.
+#: Draws in the ``random_g_batch`` / ``random_gt_batch`` that price
+#: ``g_samples`` / ``gt_samples``: the largest sampling vector of a DLR
+#: period at n=32, lam=32.
 SAMPLE_VECTOR = 88
 
 #: The smoke-scale sub-report a full-size baseline embeds per kernel set.

@@ -30,6 +30,7 @@ from repro.core.hpske import HPSKE
 from repro.groups import fastops, native, preset_group, sampling
 from repro.groups.curve import Point, scalar_mul
 from repro.math.modular import sqrt_mod
+from tests.groups.test_sampling import power_gt_value
 
 SMALL = preset_group(32)
 SIZES = (16, 32, 64, 128, 256)
@@ -156,8 +157,11 @@ class TestRandomGTBatch:
         batched = SMALL.random_gt_batch(batch_rng, 5)
         loop_rng = ScriptedRandom(7, script)
         looped = [SMALL.random_gt(loop_rng) for _ in range(5)]
+        power_rng = ScriptedRandom(7, script)
+        powered = [power_gt_value(SMALL.params, power_rng) for _ in range(5)]
         assert batched == looped
-        assert batch_rng.getstate() == loop_rng.getstate()
+        assert [element.value for element in batched] == powered
+        assert batch_rng.getstate() == loop_rng.getstate() == power_rng.getstate()
         # Five outputs, one zero redraw and one identity refill.
         assert batch_rng.calls == 2 * (5 + 2)
         assert all(not element.is_identity() for element in batched)

@@ -29,26 +29,18 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.errors import GroupError, ParameterError
-from repro.groups.bilinear import BilinearGroup, G1Element, G1Precomp, GTElement
+from repro.errors import GroupError, ParameterError, WireFormatError
+from repro.groups.bilinear import (
+    BilinearGroup,
+    G1Element,
+    G1Precomp,
+    GTElement,
+    pack_raw,
+)
 from repro.utils.bits import BitString, concat_all
 from repro.utils.serialization import encode_mod
 
 Element = G1Element | GTElement
-
-
-def _multiexp(bases: tuple[Element, ...], exponents: tuple[int, ...]) -> Element:
-    if isinstance(bases[0], G1Element):
-        return G1Element.multiexp(bases, exponents)  # type: ignore[arg-type]
-    return GTElement.multiexp(bases, exponents)  # type: ignore[arg-type]
-
-
-def _multiexp_batch(
-    instances: "list[tuple[tuple[Element, ...], tuple[int, ...]]]",
-) -> list[Element]:
-    if isinstance(instances[0][0][0], G1Element):
-        return G1Element.multiexp_batch(instances)  # type: ignore[arg-type]
-    return GTElement.multiexp_batch(instances)  # type: ignore[arg-type]
 
 
 def weighted_product(
@@ -69,21 +61,20 @@ def weighted_product(
         raise ParameterError("weighted_product needs at least one ciphertext")
     if len(ciphertexts) != len(exponents):
         raise ParameterError("one exponent per ciphertext required")
-    kappa = ciphertexts[0].kappa
+    first = ciphertexts[0]
+    group, carrier, width = first.group, first.carrier, len(first.values)
     for ciphertext in ciphertexts[1:]:
-        if ciphertext.kappa != kappa:
+        if len(ciphertext.values) != width:
             raise GroupError("HPSKE ciphertexts of different widths")
-    exponents = tuple(exponents)
+        if ciphertext.carrier is not carrier or ciphertext.group.params is not group.params:
+            raise GroupError("mixing elements of different groups")
     # The kappa + 1 coordinates are independent multiexp instances over
-    # the same exponent vector -- exactly the amortised-batch shape, so
-    # one multiexp_batch call shares the window decision and the
-    # table-normalisation inversion across all of them.
-    instances = [
-        (tuple(c.coins[j] for c in ciphertexts), exponents) for j in range(kappa)
-    ]
-    instances.append((tuple(c.body for c in ciphertexts), exponents))
-    results = _multiexp_batch(instances)
-    return HPSKECiphertext(tuple(results[:kappa]), results[kappa])
+    # one shared exponent vector: one multiexp_batch call reduces it once
+    # and shares the window decision and each round's inversion.
+    exponents = tuple(exponents)
+    columns = zip(*(ciphertext.values for ciphertext in ciphertexts))
+    values = carrier.multiexp_batch([(column, exponents) for column in columns], group)
+    return HPSKECiphertext._packed(group, carrier, tuple(values))
 
 
 def pair_ciphertexts(
@@ -93,24 +84,25 @@ def pair_ciphertexts(
     """Pairing-transport a whole vector of ``G``-ciphertexts against one
     fixed point: ``[c.pair_with(point) for c in ciphertexts]``, but all
     ``len(ciphertexts) * (kappa + 1)`` coordinates go through a single
-    :meth:`~repro.groups.bilinear.G1Precomp.pair_many` -- one cached
-    Miller schedule, one kernel call.  This is the decryption-batch
+    :meth:`~repro.groups.bilinear.G1Precomp.evaluate_many` -- one cached
+    Miller schedule, one kernel call, from the packed ``G`` coordinates
+    straight to the packed ``GT`` ones.  This is the decryption-batch
     hot leg (every ciphertext's ``f_i -> d_i`` reuse shares the same
     ``A``); values and counters match the per-ciphertext loop exactly.
     """
-    if not ciphertexts:
-        return []
-    flat: list[Element] = []
+    group = point.group
+    flat: list = []
     for ciphertext in ciphertexts:
-        flat.extend(ciphertext.elements())
-    values = point.pair_many(flat)  # type: ignore[arg-type]
+        if ciphertext.carrier is not G1Element or ciphertext.group.params is not group.params:
+            raise GroupError("pairing transport takes G-ciphertexts of the point's group")
+        flat.extend(ciphertext.values)
+    values = point.evaluate_many(flat)
     out: list[HPSKECiphertext] = []
     position = 0
     for ciphertext in ciphertexts:
-        width = ciphertext.kappa + 1
-        chunk = values[position : position + width]
-        position += width
-        out.append(HPSKECiphertext(tuple(chunk[:-1]), chunk[-1]))
+        end = position + len(ciphertext.values)
+        out.append(HPSKECiphertext._packed(group, GTElement, tuple(values[position:end])))
+        position = end
     return out
 
 
@@ -136,17 +128,47 @@ class HPSKEKey:
 
 
 class HPSKECiphertext:
-    """A tuple ``(b_1..b_kappa, body)`` of elements of one carrier group."""
+    """A tuple ``(b_1..b_kappa, body)`` of elements of one carrier group,
+    packed: ``values`` holds the coordinates, body last, in the raw form
+    the kernels take and return (``(x, y)`` or ``None`` at infinity for
+    ``G``, ``(a, b)`` for ``GT``), beside the ``group`` and the
+    ``carrier`` element class.  Element wrappers are built only when
+    :attr:`coins`, :attr:`body` or :meth:`elements` is asked for."""
 
-    __slots__ = ("coins", "body")
+    __slots__ = ("group", "carrier", "values")
 
     def __init__(self, coins: tuple[Element, ...], body: Element) -> None:
-        self.coins = coins
-        self.body = body
+        """Pack wrappers: all ``G`` or all ``GT`` elements of one group."""
+        carrier = G1Element if isinstance(body, G1Element) else GTElement
+        if not all(isinstance(element, carrier) for element in (*coins, body)):
+            raise WireFormatError("an HPSKE ciphertext holds only G or only GT elements")
+        if any(coin.group.params is not body.group.params for coin in coins):
+            raise GroupError("mixing elements of different groups")
+        self.group, self.carrier = body.group, carrier
+        self.values = (*(coin.raw for coin in coins), body.raw)
+
+    @classmethod
+    def _packed(cls, group: BilinearGroup, carrier: type, values: tuple) -> "HPSKECiphertext":
+        ciphertext = object.__new__(cls)
+        ciphertext.group, ciphertext.carrier, ciphertext.values = group, carrier, values
+        return ciphertext
 
     @property
     def kappa(self) -> int:
-        return len(self.coins)
+        return len(self.values) - 1
+
+    @property
+    def coins(self) -> tuple[Element, ...]:
+        return self.elements()[:-1]
+
+    @property
+    def body(self) -> Element:
+        return self.carrier.from_raw(self.group, self.values[-1])
+
+    def elements(self) -> tuple[Element, ...]:
+        """The coordinates as element wrappers, body last."""
+        carrier, group = self.carrier, self.group
+        return tuple(carrier.from_raw(group, value) for value in self.values)
 
     def _check(self, other: "HPSKECiphertext") -> None:
         if self.kappa != other.kappa:
@@ -183,22 +205,18 @@ class HPSKECiphertext:
         (the run-period ``d_i`` derivation) runs the Miller schedule
         once.
         """
-        values = point.pair_many(self.elements())  # type: ignore[arg-type]
-        return HPSKECiphertext(tuple(values[:-1]), values[-1])
-
-    def elements(self) -> tuple[Element, ...]:
-        return self.coins + (self.body,)
+        return pair_ciphertexts(point, [self])[0]
 
     def to_bits(self) -> BitString:
-        return concat_all(e.to_bits() for e in self.elements())
+        return BitString(*pack_raw(self.carrier, self.values, self.group.params.q))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HPSKECiphertext):
             return NotImplemented
-        return self.coins == other.coins and self.body == other.body
+        return self.carrier is other.carrier and self.values == other.values
 
     def __hash__(self) -> int:
-        return hash((self.coins, self.body))
+        return hash((self.carrier, self.values))
 
     def __repr__(self) -> str:
         return f"HPSKECiphertext(kappa={self.kappa})"
@@ -215,6 +233,7 @@ class HPSKE:
         self.group = group
         self.kappa = kappa
         self.space = space
+        self._carrier = G1Element if space == "G" else GTElement
         self._sample = group.random_g_batch if space == "G" else group.random_gt_batch
 
     def keygen(self, rng: random.Random) -> HPSKEKey:
@@ -241,12 +260,7 @@ class HPSKE:
             if rng is None:
                 raise ParameterError("encrypt needs an rng or explicit coins")
             coins = self.sample_coins(rng)
-        if len(coins) != self.kappa:
-            raise ParameterError("wrong number of coins")
-        # m * prod b_j^{sigma_j} as one multiexp (the message rides along
-        # with exponent 1).
-        mask = _multiexp((message, *coins), (1, *key.sigma))
-        return HPSKECiphertext(coins, mask)
+        return self._encrypt(key, [message], coins)[0]
 
     def encrypt_batch(
         self,
@@ -270,17 +284,27 @@ class HPSKE:
             raise ParameterError("key width does not match scheme kappa")
         if not messages:
             return []
-        coins = self._sample(rng, self.kappa * len(messages))
-        grouped = [
-            tuple(coins[i * self.kappa : (i + 1) * self.kappa])
-            for i in range(len(messages))
-        ]
+        return self._encrypt(key, messages, self._sample(rng, self.kappa * len(messages)))
+
+    def _encrypt(self, key: HPSKEKey, messages, coins) -> list[HPSKECiphertext]:
+        """Each message ``m`` with the next ``kappa`` coins: the masks
+        ``m * prod b_j^{sigma_j}`` (the message rides along with exponent
+        1) as one packed multiexp batch."""
+        if len(coins) != self.kappa * len(messages):
+            raise ParameterError("wrong number of coins")
+        carrier, group = self._carrier, self.group
+        for element in (*messages, *coins):
+            if not isinstance(element, carrier) or element.group.params is not group.params:
+                raise GroupError(f"HPSKE over {self.space} takes elements of its own group")
+        raw = [coin.raw for coin in coins]
+        grouped = [tuple(raw[i : i + self.kappa]) for i in range(0, len(raw), self.kappa)]
         exponents = (1, *key.sigma)
-        masks = _multiexp_batch(
-            [((message, *coins_i), exponents) for message, coins_i in zip(messages, grouped)]
+        masks = carrier.multiexp_batch(
+            [((m.raw, *coins_m), exponents) for m, coins_m in zip(messages, grouped)], group
         )
         return [
-            HPSKECiphertext(coins_i, mask) for coins_i, mask in zip(grouped, masks)
+            HPSKECiphertext._packed(group, carrier, (*coins_m, mask))
+            for coins_m, mask in zip(grouped, masks)
         ]
 
     def decrypt(self, key: HPSKEKey, ciphertext: HPSKECiphertext) -> Element:
@@ -290,10 +314,12 @@ class HPSKE:
         # Division folds into the multiexp: x^{p - sigma} = x^{-sigma} in
         # the order-p carrier groups.
         p = self.group.p
-        return _multiexp(
-            (ciphertext.body, *ciphertext.coins),
-            (1, *((p - sigma) % p for sigma in key.sigma)),
+        carrier, group, values = ciphertext.carrier, ciphertext.group, ciphertext.values
+        (plaintext,) = carrier.multiexp_batch(
+            [((values[-1], *values[:-1]), (1, *((p - sigma) % p for sigma in key.sigma)))],
+            group,
         )
+        return carrier.from_raw(group, plaintext)
 
     def ciphertext_bits(self) -> int:
         """Encoded size of one ciphertext (for communication accounting)."""

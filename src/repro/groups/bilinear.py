@@ -14,13 +14,15 @@ footnote 3 of the paper compares across schemes.
 
 from __future__ import annotations
 
+import functools
+import operator
 import random
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar
+from typing import Sequence
 
 from repro.errors import GroupError
 from repro.groups import curve, fastops, native
-from repro.groups.curve import Point
+from repro.groups.curve import INFINITY, Point
 from repro.groups.pairing import PairingPrecomp, tate_pairing
 from repro.groups.pairing_params import PairingParams
 from repro.groups.sampling import (
@@ -127,77 +129,110 @@ class OperationCounter:
 _COUNTER_FIELDS: tuple[str, ...] = tuple(OperationCounter.__dataclass_fields__)
 
 
-_ElementT = TypeVar("_ElementT")
+def pack_raw(carrier: type, values, q: int, check: bool = False) -> tuple[int, int]:
+    """The transcript encoding of a run of raw ``carrier`` values over
+    ``F_q`` as ``(value, bit count)``: the one packer of element bits,
+    which element and ciphertext ``to_bits``, the in-process walk and
+    the wire codec share.  With ``check``, each value first gets the
+    decode's checks short of the subgroup check (``G``: coordinates in
+    ``[0, q)``, not 2-torsion, on the curve; ``GT``: in range, nonzero),
+    raising :class:`~repro.errors.GroupError` as the decode would."""
+    width = int_width(q)
+    acc = 0
+    if carrier is G1Element:
+        top = 1 << width
+        for value in values:
+            acc <<= width + 2
+            if value is None:
+                continue
+            x, y = value
+            if check:
+                if not (0 <= x < q and 0 <= y < q):
+                    raise GroupError("G coordinate out of field range")
+                if y == 0:
+                    raise GroupError("point is 2-torsion, not in G")
+                if (y * y - x * x * x - x) % q:
+                    raise GroupError("point is not on the curve")
+            acc |= ((top | x % q) << 1) | (y & 1)
+        return acc, (width + 2) * len(values)
+    for a, b in values:
+        if check:
+            if not (0 <= a < q and 0 <= b < q):
+                raise GroupError("GT coordinate out of field range")
+            if not (a or b):
+                raise GroupError("zero is not a GT element")
+        acc = (((acc << width) | a) << width) | b
+    return acc, 2 * width * len(values)
 
 
-def _collect_terms(
-    bases: "Sequence[_ElementT]", exponents: Sequence[int]
-) -> tuple["BilinearGroup | None", list[tuple["_ElementT", int]]]:
-    """Shared multiexp front-end: validate, reduce exponents mod ``p``,
-    and drop trivial terms (zero exponent or identity base) -- neither
-    the fast kernels nor the naive ladder ever see them, matching the
-    ``**`` fast-path contract that identity walks are not counted."""
-    if len(bases) != len(exponents):
-        raise GroupError("multiexp: bases and exponents differ in length")
-    group: BilinearGroup | None = None
-    terms: list[tuple[_ElementT, int]] = []
-    for base, exponent in zip(bases, exponents):
-        base_group = base.group  # type: ignore[attr-defined]
-        if group is None:
-            group = base_group
-        elif base_group.params is not group.params:
-            raise GroupError("mixing elements of different groups")
-        reduced = exponent % group.params.p
-        if reduced == 0 or base.is_identity():  # type: ignore[attr-defined]
-            continue
-        terms.append((base, reduced))
-    return group, terms
-
-
-def _triage(
-    instances: "Sequence[tuple[Sequence[_ElementT], Sequence[int]]]",
-    identity: "Callable[[BilinearGroup], _ElementT]",
-    counter_field: str,
-) -> "tuple[list, list[tuple[int, BilinearGroup, list[tuple[_ElementT, int]]]]]":
-    """Split a vector of multiexp instances into what the kernel runs
-    and what it never sees.
-
-    An instance whose terms are all trivial is ``identity(group)``.  A
-    single-term instance, and every instance inside
-    :func:`~repro.groups.fastops.reference_mode`, is the per-term ``**``
-    ladder with the classic counter profile (a lone term counts one
-    ``g_exp`` / ``gt_exp``).  Every other instance bumps
-    ``counter_field`` by its term count and comes back as
-    ``(index, group, terms)``, its result slot left ``None``.
-    """
+def _multiexp_batch(carrier, instances, group):
+    """Both ``multiexp_batch`` classmethods: element instances are taken
+    apart into raw form, one :func:`_multiexp_packed` per group."""
+    if group is not None:
+        return _multiexp_packed(group, carrier, instances)
     results: list = [None] * len(instances)
-    fast = []
+    by_group: dict = {}
     for idx, (bases, exponents) in enumerate(instances):
-        group, terms = _collect_terms(bases, exponents)
-        if group is None:
+        if not bases:
             raise GroupError("multiexp needs at least one base")
-        if not terms:
-            results[idx] = identity(group)
-        elif not fastops.enabled() or len(terms) == 1:
-            result = terms[0][0] ** terms[0][1]
-            for base, exponent in terms[1:]:
-                result = result * (base ** exponent)
-            results[idx] = result
+        first = bases[0].group
+        if any(base.group.params is not first.params for base in bases):
+            raise GroupError("mixing elements of different groups")
+        by_group.setdefault(first, []).append((idx, [base.raw for base in bases], exponents))
+    for first, entries in by_group.items():
+        values = _multiexp_packed(first, carrier, [entry[1:] for entry in entries])
+        for (idx, _, _), value in zip(entries, values):
+            results[idx] = carrier.from_raw(first, value)
+    return results
+
+
+def _multiexp_packed(group: "BilinearGroup", carrier: type, instances) -> list:
+    """Multiexp instances over raw ``carrier`` values of ``group``, to
+    raw values.  Exponents are reduced mod ``p`` once per distinct
+    exponent object (a weighted product's coordinates share one), and
+    trivial terms (zero exponent, identity base) are dropped.  An
+    instance left empty is the identity and counts nothing; a
+    single-term one, and every one inside
+    :func:`~repro.groups.fastops.reference_mode`, is the per-term ``**``
+    ladder with its counter profile (a lone term counts one ``g_exp`` /
+    ``gt_exp``); every other one counts its terms on ``g_multiexp`` /
+    ``gt_multiexp`` and runs in one kernel call."""
+    g = carrier is G1Element
+    identity = None if g else (1, 0)
+    p, fast = group.params.p, fastops.enabled()
+    results: list = []
+    kernel_instances: list = []
+    slots: list[int] = []
+    terms = 0
+    last = reduced = None
+    for bases, exponents in instances:
+        if len(bases) != len(exponents):
+            raise GroupError("multiexp: bases and exponents differ in length")
+        if exponents is not last:
+            last = exponents
+            reduced = [exponent % p for exponent in exponents]
+        kept_bases, kept_exponents = bases, reduced
+        if 0 in reduced or identity in bases:
+            kept = [(b, e) for b, e in zip(bases, reduced) if e and b != identity]
+            kept_bases = [b for b, _ in kept]
+            kept_exponents = [e for _, e in kept]
+        if not kept_bases:
+            results.append(identity)
+        elif len(kept_bases) == 1 or not fast:
+            powers = [carrier.from_raw(group, b) ** e for b, e in zip(kept_bases, kept_exponents)]
+            results.append(functools.reduce(operator.mul, powers).raw)
         else:
-            counter = group.counter
-            setattr(counter, counter_field, getattr(counter, counter_field) + len(terms))
-            fast.append((idx, group, terms))
-    return results, fast
-
-
-def _by_modulus(fast: list) -> dict[int, list]:
-    """Kernel entries partitioned by field modulus: instances may span
-    distinct group instantiations, and the raw kernels are
-    per-modulus."""
-    by_q: dict[int, list] = {}
-    for entry in fast:
-        by_q.setdefault(entry[1].params.q, []).append(entry)
-    return by_q
+            slots.append(len(results))
+            results.append(None)
+            kernel_instances.append((kept_bases, kept_exponents))
+            terms += len(kept_bases)
+    if kernel_instances:
+        field = "g_multiexp" if g else "gt_multiexp"
+        setattr(group.counter, field, getattr(group.counter, field) + terms)
+        kernel = fastops.batch_multiexp_points if g else fastops.batch_multiexp_fq2
+        for slot, value in zip(slots, kernel(kernel_instances, group.params.q)):
+            results[slot] = value
+    return results
 
 
 class G1Element:
@@ -240,6 +275,17 @@ class G1Element:
         return self.point.is_infinity()
 
     @classmethod
+    def from_raw(cls, group: "BilinearGroup", raw: "tuple[int, int] | None") -> "G1Element":
+        """The element of raw affine form ``raw`` (``None`` at infinity)."""
+        return cls(group, INFINITY if raw is None else Point(raw[0], raw[1], False))
+
+    @property
+    def raw(self) -> "tuple[int, int] | None":
+        """The raw affine form ``(x, y)``, or ``None`` at infinity."""
+        point = self.point
+        return None if point.infinity else (point.x, point.y)
+
+    @classmethod
     def multiexp(
         cls, bases: "Sequence[G1Element]", exponents: Sequence[int]
     ) -> "G1Element":
@@ -255,7 +301,9 @@ class G1Element:
 
     @classmethod
     def multiexp_batch(
-        cls, instances: "Sequence[tuple[Sequence[G1Element], Sequence[int]]]"
+        cls,
+        instances: "Sequence[tuple[Sequence[G1Element], Sequence[int]]]",
+        group: "BilinearGroup | None" = None,
     ) -> "list[G1Element]":
         """Evaluate a vector of :meth:`multiexp` instances, amortised.
 
@@ -263,18 +311,15 @@ class G1Element:
         :meth:`multiexp` over the instances -- each fast instance still
         bumps ``g_multiexp`` by its own term count, and degenerate /
         reference-mode instances still degrade to the per-term ladder --
-        but the fast instances of each modulus run as one lockstep
+        but the fast instances of each group run as one lockstep
         affine vector, one shared inversion per round
         (:func:`repro.groups.fastops.batch_multiexp_points`).
+
+        With ``group``, the instances are in packed form: every base is
+        the :attr:`raw` form of an element of ``group``, and so is every
+        result -- what :class:`~repro.core.hpske.HPSKECiphertext` holds.
         """
-        results, fast = _triage(instances, BilinearGroup.g_identity, "g_multiexp")
-        for q, entries in _by_modulus(fast).items():
-            points = fastops.batch_multiexp_points(
-                [_g_kernel_instance(terms) for _, _, terms in entries], q
-            )
-            for (idx, group, _), point in zip(entries, points):
-                results[idx] = G1Element(group, point)
-        return results
+        return _multiexp_batch(cls, instances, group)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, G1Element):
@@ -286,12 +331,7 @@ class G1Element:
 
     def to_bits(self) -> BitString:
         """Compressed encoding: infinity flag, x, parity of y."""
-        q = self.group.params.q
-        width = int_width(q)
-        if self.point.is_infinity():
-            return BitString(0, width + 2)
-        value = (((1 << width) | self.point.x % q) << 1) | self.point.y % 2
-        return BitString(value, width + 2)
+        return BitString(*pack_raw(G1Element, (self.raw,), self.group.params.q))
 
     def __repr__(self) -> str:
         if self.point.is_infinity():
@@ -338,6 +378,17 @@ class GTElement:
         return self.value.is_one()
 
     @classmethod
+    def from_raw(cls, group: "BilinearGroup", raw: "tuple[int, int]") -> "GTElement":
+        """The element whose raw form is the canonical pair ``raw``."""
+        return cls(group, Fq2._from_reduced(raw[0], raw[1], group.params.q))
+
+    @property
+    def raw(self) -> "tuple[int, int]":
+        """The raw form ``(a, b)`` of ``a + b i``."""
+        value = self.value
+        return (value.a, value.b)
+
+    @classmethod
     def multiexp(
         cls, bases: "Sequence[GTElement]", exponents: Sequence[int]
     ) -> "GTElement":
@@ -349,21 +400,15 @@ class GTElement:
 
     @classmethod
     def multiexp_batch(
-        cls, instances: "Sequence[tuple[Sequence[GTElement], Sequence[int]]]"
+        cls,
+        instances: "Sequence[tuple[Sequence[GTElement], Sequence[int]]]",
+        group: "BilinearGroup | None" = None,
     ) -> "list[GTElement]":
         """Evaluate a vector of ``GT`` :meth:`multiexp` instances; see
         :meth:`G1Element.multiexp_batch` for the value/counter contract
-        (here ``gt_multiexp``, kernel
+        and the packed form (here ``gt_multiexp``, kernel
         :func:`repro.groups.fastops.batch_multiexp_fq2`)."""
-        results, fast = _triage(instances, BilinearGroup.gt_identity, "gt_multiexp")
-        for q, entries in _by_modulus(fast).items():
-            values = fastops.batch_multiexp_fq2(
-                [_gt_kernel_instance(terms) for _, _, terms in entries], q
-            )
-            # The kernel returns canonical reduced ints -- skip re-reduction.
-            for (idx, group, _), (a, b) in zip(entries, values):
-                results[idx] = GTElement(group, Fq2._from_reduced(a, b, q))
-        return results
+        return _multiexp_batch(cls, instances, group)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GTElement):
@@ -374,26 +419,10 @@ class GTElement:
         return hash(("GT", self.value.a, self.value.b))
 
     def to_bits(self) -> BitString:
-        width = int_width(self.group.params.q)
-        return BitString((self.value.a << width) | self.value.b, 2 * width)
+        return BitString(*pack_raw(GTElement, (self.raw,), self.group.params.q))
 
     def __repr__(self) -> str:
         return f"GT({self.value.a} + {self.value.b}i)"
-
-
-def _g_kernel_instance(
-    terms: "list[tuple[G1Element, int]]",
-) -> tuple[list[Point], list[int]]:
-    return [base.point for base, _ in terms], [exponent for _, exponent in terms]
-
-
-def _gt_kernel_instance(
-    terms: "list[tuple[GTElement, int]]",
-) -> tuple[list[tuple[int, int]], list[int]]:
-    return (
-        [(base.value.a, base.value.b) for base, _ in terms],
-        [exponent for _, exponent in terms],
-    )
 
 
 class G1Precomp:
@@ -432,21 +461,31 @@ class G1Precomp:
         element still counts one ``pairings_precomp``; reference mode
         still degrades every element to a full pairing), but the
         schedule is built at most once and the evaluations go through
-        :meth:`~repro.groups.pairing.PairingPrecomp.evaluate_many`.
+        :meth:`evaluate_many`.
         """
         group = self.element.group
         for right in rights:
             if right.group.params is not group.params:
                 raise GroupError("pairing elements from a different group")
+        values = self.evaluate_many([right.raw for right in rights])
+        return [GTElement.from_raw(group, value) for value in values]
+
+    def evaluate_many(self, rights: Sequence) -> list:
+        """:meth:`pair_many` in packed form: raw affine points of this
+        handle's group in, raw ``GT`` pairs out, through one
+        :meth:`~repro.groups.pairing.PairingPrecomp.evaluate_many`."""
+        group = self.element.group
         if not fastops.enabled():
-            return [group.pair(self.element, right) for right in rights]
+            return [
+                group.pair(self.element, G1Element.from_raw(group, right)).raw
+                for right in rights
+            ]
         if not rights:
             return []
         if self._schedule is None:
             self._schedule = PairingPrecomp(self.element.point, group.params)
         group.counter.pairings_precomp += len(rights)
-        values = self._schedule.pair_with_many([right.point for right in rights])
-        return [GTElement(group, value) for value in values]
+        return self._schedule.evaluate_many(rights)
 
 
 class BilinearGroup:

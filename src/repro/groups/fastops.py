@@ -19,9 +19,10 @@ terms:
   steps produce a few dozen terms at most; see docs/performance.md for
   what larger instances pay on the Python kernels.
 
-All operate on raw representations (integer pairs for affine points
-and ``F_{q^2}`` values) -- no element-object allocation in the hot
-loop.  The element-level entry points live on
+All operate on raw representations -- an affine point is ``(x, y)``
+or ``None`` at infinity, an ``F_{q^2}`` value is ``(a, b)`` -- and
+return the same forms, so no element object is allocated on the way
+in or out.  The element-level entry points live on
 :class:`~repro.groups.bilinear.BilinearGroup` /
 :meth:`~repro.groups.bilinear.G1Element.multiexp`, which also maintain
 the ``g_multiexp`` / ``gt_multiexp`` operation counters.
@@ -44,14 +45,7 @@ from typing import Iterator
 
 from repro.errors import GroupError
 from repro.groups import native
-from repro.groups.curve import (
-    INFINITY,
-    Point,
-    batch_add_affine,
-    batch_double_affine,
-    from_raw_affine,
-    to_raw_affine,
-)
+from repro.groups.curve import _RawAffine, batch_add_affine, batch_double_affine
 from repro.groups.windows import straus_window, wnaf_window
 from repro.math.modular import fq2_mul, fq2_square
 
@@ -188,8 +182,8 @@ def _digit_layout(
 
 
 def _batch_affine_multiexp(
-    instances: "list[tuple[list[Point], list[int]]]", q: int
-) -> list[Point]:
+    instances: "list[tuple[list[_RawAffine], list[int]]]", q: int
+) -> "list[_RawAffine]":
     """Evaluate a vector of one or more instances in lockstep affine form.
 
     One shared wNAF width (:func:`~repro.groups.windows.wnaf_window`,
@@ -214,19 +208,11 @@ def _batch_affine_multiexp(
     w = wnaf_window(bits)
     compiled = native.kernels()
     if compiled is not None:
-        return from_raw_affine(
-            compiled.affine_multiexp(
-                q,
-                w,
-                _TREE_ENTRIES,
-                [
-                    (
-                        [None if p.infinity else (p.x, p.y) for p in points],
-                        list(exponents),
-                    )
-                    for points, exponents in instances
-                ],
-            )
+        return compiled.affine_multiexp(
+            q,
+            w,
+            _TREE_ENTRIES,
+            [(list(points), list(exponents)) for points, exponents in instances],
         )
     layouts: dict[tuple[int, ...], tuple] = {}
     instance_layouts = []
@@ -237,7 +223,11 @@ def _batch_affine_multiexp(
             layout = layouts[key] = _digit_layout(key, w)
         instance_layouts.append(layout)
     multiples = [count for layout in instance_layouts for count in layout[1]]
-    bases_raw = to_raw_affine([point for points, _ in instances for point in points], q)
+    bases_raw = [
+        None if point is None else (point[0] % q, point[1] % q)
+        for points, _ in instances
+        for point in points
+    ]
 
     # Odd multiples P, 3P, 5P, ... up to each term's largest digit.
     tables = [[base] for base in bases_raw]
@@ -308,18 +298,19 @@ def _batch_affine_multiexp(
     if previous:
         for _ in range(previous):
             acc = batch_double_affine(acc, q)
-    return from_raw_affine(acc)
+    return acc
 
 
 def batch_multiexp_points(
-    instances: "list[tuple[list[Point], list[int]]]", q: int
-) -> list[Point]:
+    instances: "list[tuple[list[_RawAffine], list[int]]]", q: int
+) -> "list[_RawAffine]":
     """``prod_i exponents[i] * points[i]`` on the curve (additive view)
     for every instance of a vector, amortised.
 
-    The one ``G`` entry point.  Callers pre-reduce exponents to
+    The one ``G`` entry point, on raw affine points (``(x, y)``, or
+    ``None`` at infinity).  Callers pre-reduce exponents to
     ``[1, order)`` and drop zero/infinity terms.  An empty instance is
-    :data:`~repro.groups.curve.INFINITY`; every other instance, whatever
+    ``None``; every other instance, whatever
     its term count, runs in the lockstep affine vector of
     :func:`_batch_affine_multiexp`: signed digits, one shared inversion
     per doubling or addition round, no per-instance normalisation.  A
@@ -331,7 +322,7 @@ def batch_multiexp_points(
             raise GroupError("multiexp: bases and exponents differ in length")
         if points:
             busy.append(idx)
-    results = [INFINITY] * len(instances)
+    results: list[_RawAffine] = [None] * len(instances)
     if busy:
         values = _batch_affine_multiexp([instances[idx] for idx in busy], q)
         for idx, value in zip(busy, values):
@@ -399,7 +390,7 @@ def batch_multiexp_fq2(
     if not busy:
         return results
 
-    bits = max(e.bit_length() for idx in busy for e in instances[idx][1])
+    bits = max(max(instances[idx][1]) for idx in busy).bit_length()
     w = straus_window(max(len(instances[idx][0]) for idx in busy), bits)
     digits = -(-bits // w)
     for idx in busy:

@@ -124,11 +124,10 @@ class PairingPrecomp:
     itself from the second ``Q`` onwards (see docs/performance.md).
     """
 
-    __slots__ = ("params", "steps", "_trivial")
+    __slots__ = ("params", "steps")
 
     def __init__(self, p_point: Point, params: PairingParams) -> None:
         self.params = params
-        self._trivial = p_point.is_infinity()
         #: Per loop iteration: (dbl_coeffs | None, add_coeffs | None);
         #: ``None`` means the step only squares ``f`` (T at infinity) /
         #: has no addition.  Coeffs are (lambda, ty - lambda * tx).
@@ -138,26 +137,25 @@ class PairingPrecomp:
         """The full pairing ``e(P, Q)`` via the cached schedule."""
         return self.pair_with_many([q_point])[0]
 
-    def evaluate_many(self, q_points: "list[Point]") -> list[_RawFq2]:
-        """``e(P, Q_i)`` for a whole vector, as canonical raw pairs.
+    def evaluate_many(self, q_points: "list[tuple[int, int] | None]") -> list[_RawFq2]:
+        """``e(P, Q_i)`` for a whole vector of raw affine points
+        (``(x, y)``, or ``None`` at infinity), as canonical raw pairs.
 
-        The cached schedule is built once and serves every ``Q_i`` in
-        one :func:`evaluate_schedule_chunk` call.  Results are
-        bit-identical to -- and ordered like -- mapping
-        :meth:`pair_with` over the vector.
+        The cached schedule serves every ``Q_i`` in one
+        :func:`evaluate_schedule_chunk` call (``P`` at infinity has no
+        steps, so every value is 1).  Results are bit-identical to --
+        and ordered like -- mapping :meth:`pair_with` over the vector.
         """
-        xys = [
-            None
-            if self._trivial or pt.is_infinity()
-            else (pt.x, pt.y)
-            for pt in q_points
-        ]
-        return evaluate_schedule_chunk(self.steps, self.params.q, self.params.h, xys)
+        return evaluate_schedule_chunk(
+            self.steps, self.params.q, self.params.h, list(q_points)
+        )
 
     def pair_with_many(self, q_points: "list[Point]") -> list[Fq2]:
-        """:meth:`evaluate_many`, as ``F_{q^2}`` elements."""
+        """:meth:`evaluate_many` of :class:`Point` values, as ``F_{q^2}``
+        elements."""
         q = self.params.q
-        return [Fq2._from_reduced(a, b, q) for a, b in self.evaluate_many(q_points)]
+        raws = [None if pt.infinity else (pt.x, pt.y) for pt in q_points]
+        return [Fq2._from_reduced(a, b, q) for a, b in self.evaluate_many(raws)]
 
 
 def miller_schedule(p_point: Point, params: PairingParams) -> _Schedule:

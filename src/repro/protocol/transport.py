@@ -11,12 +11,14 @@ Three implementations:
 * :class:`InMemoryTransport` -- the classic single-process channel.  One
   walk over each sent payload (:func:`_walk`) packs its transcript
   encoding into one int and builds the receiver's structural copy:
-  every container, ciphertext, scalar, bit string and element wrapper
-  is rebuilt, and only frozen leaves (points, ``F_{q^2}`` values, ints,
-  strings, bytes) are shared, so no mutable object is ever aliased
-  between the two devices' memories.  The copy equals what the wire
-  codec would decode, and each element gets the checks that decode
-  would make short of the subgroup check.
+  every container, HPSKE ciphertext object, scalar, bit string and
+  element wrapper is rebuilt, and only frozen leaves are shared (ints,
+  strings, bytes, points, ``F_{q^2}`` values, and a ciphertext's packed
+  coordinate tuple, which holds only ints), so no mutable object is
+  ever aliased between the two devices' memories.  The copy equals
+  what the wire codec would decode, and each element and ciphertext
+  coordinate gets the checks that decode would make short of the
+  subgroup check, with no element wrapper built for a ciphertext.
 * :class:`SocketTransport` -- P1 and P2 in separate threads over a local
   ``socketpair``; frames are length-prefixed wire-codec bytes, and the
   codec subgroup-checks every element it decodes.
@@ -37,19 +39,10 @@ from dataclasses import dataclass, field
 
 from repro.core.hpske import HPSKECiphertext
 from repro.errors import GroupError, PeerDisconnected, TransportTimeout, WireFormatError
-from repro.groups.bilinear import G1Element, GTElement
-from repro.groups.curve import INFINITY
-from repro.math.fields import Fq2
+from repro.groups.bilinear import G1Element, GTElement, pack_raw
 from repro.protocol.device import _ScalarInMemory
 from repro.utils.bits import BitString, concat_all
-from repro.utils.serialization import (
-    WireCodec,
-    _ciphertext,
-    _nest,
-    encode_any,
-    int_width,
-    sniff_group,
-)
+from repro.utils.serialization import WireCodec, _nest, encode_any, sniff_group
 
 
 # ---------------------------------------------------------------------------
@@ -353,60 +346,16 @@ def _walk(payload: object) -> tuple[BitString | None, object, Exception | None]:
     The copy is type- and value-equal to ``WireCodec(group).decode(
     WireCodec(group).encode(payload))``.  Containers, HPSKE ciphertexts,
     scalars, bit strings and element wrappers (whose slots are
-    assignable) are rebuilt; only frozen leaves are shared.  Each element
-    gets the decode's checks short of the subgroup check: ``G``
-    coordinates in ``[0, q)``, no 2-torsion, ``y^2 = x^3 + x``; ``GT``
-    coordinates in range and a nonzero value.  A payload ``encode`` would
-    reject is delivered by reference; the error is the codec's for a
-    mixed-carrier ciphertext, a scalar modulus below 2 or nesting deeper
+    assignable) are rebuilt; only frozen leaves, such as a ciphertext's
+    packed coordinate tuple, are shared.  One checked
+    :func:`~repro.groups.bilinear.pack_raw` call per element or
+    ciphertext makes the decode's checks and the encoding.
+    A payload ``encode`` would reject is delivered by reference; the
+    error is the codec's for a scalar modulus below 2 or nesting deeper
     than ``_MAX_DEPTH``, or a failed element check.
     """
     acc = nbits = 0
     exact = True
-    field = (0, 0)  # (q, int_width(q)) of the last element's group
-
-    def elements(values, carrier: type) -> list:
-        """Check, copy and encode a run of ``carrier`` elements."""
-        nonlocal acc, nbits, field
-        copies, chunk, size, group = [], 0, 0, None
-        for value in values:
-            if value.group is not group:
-                group = value.group
-                q = group.params.q
-                if q != field[0]:
-                    field = (q, int_width(q))
-                width = field[1]
-            if carrier is G1Element:
-                point = value.point
-                chunk <<= width + 2
-                size += width + 2
-                if point.infinity:
-                    point = INFINITY
-                else:
-                    x, y = point.x, point.y
-                    if not (0 <= x < q and 0 <= y < q):
-                        raise GroupError("G coordinate out of field range")
-                    if y == 0:
-                        raise GroupError("point is 2-torsion, not in G")
-                    if (y * y - x * x * x - x) % q:
-                        raise GroupError("point is not on the curve")
-                    chunk |= (((1 << width) | x) << 1) | (y & 1)
-                copies.append(G1Element(group, point))
-            else:
-                element = value.value
-                a, b = element.a, element.b
-                if not (0 <= a < q and 0 <= b < q):
-                    raise GroupError("GT coordinate out of field range")
-                if not (a or b):
-                    raise GroupError("zero is not a GT element")
-                if element.q != q:
-                    element = Fq2._from_reduced(a, b, q)
-                chunk = (((chunk << width) | a) << width) | b
-                size += 2 * width
-                copies.append(GTElement(group, element))
-        acc = (acc << size) | chunk
-        nbits += size
-        return copies
 
     def walk(value: object, depth: int) -> object:
         nonlocal acc, nbits, exact
@@ -417,16 +366,20 @@ def _walk(payload: object) -> tuple[BitString | None, object, Exception | None]:
             inner = _nest(depth)
             items = [walk(item, inner) for item in value]
             return tuple(items) if isinstance(value, tuple) else items
-        if isinstance(value, HPSKECiphertext):
-            inner = _nest(depth)
-            values = value.elements()
-            carrier = type(value.body)
-            if carrier in (G1Element, GTElement) and set(map(type, values)) == {carrier}:
-                items = elements(values, carrier)
-                return HPSKECiphertext(tuple(items[:-1]), items[-1])
-            return _ciphertext([walk(item, inner) for item in values])
-        if isinstance(value, (G1Element, GTElement)):
-            return elements((value,), G1Element if isinstance(value, G1Element) else GTElement)[0]
+        if isinstance(value, (HPSKECiphertext, G1Element, GTElement)):
+            packed = isinstance(value, HPSKECiphertext)
+            if packed:
+                _nest(depth)
+                carrier, values = value.carrier, value.values
+            else:
+                carrier = G1Element if isinstance(value, G1Element) else GTElement
+                values = (value.raw,)
+            bits, size = pack_raw(carrier, values, value.group.q, True)
+            acc = (acc << size) | bits
+            nbits += size
+            if packed:
+                return HPSKECiphertext._packed(value.group, carrier, values)
+            return carrier.from_raw(value.group, values[0])
         if kind is bool:
             acc = (acc << 1) | value
             nbits += 1

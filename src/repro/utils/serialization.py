@@ -171,18 +171,6 @@ def _nest(depth: int) -> int:
     return depth + 1
 
 
-def _ciphertext(elements: list):
-    """The HPSKE ciphertext whose coins and body are ``elements`` (the
-    body last); all of them must be ``G`` or all ``GT`` elements."""
-    from repro.core.hpske import HPSKECiphertext
-    from repro.groups.bilinear import G1Element, GTElement
-
-    carriers = {type(element) for element in elements}
-    if carriers != {G1Element} and carriers != {GTElement}:
-        raise WireFormatError("an HPSKE ciphertext holds only G or only GT elements")
-    return HPSKECiphertext(tuple(elements[:-1]), elements[-1])
-
-
 def sniff_group(payload: object):
     """Find the bilinear group a payload's elements live in, if any.
 
@@ -197,11 +185,9 @@ def sniff_group(payload: object):
     stack = [payload]
     while stack:
         value = stack.pop()
-        if isinstance(value, (G1Element, GTElement)):
+        if isinstance(value, (G1Element, GTElement, HPSKECiphertext)):
             return value.group
-        if isinstance(value, HPSKECiphertext):
-            stack.extend(value.elements())
-        elif isinstance(value, (tuple, list)):
+        if isinstance(value, (tuple, list)):
             stack.extend(value)
     return None
 
@@ -231,7 +217,7 @@ class WireCodec:
 
     def _encode_into(self, out: bytearray, value: object) -> None:
         from repro.core.hpske import HPSKECiphertext
-        from repro.groups.bilinear import G1Element, GTElement
+        from repro.groups.bilinear import G1Element, GTElement, pack_raw
         from repro.protocol.device import _ScalarInMemory
 
         if value is None:
@@ -262,8 +248,10 @@ class WireCodec:
         elif isinstance(value, HPSKECiphertext):
             out.append(_TAG_HPSKE)
             _write_varint(out, value.kappa)
-            for element in value.elements():
-                self._encode_into(out, element)
+            tag = _TAG_G1 if value.carrier is G1Element else _TAG_GT
+            for raw in value.values:
+                out.append(tag)
+                _write_bits(out, BitString(*pack_raw(value.carrier, (raw,), value.group.q)))
         elif isinstance(value, _ScalarInMemory):
             out.append(_TAG_SCALAR)
             _write_varint(out, value.value)
@@ -350,5 +338,7 @@ class WireCodec:
             item, offset = self._decode_from(data, offset, inner)
             items.append(item)
         if tag == _TAG_HPSKE:
-            return _ciphertext(items), offset
+            from repro.core.hpske import HPSKECiphertext
+
+            return HPSKECiphertext(tuple(items[:-1]), items[-1]), offset
         return (tuple(items) if tag == _TAG_TUPLE else items), offset

@@ -79,7 +79,7 @@ def raw_instances(group, instances):
     raw = []
     for bases, exponents in instances:
         kept = [
-            (base.point, exponent % group.p)
+            (base.raw, exponent % group.p)
             for base, exponent in zip(bases, exponents)
             if exponent % group.p and not base.is_identity()
         ]
@@ -92,9 +92,11 @@ def reference_ladder(group, raw):
     """Raw kernel instances on the ``reference_mode()`` per-term ladder."""
     with fastops.reference_mode():
         return [
-            G1Element.multiexp([G1Element(group, pt) for pt in points], exponents).point
+            G1Element.multiexp(
+                [G1Element.from_raw(group, pt) for pt in points], exponents
+            ).raw
             if points
-            else INFINITY
+            else None
             for points, exponents in raw
         ]
 
@@ -127,7 +129,7 @@ class TestBatchAffineMultiexp:
         p, q = SMALL.p, SMALL.params.q
         exponents = [1, p - 1] + [rng.randrange(1, p) for _ in range(rng.randrange(1, 6))]
         raw = [
-            ([SMALL.random_g(rng).point for _ in exponents], exponents)
+            ([SMALL.random_g(rng).raw for _ in exponents], exponents)
             for _ in range(count)
         ]
         assert batch_multiexp_points(raw, q) == reference_ladder(SMALL, raw)
@@ -135,16 +137,18 @@ class TestBatchAffineMultiexp:
     def test_inverse_pair_and_duplicates_cancel(self):
         rng = random.Random(3)
         q, p = TOY.params.q, TOY.p
-        a, b = TOY.random_g(rng).point, TOY.random_g(rng).point
-        minus_a = a.negate(q)
+        a_point, b_point = TOY.random_g(rng).point, TOY.random_g(rng).point
+        a, b = (a_point.x, a_point.y), (b_point.x, b_point.y)
+        minus_a = (a_point.x, -a_point.y % q)
         raw = [
             ([a, minus_a], [5, 5]),  # a^5 * a^-5 = identity
             ([a, a, b], [1, p - 1, 7]),  # duplicates cancel to b^7
             ([a, minus_a, a], [3, 3, p - 1]),
         ]
         got = batch_multiexp_points(raw, q)
-        assert got[0] == INFINITY
-        assert got[1] == scalar_mul(b, 7, q)
+        assert got[0] is None
+        seven_b = scalar_mul(b_point, 7, q)
+        assert got[1] == (seven_b.x, seven_b.y)
         assert got == reference_ladder(TOY, raw)
 
     def test_single_instance_and_mixed_dispatch(self):
@@ -155,7 +159,7 @@ class TestBatchAffineMultiexp:
 
         def instance(size):
             return (
-                [SMALL.random_g(rng).point for _ in range(size)],
+                [SMALL.random_g(rng).raw for _ in range(size)],
                 [rng.randrange(1, p) for _ in range(size)],
             )
 

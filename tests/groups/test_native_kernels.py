@@ -96,6 +96,11 @@ def point_pool(n: int) -> tuple[Point, ...]:
     return tuple(points + negatives + [TWO_TORSION, INFINITY])
 
 
+def affine(points) -> list:
+    """Points in the kernels' raw affine form, ``None`` at infinity."""
+    return [None if point.infinity else (point.x, point.y) for point in points]
+
+
 def draw_instances(n: int, seed: int, width: int) -> list:
     group = preset_group(n)
     rng = random.Random(seed)
@@ -108,7 +113,7 @@ def draw_instances(n: int, seed: int, width: int) -> list:
             rng.choice([0, 1, 3, group.p - 1, rng.randrange(1, group.p)])
             for _ in range(terms)
         ]
-        instances.append((bases, exponents))
+        instances.append((affine(bases), exponents))
     return instances
 
 
@@ -130,15 +135,15 @@ class TestAffineMultiexp:
         p_point = point_pool(n)[0]
         e = random.Random(n).randrange(1, group.p)
         instances = [
-            ([p_point, p_point.negate(group.q)], [e, e]),
-            ([p_point, p_point], [e, e]),
-            ([TWO_TORSION, p_point], [e, e]),
-            ([INFINITY, p_point], [e, e]),
-            ([TWO_TORSION, TWO_TORSION], [1, 1]),
+            (affine([p_point, p_point.negate(group.q)]), [e, e]),
+            (affine([p_point, p_point]), [e, e]),
+            (affine([TWO_TORSION, p_point]), [e, e]),
+            (affine([INFINITY, p_point]), [e, e]),
+            (affine([TWO_TORSION, TWO_TORSION]), [1, 1]),
         ]
         got, want = both(lambda: fastops._batch_affine_multiexp(instances, group.q))
         assert got == want
-        assert got[0] == INFINITY and got[4] == INFINITY
+        assert got[0] is None and got[4] is None
 
     @pytest.mark.parametrize("n", SIZES)
     def test_infinity_base_after_a_call_of_the_same_shape(self, n):
@@ -150,17 +155,17 @@ class TestAffineMultiexp:
         finite = point_pool(n)[:6]
         instances = [
             (
-                [rng.choice(finite) for _ in range(terms)],
+                affine([rng.choice(finite) for _ in range(terms)]),
                 [rng.randrange(1, group.p) for _ in range(terms)],
             )
             for terms in [30] + [9] * 39
         ]
         fastops._batch_affine_multiexp(instances, group.q)
         # Thirty terms put a digit of instance 0 at nearly every position.
-        instances[0] = ([INFINITY] * 30, instances[0][1])
+        instances[0] = ([None] * 30, instances[0][1])
         got, want = both(lambda: fastops._batch_affine_multiexp(instances, group.q))
         assert got == want
-        assert got[0] == INFINITY
+        assert got[0] is None
 
     @pytest.mark.parametrize("n", SIZES)
     def test_many_slices(self, n):
@@ -201,12 +206,13 @@ def test_lone_instances_match_the_reference_ladder(kernels, n):
         with fastops.reference_mode():
             want = G1Element.multiexp(
                 [G1Element(group, point) for point in bases], exponents
-            ).point
+            ).raw
+        instances = [(affine(bases), exponents)]
         if kernels == "native":
-            got = fastops.batch_multiexp_points([(bases, exponents)], group.q)
+            got = fastops.batch_multiexp_points(instances, group.q)
         else:
             with native._python_kernels():
-                got = fastops.batch_multiexp_points([(bases, exponents)], group.q)
+                got = fastops.batch_multiexp_points(instances, group.q)
         assert got == [want], terms
 
 
@@ -293,7 +299,7 @@ class TestScheduleChunk:
         group = preset_group(n)
         left, *rights = point_pool(n)
         schedule = PairingPrecomp(left, group.params)
-        got, want = both(lambda: schedule.evaluate_many(rights))
+        got, want = both(lambda: schedule.evaluate_many(affine(rights)))
         assert got == want
 
 
@@ -691,14 +697,8 @@ class TestWordBoundary:
             q, fastops.wnaf_window(bits), fastops._TREE_ENTRIES, lifted
         )
         with native._python_kernels():
-            want = fastops._batch_affine_multiexp(
-                [
-                    ([INFINITY if xy is None else Point(*xy, False) for xy in bases], exps)
-                    for bases, exps in instances
-                ],
-                q,
-            )
-        assert got == raw(want)
+            want = fastops._batch_affine_multiexp(instances, q)
+        assert got == want
         assert got[1] is None and got[-1] is None
 
     @pytest.mark.parametrize("key", BOUNDARY)

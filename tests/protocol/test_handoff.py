@@ -49,7 +49,12 @@ class RecordingTransport(InMemoryTransport):
 
 
 def reachable(value):
-    """Every object reachable from a payload, the element leaves included."""
+    """Every object reachable from a payload, the element leaves included.
+
+    A ciphertext's ``coins`` and ``body`` are wrappers built on access,
+    so the returned list is what keeps them alive.  Its packed
+    coordinate tuple holds only ints (``None`` at infinity), which are
+    visited as frozen leaves; the tuple itself may be shared."""
     seen = []
     stack = [value]
     while stack:
@@ -60,6 +65,8 @@ def reachable(value):
         elif isinstance(item, HPSKECiphertext):
             stack.append(item.coins)
             stack.append(item.body)
+            for coordinate in item.values:
+                seen.extend((coordinate,) if coordinate is None else coordinate)
         elif isinstance(item, G1Element):
             stack.append(item.point)
         elif isinstance(item, GTElement):
@@ -68,8 +75,12 @@ def reachable(value):
 
 
 def assert_disjoint(sent, delivered):
-    sender_ids = {id(item) for item in reachable(sent)}
-    for item in reachable(delivered):
+    # Both object lists stay alive while their ids are compared, so no
+    # wrapper built on access can free an id for the other side to reuse.
+    sent_objects = reachable(sent)
+    sender_ids = {id(item) for item in sent_objects}
+    delivered_objects = reachable(delivered)
+    for item in delivered_objects:
         if type(item) is tuple and not item:
             continue  # the interpreter's one immutable empty tuple
         if isinstance(item, REBUILT):
